@@ -1,4 +1,4 @@
-"""Benchmark the hot kernels: numba-compiled vs interpreted numpy.
+"""Benchmark the descent kernel: numba-compiled vs interpreted numpy.
 
 The compiled entry points live next to their interpreted originals
 (`gd_loop` vs `gd_loop_py`, ...), so both paths run in one process.  When
@@ -53,32 +53,12 @@ def bench_gd_loop(T):
     return t_fast, t_py, drift
 
 
-def bench_dual_pgd():
-    rng = np.random.default_rng(0)
-    u = rng.standard_normal(6)
-    u /= np.linalg.norm(u)
-    rows = rng.standard_normal((60, 6)) * 0.1
-    rows -= np.maximum(rows @ u + rng.uniform(0.001, 0.01, 60), 0)[:, None] * u
-    rows /= max(1.0, np.linalg.norm(rows, axis=1).max())
-    ApT = np.ascontiguousarray(rows.T)
-    step = 0.99 / np.linalg.eigvalsh(ApT @ rows)[-1]
-    args = (rows, ApT, step, 1e-10, 10**6)
-    if K.USE_NUMBA:
-        K.dual_pgd(*args)
-    t_fast, out_fast = time_call(K.dual_pgd, *args)
-    t_py, out_py = time_call(K.dual_pgd_py, *args, repeat=1)
-    drift = float(np.max(np.abs(out_fast[0] - out_py[0])))
-    return t_fast, t_py, drift
-
-
 def main():
     T = int(sys.argv[1]) if len(sys.argv) > 1 else 100_000
     print(f"kernel path: {'numba' if K.USE_NUMBA else 'numpy (fallback)'}")
     print(f"{'kernel':<12} {'selected':>10} {'interpreted':>12} {'speedup':>8}  max|drift|")
     t_fast, t_py, drift = bench_gd_loop(T)
     print(f"{'gd_loop':<12} {t_fast:>9.3f}s {t_py:>11.3f}s {t_py / t_fast:>7.1f}x  {drift:.2e}")
-    t_fast, t_py, drift = bench_dual_pgd()
-    print(f"{'dual_pgd':<12} {t_fast:>9.3f}s {t_py:>11.3f}s {t_py / t_fast:>7.1f}x  {drift:.2e}")
 
 
 if __name__ == "__main__":

@@ -72,19 +72,6 @@ def loss_curvs(z, code):
     return p * (1.0 - p)
 
 
-def simplex_project(v):
-    """Euclidean projection onto {q >= 0, sum(q) = 1} by sort-and-threshold."""
-    n = v.shape[0]
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    rho = 0
-    for k in range(n):
-        if u[k] * (k + 1) > css[k] - 1.0:
-            rho = k
-    tau = (css[rho] - 1.0) / (rho + 1.0)
-    return np.maximum(v - tau, 0.0)
-
-
 def gd_loop(A, At, Act, sep_idx, BS, BST, loss_code, sched_code, T, cps):
     """Run gradient descent w_{j+1} = w_j - eta_j * grad(w_j) from w_0 = 0.
 
@@ -232,34 +219,6 @@ def gd_loop(A, At, Act, sep_idx, BS, BST, loss_code, sched_code, T, cps):
     )
 
 
-def dual_pgd(Ap, ApT, step, tol, max_iters):
-    """Minimize |Ap^T q| over the probability simplex by projected gradient.
-
-    Stops when the duality gap |Ap^T q| - min_i (Ap Ap^T q)_i / |Ap^T q|
-    drops to tol.  Returns (q, iterations, gap, status).
-    """
-    n_c = Ap.shape[0]
-    q = np.full(n_c, 1.0 / n_c)
-    best_q = q.copy()
-    best_gap = np.inf
-    for it in range(max_iters):
-        v = np.dot(ApT, q)
-        dual = np.sqrt(np.dot(v, v))
-        g = np.dot(Ap, v)
-        if dual > 0.0:
-            gap = dual - np.min(g) / dual
-        else:
-            # |Ap^T q| hit zero: no positive margin exists, caller decides
-            return q, it, 0.0, STATUS_OK
-        if gap < best_gap:
-            best_gap = gap
-            best_q[:] = q
-        if gap <= tol:
-            return q, it, gap, STATUS_OK
-        q = simplex_project(q - step * g)
-    return best_q, max_iters, best_gap, STATUS_MAX_ITERS
-
-
 def ball_opt(A, At, loss_code, radius, w0, tol, max_iters, smax):
     """Minimize the empirical risk over the ball |w| <= radius.
 
@@ -342,16 +301,12 @@ def ball_opt(A, At, loss_code, radius, w0, tol, max_iters, smax):
 loss_values_py = loss_values
 loss_derivs_py = loss_derivs
 loss_curvs_py = loss_curvs
-simplex_project_py = simplex_project
 gd_loop_py = gd_loop
-dual_pgd_py = dual_pgd
 ball_opt_py = ball_opt
 
 if USE_NUMBA:
     loss_values = njit(cache=True)(loss_values)
     loss_derivs = njit(cache=True)(loss_derivs)
     loss_curvs = njit(cache=True)(loss_curvs)
-    simplex_project = njit(cache=True)(simplex_project)
     gd_loop = njit(cache=True)(gd_loop)
-    dual_pgd = njit(cache=True)(dual_pgd)
     ball_opt = njit(cache=True)(ball_opt)

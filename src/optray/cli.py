@@ -63,11 +63,19 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _self_check_failed(structure) -> bool:
+    if structure.validation.ok:
+        return False
+    print("decomposition self-check FAILED", file=sys.stderr)
+    return True
+
+
 def cmd_decompose(args) -> int:
     ds = _load_dataset(args)
     matrix = to_margin_matrix(ds)
-    structure = analyze(matrix, args.loss, margin_tol=args.tol_margin, scvx_tol=args.tol_scvx)
+    # made before the analysis, so a numeric abort leaves the directory too
     out = _outdir(args)
+    structure = analyze(matrix, args.loss, margin_tol=args.tol_margin, scvx_tol=args.tol_scvx)
     with open(out / "decomposition.json", "w") as fh:
         json.dump(structure.dec.to_dict(), fh, indent=1)
     if structure.margin_sol is not None:
@@ -80,8 +88,7 @@ def cmd_decompose(args) -> int:
     print(f"sep={structure.n_sep} sc={structure.dec.sc_rows.size} rank_s={structure.dec.rank_s}")
     print(f"margin={_fmt(structure.gamma) if structure.margin_sol else 'n/a'}")
     print(f"offset_norm={_fmt(vnorm)} inf_risk={_fmt(structure.inf_risk)}")
-    if not structure.validation.ok:
-        print("decomposition self-check FAILED", file=sys.stderr)
+    if _self_check_failed(structure):
         return EXIT_NUMERIC
     return EXIT_OK
 
@@ -102,6 +109,8 @@ def cmd_run(args) -> int:
     ds = _load_dataset(args)
     matrix = to_margin_matrix(ds)
     structure = analyze(matrix, args.loss, margin_tol=args.tol_margin, scvx_tol=args.tol_scvx)
+    if _self_check_failed(structure):
+        return EXIT_NUMERIC
     trace = _run_trace(args, matrix, structure)
     out = _outdir(args)
     trace.to_csv(out / "trace.csv")
@@ -118,6 +127,8 @@ def cmd_verify(args) -> int:
     ds = _load_dataset(args)
     matrix = to_margin_matrix(ds)
     structure = analyze(matrix, args.loss, margin_tol=args.tol_margin, scvx_tol=args.tol_scvx)
+    if _self_check_failed(structure):
+        return EXIT_NUMERIC
     if args.trace_dir:
         tdir = Path(args.trace_dir)
         trace = GDTrace.from_files(tdir / "trace.json", tdir / "steps.npz")

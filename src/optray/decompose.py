@@ -14,7 +14,7 @@ import numpy as np
 from . import lp
 from .dataset import MarginMatrix
 from .errors import ValidationError
-from .linalg import Basis, complement, orthonormal_basis
+from .linalg import Basis, complement, min_norm_point, orthonormal_basis
 
 SLACK_TOL = 1e-7  # slack above this classifies a row as strictly separable
 BOX_SCALE = 10.0  # |u|_inf bound is BOX_SCALE * n, keeping the LP bounded
@@ -169,29 +169,6 @@ class ValidationReport:
         return all(passed for passed, _ in self.checks.values())
 
 
-def _min_simplex_norm(M: np.ndarray, target: float, max_iters: int = 50_000) -> float:
-    """min over the simplex of |M^T q|, by projected gradient; stops early once
-    the value drops below target."""
-    from . import _kernels
-
-    n = M.shape[0]
-    if n == 0 or M.shape[1] == 0:
-        return 0.0
-    G = M @ M.T
-    lam = float(np.linalg.eigvalsh(G)[-1])
-    if lam <= 0.0:
-        return 0.0
-    step = 0.99 / lam
-    q = np.full(n, 1.0 / n)
-    best = float(np.linalg.norm(M.T @ q))
-    for _ in range(max_iters):
-        if best <= target:
-            break
-        q = _kernels.simplex_project(q - step * (G @ q))
-        best = min(best, float(np.linalg.norm(M.T @ q)))
-    return best
-
-
 def validate(dec: Decomposition, A: MarginMatrix, slack_tol: float = SLACK_TOL) -> ValidationReport:
     """Check a decomposition against its defining properties.
 
@@ -216,7 +193,7 @@ def validate(dec: Decomposition, A: MarginMatrix, slack_tol: float = SLACK_TOL) 
 
     if dec.sc_rows.size and dec.rank_s > 0:
         m_coords = A.rows[dec.sc_rows] @ dec.basis_s.columns
-        resid = _min_simplex_norm(m_coords, target=0.5e-6)
+        resid = float(np.linalg.norm(min_norm_point(m_coords)[1]))
         checks["remainder_nonseparable"] = (resid <= 1e-6, resid - 1e-6)
     else:
         checks["remainder_nonseparable"] = (True, 0.0)

@@ -18,7 +18,7 @@ class DegenerateDataError(OptrayError):
 
 
 class LPError(OptrayError):
-    """Simplex solver failed to terminate."""
+    """Simplex solver failed to terminate or returned an infeasible point."""
 
     def __init__(self, message: str, iterations: int = -1):
         super().__init__(message)

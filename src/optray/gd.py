@@ -7,7 +7,7 @@ step) so per-step inequalities can be audited at full resolution.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,7 +111,6 @@ class GDTrace:
     eff_steps: np.ndarray
     smooth_worst_slack: float
     smooth_worst_step: int
-    _ball_cache: dict = field(default_factory=dict, repr=False)
 
     CSV_SCALARS = (
         "risk",
@@ -365,14 +364,10 @@ def constrained_opt(
 
 def ball_series(A, loss: str, trace: GDTrace, tol: float = BALL_TOL) -> np.ndarray:
     """Ball-constrained minimizers at every checkpoint radius |w_t|, warm-started
-    along the checkpoint sequence; cached on the trace."""
-    key = (id(A), loss, tol)
-    if key in trace._ball_cache:
-        return trace._ball_cache[key]
+    along the checkpoint sequence."""
     out = np.zeros_like(trace.w)
     prev = None
     for k in range(trace.k):
         out[k] = constrained_opt(A, loss, float(trace.norm_w[k]), tol=tol, w0=prev)
         prev = out[k]
-    trace._ball_cache[key] = out
     return out

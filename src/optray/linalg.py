@@ -1,12 +1,13 @@
-"""Small dense linear-algebra kernels: orthonormal bases, projections, simplex projection."""
+"""Small dense linear algebra: orthonormal bases, projections, the simplex
+projection, and the nearest point of a polytope to the origin."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-
 DEFAULT_RANK_TOL = 1e-10
+# Wolfe's stopping rule: no row improves on x by more than this times |x| max |P_i|
+MNP_TOL = 1e-15
 
 
 @dataclass(eq=False)
@@ -87,4 +88,64 @@ def simplex_project(v: np.ndarray) -> np.ndarray:
     v = np.ascontiguousarray(v, dtype=float)
     if v.ndim != 1 or v.shape[0] < 1:
         raise ValueError("expected a nonempty 1-D vector")
-    return _kernels.simplex_project(v)
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u)
+    rho = 0
+    for k in range(v.shape[0]):
+        if u[k] * (k + 1) > css[k] - 1.0:
+            rho = k
+    tau = (css[rho] - 1.0) / (rho + 1.0)
+    return np.maximum(v - tau, 0.0)
+
+
+def min_norm_point(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Point x of the convex hull of the rows of P nearest the origin.
+
+    Wolfe's algorithm (P. Wolfe, Finding the nearest point in a polytope,
+    Math. Programming 11, 1976): each major cycle adds the row that most
+    violates the optimality condition min_i (P x)_i >= |x|^2 to a corral of
+    rows, then minor cycles move x to the nearest point of the corral's hull.
+    It stops once no row violates the condition by more than
+    MNP_TOL |x| max_i |P_i|, or when only rounding drives a cycle (the row
+    is already in the corral, or |x| fails to shrink).  Returns (q, x,
+    iterations): simplex weights q, x = P^T q, and the number of major cycles.
+    """
+    P = np.asarray(P, dtype=float)
+    if P.ndim != 2 or P.shape[0] < 1:
+        raise ValueError("expected a nonempty 2-D array with one point per row")
+    n, d = P.shape
+    sq = np.einsum("ij,ij->i", P, P)
+    scale = MNP_TOL * float(np.sqrt(sq.max()))
+    corral, lam = np.array([int(np.argmin(sq))]), np.ones(1)
+    x, xx = P[corral[0]], float(sq[corral[0]])
+    iterations = 0
+    while corral.shape[0] <= d:
+        px = P @ x
+        j = int(np.argmin(px))
+        if xx - px[j] <= scale * np.sqrt(xx) or j in corral:
+            break
+        iterations += 1
+        c, w = np.append(corral, j), np.append(lam, 0.0)
+        while True:
+            # nearest point of the affine hull of P[c], by least squares over the
+            # differences from its first row (P[c] P[c]^T would square the conditioning)
+            beta = np.linalg.lstsq((P[c[1:]] - P[c[0]]).T, -P[c[0]], rcond=None)[0]
+            alpha = np.concatenate(([1.0 - beta.sum()], beta))
+            if alpha.min() > 0.0:
+                w = alpha / alpha.sum()
+                break
+            # outside the hull: step toward it until a weight reaches zero, and drop
+            # that row; w >= 0 >= alpha here, and w = alpha = 0 gives ratio 0
+            neg = np.flatnonzero(alpha <= 0.0)
+            ratios = w[neg] / np.maximum(w[neg] - alpha[neg], 1e-300)
+            w = w + ratios.min() * (alpha - w)
+            w[neg[int(np.argmin(ratios))]] = 0.0
+            c, w = c[w > 0.0], w[w > 0.0] / w[w > 0.0].sum()
+        x_new = P[c].T @ w
+        xx_new = float(x_new @ x_new)
+        if not xx_new < xx:
+            break
+        corral, lam, x, xx = c, w, x_new, xx_new
+    q = np.zeros(n)
+    q[corral] = lam
+    return q, P.T @ q, iterations

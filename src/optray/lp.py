@@ -5,7 +5,9 @@ Solves   maximize c.x   subject to  G x <= h,  x >= 0,  with h >= 0.
 The nonnegative right-hand side makes the all-slack basis feasible, so no
 phase-1 is needed.  Bland's rule (lowest index entering and leaving) keeps
 the method from cycling on the highly degenerate certificates this package
-generates (many constraints with zero right-hand side).
+generates (many constraints with zero right-hand side).  A returned point is
+checked against the constraints, so a pivot sequence that lost feasibility
+raises LPError instead of passing an infeasible point off as optimal.
 """
 
 from dataclasses import dataclass
@@ -15,6 +17,7 @@ import numpy as np
 from .errors import LPError
 
 PIVOT_TOL = 1e-11
+FEAS_TOL = 1e-11  # allowed constraint violation, relative to 1 + max(h)
 
 
 @dataclass(eq=False)
@@ -52,7 +55,11 @@ def solve_max(c: np.ndarray, G: np.ndarray, h: np.ndarray, max_iters: int = 100_
         if entering < 0:
             x = np.zeros(nvar + m)
             x[basis] = tab[:m, -1]
-            return LPResult(x[:nvar].copy(), float(tab[m, -1]), it)
+            x = x[:nvar]
+            viol = max(float(np.max(G @ x - h, initial=0.0)), float(np.max(-x, initial=0.0)))
+            if viol > FEAS_TOL * (1.0 + float(np.max(h, initial=0.0))):
+                raise LPError(f"simplex returned an infeasible point (violation {viol:.3e})", it)
+            return LPResult(x, float(tab[m, -1]), it)
 
         col = tab[:m, entering]
         leaving = -1

@@ -1,26 +1,25 @@
 """Max-margin primal/dual pair over the complement subspace.
 
-The dual minimizes |A_perp^T q| over the probability simplex; any dual
+The dual minimizes |A_perp^T q| over the probability simplex, i.e. it asks
+for the point of the hull of the rows of A_perp nearest the origin; any dual
 optimum q recovers the unique primal unit vector as -A_perp^T q / |A_perp^T q|.
-Projected gradient descent with a duality-gap stopping rule makes the
-returned solution's quality independent of any convergence-rate argument.
+The duality gap of the returned pair certifies its quality after the fact.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import ConvergenceError, NotSeparableError, ValidationError
+from .linalg import min_norm_point
 
 DEFAULT_GAP_TOL = 1e-8
-MAX_ITERS = 10**6
 
 
 @dataclass(eq=False)
 class MarginSolution:
     """Margin value, unit primal direction, one dual optimum, and the realized
-    duality gap (dual value minus primal value, nonnegative)."""
+    duality gap (dual value minus primal value, nonnegative up to rounding)."""
 
     margin: float
     direction: np.ndarray
@@ -38,21 +37,6 @@ class MarginSolution:
         }
 
 
-def _top_eig(G: np.ndarray, iters: int = 200) -> float:
-    """Largest eigenvalue of a PSD matrix by power iteration."""
-    d = G.shape[0]
-    x = np.ones(d) / np.sqrt(d)
-    lam = 0.0
-    for _ in range(iters):
-        y = G @ x
-        lam = float(x @ y)
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return 0.0
-        x = y / ny
-    return lam
-
-
 def primal_margin(a_perp: np.ndarray, u: np.ndarray) -> float:
     """-max_i (A_perp u)_i for a unit vector u; at most the true margin."""
     a_perp = np.asarray(a_perp, dtype=float)
@@ -62,38 +46,31 @@ def primal_margin(a_perp: np.ndarray, u: np.ndarray) -> float:
     return float(-np.max(a_perp @ u))
 
 
-def solve_dual(
-    a_perp: np.ndarray, tol: float = DEFAULT_GAP_TOL, max_iters: int = MAX_ITERS
-) -> MarginSolution:
-    """Solve the dual margin problem to duality gap <= tol.
+def solve_dual(a_perp: np.ndarray, tol: float = DEFAULT_GAP_TOL) -> MarginSolution:
+    """Solve the dual margin problem and certify it to duality gap <= tol.
 
     Raises NotSeparableError when the optimal value is at tolerance level
     (the input rows admit no positive margin, which signals a decomposition
     bug upstream), and ConvergenceError when the gap target is not met.
     """
-    Ap = np.ascontiguousarray(a_perp, dtype=float)
+    Ap = np.asarray(a_perp, dtype=float)
     if Ap.ndim != 2 or Ap.shape[0] == 0:
         raise ValidationError("a_perp must be a nonempty (n_c, d) matrix")
-    ApT = np.ascontiguousarray(Ap.T)
-    lam = _top_eig(ApT @ Ap)
-    if lam <= 0.0:
-        raise NotSeparableError("all projected rows are zero")
-    step = 0.99 / lam
-    q, iterations, gap, status = _kernels.dual_pgd(Ap, ApT, step, tol, max_iters)
-    if status != _kernels.STATUS_OK:
-        raise ConvergenceError(
-            f"duality gap {gap:.3e} > tol {tol:.3e} after {max_iters} iterations",
-            best=gap,
-            iterations=max_iters,
-        )
-    v = ApT @ q
+    q, v, iterations = min_norm_point(Ap)
     margin = float(np.linalg.norm(v))
     if margin <= tol:
         raise NotSeparableError(f"margin {margin:.3e} is at tolerance level; rows not separable")
+    gap = margin - float(np.min(Ap @ v)) / margin
+    if gap > tol:
+        raise ConvergenceError(
+            f"duality gap {gap:.3e} > tol {tol:.3e} after {iterations} major cycles",
+            best=gap,
+            iterations=iterations,
+        )
     return MarginSolution(
         margin=margin,
         direction=-v / margin,
         dual_weights=q,
-        gap=float(gap),
-        iterations=int(iterations),
+        gap=gap,
+        iterations=iterations,
     )

@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
+import optray.pipeline
 from optray.cli import main
+from optray.decompose import ValidationReport
+from optray.errors import LPError
 
 
 @pytest.fixture
@@ -119,6 +122,32 @@ def test_verify_separable_unit_steps(tmp_path):
         ]
     )
     assert code == 0
+
+
+@pytest.fixture
+def failing_self_check(monkeypatch):
+    monkeypatch.setattr(
+        optray.pipeline, "validate", lambda dec, A: ValidationReport({"certificate": (False, 1.0)})
+    )
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_failed_self_check_aborts(command, failing_self_check, canonical_csv, tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main([command, "--input", str(canonical_csv), "--steps", "200", "--out", str(out)])
+    assert code == 3
+    assert "decomposition self-check FAILED" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_numeric_abort_in_decompose_leaves_output_dir(canonical_csv, tmp_path, monkeypatch):
+    def fail(A):
+        raise LPError("simplex returned an infeasible point")
+
+    monkeypatch.setattr(optray.pipeline, "partition", fail)
+    out = tmp_path / "o"
+    assert main(["decompose", "--input", str(canonical_csv), "--out", str(out)]) == 3
+    assert out.is_dir()
 
 
 def test_empty_input_is_input_error(tmp_path, capsys):

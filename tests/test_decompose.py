@@ -9,6 +9,7 @@ from optray.decompose import (
     separable_certificate,
     validate,
 )
+from optray.linalg import Basis
 
 CANONICAL_MIXED = np.array([[-1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
 
@@ -146,6 +147,24 @@ class TestValidate:
         )
         rep = validate(swapped, A)
         assert not rep.ok
+
+    def test_remainder_off_origin_fails_only_that_check(self):
+        # both rows lie in S = span(e2) and no row is separable, but their hull
+        # [0.5, 1] e2 misses the origin: the remainder has a positive margin
+        A = mat([[0.0, 1.0], [0.0, 0.5]])
+        dec = Decomposition(
+            sep_rows=np.zeros(0, dtype=np.int64),
+            sc_rows=np.array([0, 1], dtype=np.int64),
+            basis_s=Basis(np.array([[0.0], [1.0]])),
+            basis_perp=Basis(np.array([[1.0], [0.0]])),
+            a_perp=np.zeros((0, 2)),
+        )
+        rep = validate(dec, A)
+        assert not rep.ok
+        assert rep.checks["certificate"][0] and rep.checks["remainder_in_span"][0]
+        ok, slack = rep.checks["remainder_nonseparable"]
+        assert not ok
+        assert slack == pytest.approx(0.5 - 1e-6, abs=1e-15)
 
     def test_empty_separable_block(self):
         A = mat([[-1.0], [1.0]])

@@ -41,17 +41,6 @@ def test_gd_loop_compiled_matches_interpreted():
         np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-14)
 
 
-@pytest.mark.skipif(not K.USE_NUMBA, reason="numba path not active")
-def test_dual_pgd_compiled_matches_interpreted():
-    Ap = np.array([[-0.9, 0.1], [-0.2, -0.7], [-0.4, -0.4]])
-    ApT = np.ascontiguousarray(Ap.T)
-    step = 0.99 / np.linalg.eigvalsh(ApT @ Ap)[-1]
-    fast = K.dual_pgd(Ap, ApT, step, 1e-10, 100000)
-    slow = K.dual_pgd_py(Ap, ApT, step, 1e-10, 100000)
-    np.testing.assert_allclose(fast[0], slow[0], atol=1e-12)
-    assert fast[3] == slow[3] == K.STATUS_OK
-
-
 def test_env_flag_selects_numpy_path():
     env = dict(os.environ, OPTRAY_NO_NUMBA="1")
     out = subprocess.run(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from optray import _kernels
 from optray.dataset import MarginMatrix, synth, to_margin_matrix
 from optray.errors import ValidationError
 from optray.gd import ball_series, run
@@ -123,6 +124,17 @@ class TestLogApprox:
     def test_deterministic(self):
         a, b = check_log_approx(), check_log_approx()
         assert a.worst_slack == b.worst_slack
+
+    def test_samples_outside_region_fail(self, monkeypatch):
+        # doubling loss and derivative keeps the ratio facts but puts samples
+        # above eps; the check must fail by itself, not through an assert that
+        # python -O strips
+        values, derivs = _kernels.loss_values, _kernels.loss_derivs
+        monkeypatch.setattr(_kernels, "loss_values", lambda z, code: 2.0 * values(z, code))
+        monkeypatch.setattr(_kernels, "loss_derivs", lambda z, code: 2.0 * derivs(z, code))
+        res = check_log_approx()
+        assert not res.holds
+        assert res.worst_slack < -0.9
 
 
 class TestParamS:
