@@ -32,9 +32,8 @@ EXPONENTIAL = 1
 CONSTANT_ONE = 0
 INV_SQRT = 1
 
-# status codes returned by gd_loop / ball_opt
+# status codes returned by gd_loop
 STATUS_OK = 0
-STATUS_MAX_ITERS = 1
 STATUS_OVERFLOW = 3
 STATUS_STEP_ASSERT = 4
 
@@ -219,94 +218,14 @@ def gd_loop(A, At, Act, sep_idx, BS, BST, loss_code, sched_code, T, cps):
     )
 
 
-def ball_opt(A, At, loss_code, radius, w0, tol, max_iters, smax):
-    """Minimize the empirical risk over the ball |w| <= radius.
-
-    Projected gradient with an Armijo backtracking line search, warm-started
-    from w0.  Convergence is declared when the unit-step natural residual
-    |w - P(w - grad)| falls to tol.  Once per-step decreases drop below what
-    float64 can certify, the search switches to a fixed step that the loss
-    curvature bound (second derivative at most 1/4 for logistic, at most
-    n*risk for exponential) makes safe analytically; smax is the largest
-    eigenvalue of A^T A.
-    """
-    n, d = A.shape
-    w = w0.copy()
-    if radius <= 0.0:
-        return np.zeros(d), 0, STATUS_OK
-    nw = np.sqrt(np.dot(w, w))
-    if nw > radius:
-        w = w * (radius / nw)
-    f = np.sum(loss_values(np.dot(A, w), loss_code)) / n
-    s = 1.0
-    floor_mode = False
-    for it in range(max_iters):
-        z = np.dot(A, w)
-        g = np.dot(At, loss_derivs(z, loss_code)) / n
-        cand = w - g
-        cn = np.sqrt(np.dot(cand, cand))
-        if cn > radius:
-            cand = cand * (radius / cn)
-        diff = w - cand
-        res = np.sqrt(np.dot(diff, diff))
-        if res <= tol:
-            return w, it, STATUS_OK
-        # both losses satisfy loss'' <= loss, so the local curvature is at
-        # most smax * min(1/4, n*f)/n (the 1/4 only sharpens logistic)
-        cap = n * f
-        if loss_code == LOGISTIC and cap > 0.25:
-            cap = 0.25
-        s_safe = 0.9 * n / (smax * max(cap, 1e-300))
-        if not floor_mode and 1e-4 * np.dot(g, diff) <= 1e-13 * max(f, 1e-300):
-            # the decrease a projected step could certify is below float64
-            # resolution of f; switch to the analytically safe fixed step
-            floor_mode = True
-            s = s_safe
-        if not floor_mode:
-            s = min(s * 2.0, 1e12)
-            accepted = False
-            for _ in range(100):
-                wn = w - s * g
-                nn = np.sqrt(np.dot(wn, wn))
-                if nn > radius:
-                    wn = wn * (radius / nn)
-                fn = np.sum(loss_values(np.dot(A, wn), loss_code)) / n
-                dec = np.dot(g, w - wn)
-                if np.isfinite(fn) and fn <= f - 1e-4 * dec:
-                    w = wn
-                    f = fn
-                    accepted = True
-                    break
-                s *= 0.5
-            if accepted:
-                continue
-            floor_mode = True
-            s = s_safe
-        s = min(s * 2.0, s_safe)
-        wn = w - s * g
-        nn = np.sqrt(np.dot(wn, wn))
-        if nn > radius:
-            wn = wn * (radius / nn)
-        fn = np.sum(loss_values(np.dot(A, wn), loss_code)) / n
-        if np.isfinite(fn) and fn <= f * (1.0 + 1e-12) + 1e-300:
-            w = wn
-            if fn < f:
-                f = fn
-        else:
-            s *= 0.5
-    return w, max_iters, STATUS_MAX_ITERS
-
-
 # keep interpreted originals importable, then compile the hot entry points
 loss_values_py = loss_values
 loss_derivs_py = loss_derivs
 loss_curvs_py = loss_curvs
 gd_loop_py = gd_loop
-ball_opt_py = ball_opt
 
 if USE_NUMBA:
     loss_values = njit(cache=True)(loss_values)
     loss_derivs = njit(cache=True)(loss_derivs)
     loss_curvs = njit(cache=True)(loss_curvs)
     gd_loop = njit(cache=True)(gd_loop)
-    ball_opt = njit(cache=True)(ball_opt)

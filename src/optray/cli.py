@@ -94,6 +94,8 @@ def cmd_decompose(args) -> int:
 
 
 def _run_trace(args, matrix, structure) -> GDTrace:
+    if args.steps is None:
+        raise ValidationError("provide --steps or --trace-dir")
     return run(
         matrix,
         args.loss,
@@ -112,6 +114,7 @@ def cmd_run(args) -> int:
     if _self_check_failed(structure):
         return EXIT_NUMERIC
     trace = _run_trace(args, matrix, structure)
+    trace.digest = ds.digest()
     out = _outdir(args)
     trace.to_csv(out / "trace.csv")
     trace.to_json(out / "trace.json")
@@ -123,6 +126,21 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _check_trace_inputs(trace: GDTrace, digest: str, loss: str, structure) -> None:
+    """Reject a saved trace that was recorded on other data or another loss."""
+    found = {
+        "dataset digest": (trace.digest, digest),
+        "loss": (trace.loss, loss),
+        "n": (trace.n, structure.n),
+        "sep_rows": (trace.sep_rows.tolist(), structure.dec.sep_rows.tolist()),
+    }
+    for name, (recorded, expected) in found.items():
+        if recorded != expected:
+            raise ValidationError(
+                f"trace was recorded with {name} {recorded!r}, this run has {expected!r}"
+            )
+
+
 def cmd_verify(args) -> int:
     ds = _load_dataset(args)
     matrix = to_margin_matrix(ds)
@@ -132,6 +150,7 @@ def cmd_verify(args) -> int:
     if args.trace_dir:
         tdir = Path(args.trace_dir)
         trace = GDTrace.from_files(tdir / "trace.json", tdir / "steps.npz")
+        _check_trace_inputs(trace, ds.digest(), args.loss, structure)
     else:
         trace = _run_trace(args, matrix, structure)
     results, trends = verify_mod.run_checks(
@@ -210,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
         pp.add_argument("--out", required=True)
         if needs_sched:
             pp.add_argument("--schedule", choices=("constant_one", "inv_sqrt"), default="inv_sqrt")
-            pp.add_argument("--steps", type=int, required=True)
+            # verify reads the step count from --trace-dir when given
+            pp.add_argument("--steps", type=int, required=name == "run")
             pp.add_argument("--checkpoints-per-decade", type=int, default=20)
         if name == "verify":
             pp.add_argument("--trace-dir", help="reuse a saved trace instead of re-running")

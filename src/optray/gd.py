@@ -13,15 +13,14 @@ import numpy as np
 
 from . import _kernels
 from .dataset import MarginMatrix
-from .errors import ConvergenceError, NumericalError, ValidationError
-from .linalg import Basis
+from .errors import NumericalError, ValidationError
+from .linalg import Basis, minimize_risk
 
 LOSS_CODES = {"logistic": _kernels.LOGISTIC, "exponential": _kernels.EXPONENTIAL}
 SCHED_CODES = {"constant_one": _kernels.CONSTANT_ONE, "inv_sqrt": _kernels.INV_SQRT}
 
 DEFAULT_PER_DECADE = 20
 BALL_TOL = 1e-10
-BALL_MAX_ITERS = 200_000
 
 
 def _rows(A) -> np.ndarray:
@@ -79,7 +78,8 @@ class GDTrace:
 
     Checkpoint arrays are indexed by the K recorded times; all running sums
     (sum_*, perceptron_sum, sup_proj_s) cover steps j < t.  The per-step
-    series risk_steps/rel_steps/eff_steps run over j = 0..T.
+    series risk_steps/rel_steps/eff_steps run over j = 0..T.  digest is the
+    content hash of the dataset the trace was recorded on ("" if unknown).
     """
 
     loss: str
@@ -111,6 +111,7 @@ class GDTrace:
     eff_steps: np.ndarray
     smooth_worst_slack: float
     smooth_worst_step: int
+    digest: str = ""
 
     CSV_SCALARS = (
         "risk",
@@ -160,6 +161,7 @@ class GDTrace:
             "sep_rows": self.sep_rows.tolist(),
             "smooth_worst_slack": self.smooth_worst_slack,
             "smooth_worst_step": self.smooth_worst_step,
+            "digest": self.digest,
         }
 
     def to_json(self, path) -> None:
@@ -207,6 +209,7 @@ class GDTrace:
             eff_steps=steps["eff_steps"],
             smooth_worst_slack=meta["smooth_worst_slack"],
             smooth_worst_step=meta["smooth_worst_step"],
+            digest=meta.get("digest", ""),
             **arrays,
         )
 
@@ -333,33 +336,14 @@ def constrained_opt(
     radius: float,
     tol: float = BALL_TOL,
     w0: np.ndarray | None = None,
-    max_iters: int = BALL_MAX_ITERS,
 ) -> np.ndarray:
     """Minimizer of the risk over the Euclidean ball of the given radius."""
     rows = _rows(A)
     if radius < 0:
         raise ValidationError("radius must be >= 0")
-    d = rows.shape[1]
-    if radius == 0.0:
-        return np.zeros(d)
-    start = np.zeros(d) if w0 is None else np.asarray(w0, dtype=float)
-    smax = float(np.linalg.eigvalsh(rows.T @ rows)[-1])
-    w, iters, status = _kernels.ball_opt(
-        rows,
-        np.ascontiguousarray(rows.T),
-        _loss_code(loss),
-        float(radius),
-        np.ascontiguousarray(start),
-        float(tol),
-        int(max_iters),
-        smax,
-    )
-    if status == _kernels.STATUS_MAX_ITERS:
-        raise ConvergenceError(
-            f"ball-constrained solve did not reach tol {tol:.1e} in {max_iters} iterations",
-            iterations=int(iters),
-        )
-    return np.asarray(w)
+    start = np.zeros(rows.shape[1]) if w0 is None else w0
+    w, _ = minimize_risk(rows, _loss_code(loss), rows.shape[0], float(radius), start, tol)
+    return w
 
 
 def ball_series(A, loss: str, trace: GDTrace, tol: float = BALL_TOL) -> np.ndarray:

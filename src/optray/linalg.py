@@ -1,13 +1,21 @@
 """Small dense linear algebra: orthonormal bases, projections, the simplex
-projection, and the nearest point of a polytope to the origin."""
+projection, the nearest point of a polytope to the origin, and the minimizer
+of the empirical risk over a ball."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
+from .errors import ConvergenceError
+
 DEFAULT_RANK_TOL = 1e-10
 # Wolfe's stopping rule: no row improves on x by more than this times |x| max |P_i|
 MNP_TOL = 1e-15
+# Newton iterations of minimize_risk before it gives up
+NEWTON_MAX_ITERS = 200
+# trial points of one line search before it gives up
+LINE_SEARCH_STEPS = 60
 
 
 @dataclass(eq=False)
@@ -149,3 +157,119 @@ def min_norm_point(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     q = np.zeros(n)
     q[corral] = lam
     return q, P.T @ q, iterations
+
+
+def risk_hessian(M: np.ndarray, loss_code: int, n_total: int, w: np.ndarray) -> np.ndarray:
+    """Hessian M^T diag(loss''(M w)) M / n_total of the empirical risk at w."""
+    curv = np.asarray(_kernels.loss_curvs(M @ w, loss_code))
+    return (M.T * curv) @ M / n_total
+
+
+def _ball_multiplier(lam: np.ndarray, beta: np.ndarray, radius: float) -> float:
+    """Smallest mu >= 0 with |v(mu)| = |beta / (lam + mu)| <= radius, for
+    ascending lam > 0.
+
+    mu = 0 when v(0) fits in the ball.  Otherwise mu solves the secular
+    equation 1/|v(mu)| = 1/radius, whose left side is increasing and concave,
+    by Newton's method inside the bracket [|beta|/radius - lam_max,
+    |beta|/radius - lam_min], bisecting whenever a Newton step would leave it.
+    """
+    if not np.linalg.norm(beta / lam) > radius:
+        return 0.0
+    bn = float(np.linalg.norm(beta))
+    lo, hi = max(bn / radius - lam[-1], 0.0), bn / radius - lam[0]
+    mu = hi
+    for _ in range(100):
+        q = beta / (lam + mu)
+        vn = float(np.linalg.norm(q))
+        if abs(vn - radius) <= 1e-14 * radius:
+            break
+        if vn > radius:
+            lo = mu
+        else:
+            hi = mu
+        step = (1.0 / vn - 1.0 / radius) * vn**3 / float(q @ (q / (lam + mu)))
+        mu = mu - step if lo < mu - step < hi else 0.5 * (lo + hi)
+    return mu
+
+
+def minimize_risk(
+    M: np.ndarray, loss_code: int, n_total: int, radius: float, w0: np.ndarray, tol: float
+) -> tuple[np.ndarray, int]:
+    """Minimizer of R(w) = sum_i loss((M w)_i) / n_total over |w| <= radius.
+
+    Newton's method on the KKT system grad R(w) + mu w = 0, mu >= 0, with
+    |w| = radius whenever mu > 0 (J. J. More and D. C. Sorensen, Computing a
+    trust region step, 1983).  Each iteration minimizes the quadratic model
+    of R at w over the ball, from an eigendecomposition of the Hessian and
+    the secular equation for mu, then shortens the step (to the root of the
+    secant of the slope, by at most half per trial) until the directional
+    derivative of the Lagrangian R + mu |w|^2 / 2 at its end is still <= 0
+    (that of R itself when mu = 0).  No two nearly equal risk values are ever
+    compared, and a Newton step does not change when R is rescaled, so tiny
+    risks need no special handling.  radius = inf gives the unconstrained
+    problem.
+
+    The iteration runs in an orthonormal basis of the row space of M, where
+    R is strictly convex and which holds every minimizer of least norm; w0
+    is projected onto it (then scaled into the ball), and so is the answer.
+    It stops when the unit-step natural residual |w - P(w - grad R(w))|
+    reaches tol, where P projects onto the ball (|grad R(w)| for an infinite
+    radius).  Returns (w, iterations); raises ConvergenceError after
+    NEWTON_MAX_ITERS iterations or when a line search finds no descent.
+    """
+    eps = np.finfo(float).eps
+    basis = orthonormal_basis(M, rank_tol=max(M.shape) * eps).columns
+    w, M = basis.T @ np.asarray(w0, dtype=float), M @ basis
+    nw = np.linalg.norm(w)
+    if nw > radius:
+        w *= radius / nw
+    for it in range(NEWTON_MAX_ITERS):
+        z = M @ w
+        g = M.T @ np.asarray(_kernels.loss_derivs(z, loss_code)) / n_total
+        # |g| itself inside the ball, where w - (w - g) could round g away
+        cn = np.linalg.norm(w - g)
+        res = np.linalg.norm(w - (w - g) * (radius / cn)) if cn > radius else np.linalg.norm(g)
+        if res <= tol:
+            return basis @ w, it
+        lam, Q = np.linalg.eigh(risk_hessian(M, loss_code, n_total, w))
+        # curvature below what eigh resolves is raised to that resolution: the
+        # shortest step the data allows along such a direction
+        lam = np.maximum(lam, eps * lam[-1])
+        c, gam = Q.T @ w, Q.T @ g
+        mu = _ball_multiplier(lam, lam * c - gam, radius)
+        # the step s = -(H + mu I)^-1 (g + mu w), in the eigenbasis
+        sig = -(gam + mu * c) / (lam + mu)
+        s = Q @ sig
+        # slope of the Lagrangian R + mu |w|^2 / 2 along the step; it starts at
+        # -s^T (H + mu I) s < 0, and the mu term cancels the part of grad R that
+        # the ball absorbs, whose product with the rounding error of s would
+        # otherwise swamp the slope near the boundary
+        ms, ws, ss = M @ s, float(w @ s), float(s @ s)
+        slope0 = -float(sig**2 @ (lam + mu))
+        alpha = 1.0
+        for trial in range(LINE_SEARCH_STEPS):
+            lp = np.asarray(_kernels.loss_derivs(z + alpha * ms, loss_code))
+            slope = float(ms @ lp) / n_total + mu * (ws + alpha * ss)
+            if -np.inf < slope <= 0.0:
+                break
+            # past the minimum along the step.  The first retry goes to the root
+            # of the secant of the slope from 0 when that lies above 1/2; near
+            # the solution it lies just short of 1, which keeps the convergence
+            # quadratic.  Every other retry halves alpha.
+            secant = slope0 / (slope0 - slope) if trial == 0 and np.isfinite(slope) else 0.0
+            alpha = max(secant, 0.5 * alpha)
+        else:
+            raise ConvergenceError(
+                f"no descent along the Newton step at iteration {it}", iterations=it
+            )
+        w = w + alpha * s
+        nw = np.linalg.norm(w)
+        if nw > radius or mu > 0.0:
+            # mu > 0 puts the model's answer on the sphere, where R falls
+            # outward; a shortened step along the chord would end inside it
+            w *= radius / nw
+    raise ConvergenceError(
+        f"risk minimization did not reach tol {tol:.1e} in {NEWTON_MAX_ITERS} iterations",
+        iterations=NEWTON_MAX_ITERS,
+    )

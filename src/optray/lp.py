@@ -18,6 +18,7 @@ from .errors import LPError
 
 PIVOT_TOL = 1e-11
 FEAS_TOL = 1e-11  # allowed constraint violation, relative to 1 + max(h)
+MAX_PIVOTS = 100_000
 
 
 @dataclass(eq=False)
@@ -27,7 +28,7 @@ class LPResult:
     iterations: int
 
 
-def solve_max(c: np.ndarray, G: np.ndarray, h: np.ndarray, max_iters: int = 100_000) -> LPResult:
+def solve_max(c: np.ndarray, G: np.ndarray, h: np.ndarray) -> LPResult:
     c = np.asarray(c, dtype=float)
     G = np.asarray(G, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -45,7 +46,7 @@ def solve_max(c: np.ndarray, G: np.ndarray, h: np.ndarray, max_iters: int = 100_
     tab[m, :nvar] = -c
     basis = np.arange(nvar, nvar + m)
 
-    for it in range(max_iters):
+    for it in range(MAX_PIVOTS):
         reduced = tab[m, : nvar + m]
         entering = -1
         for j in range(nvar + m):
@@ -84,4 +85,4 @@ def solve_max(c: np.ndarray, G: np.ndarray, h: np.ndarray, max_iters: int = 100_
                 tab[i, :] -= tab[i, entering] * tab[leaving, :]
         basis[leaving] = entering
 
-    raise LPError(f"simplex did not terminate in {max_iters} iterations", iterations=max_iters)
+    raise LPError(f"simplex did not terminate in {MAX_PIVOTS} pivots", iterations=MAX_PIVOTS)

@@ -10,10 +10,9 @@ from . import _kernels
 from .decompose import Decomposition
 from .errors import NumericalError
 from .gd import LOSS_CODES
-from .linalg import Basis
+from .linalg import Basis, minimize_risk, risk_hessian
 
 GRAD_TOL = 1e-10
-MAX_ITERS = 200_000
 LAMBDA_DIRECTIONS = 32
 LAMBDA_SEED = 7
 
@@ -61,10 +60,10 @@ def solve_vbar(
     loss: str,
     n_total: int,
     tol: float = GRAD_TOL,
-    max_iters: int = MAX_ITERS,
 ) -> ScOptimum:
-    """Minimize the restricted risk over S by gradient descent with an Armijo
-    backtracking line search; stops when the gradient norm reaches tol."""
+    """Minimize the restricted risk over S by Newton's method
+    (linalg.minimize_risk with an infinite radius); stops when the gradient
+    norm reaches tol."""
     code = LOSS_CODES[loss]
     a_s = np.asarray(a_s, dtype=float)
     d = basis_s.dim
@@ -76,59 +75,10 @@ def solve_vbar(
         return ScOptimum(offset=np.zeros(d), risk_inf=value_at_zero, curvature=np.inf, grad_norm=0.0)
 
     M, value, gradient = _restricted(a_s, basis_s, n_total, code)
-    smax = float(np.linalg.eigvalsh(M.T @ M)[-1])
-    c = np.zeros(basis_s.rank)
-    f = value(c)
-    s = 1.0
-    floor_mode = False
-    converged = False
-    for _ in range(max_iters):
-        g = gradient(c)
-        gn = float(np.linalg.norm(g))
-        if gn <= tol:
-            converged = True
-            break
-        # both losses satisfy loss'' <= loss, so the local curvature is at
-        # most smax * min(1/4, n*value)/n (the 1/4 only sharpens logistic)
-        cap = n_total * f
-        if code == _kernels.LOGISTIC and cap > 0.25:
-            cap = 0.25
-        s_safe = 0.9 * n_total / (smax * max(cap, 1e-300))
-        if not floor_mode and 1e-4 * s_safe * gn * gn <= 1e-13 * max(f, 1e-300):
-            # the Armijo test can no longer resolve real decreases; a fixed
-            # safe step keeps contracting the gradient without comparing
-            # nearly equal function values
-            floor_mode = True
-            s = s_safe
-        if not floor_mode:
-            s = min(s * 2.0, 1e12)
-            accepted = False
-            for _ in range(100):
-                cn = c - s * g
-                fn = value(cn)
-                if np.isfinite(fn) and fn <= f - 1e-4 * s * gn * gn:
-                    c, f = cn, fn
-                    accepted = True
-                    break
-                s *= 0.5
-            if accepted:
-                continue
-            floor_mode = True
-            s = s_safe
-        s = min(s * 2.0, s_safe)
-        cn = c - s * g
-        fn = value(cn)
-        if np.isfinite(fn) and fn <= f * (1.0 + 1e-12) + 1e-300:
-            c = cn
-            if fn < f:
-                f = fn
-        else:
-            s *= 0.5
-    if not converged:
-        raise NumericalError(f"no convergence within {max_iters} iterations (|grad|={gn:.3e})")
+    c, _ = minimize_risk(M, code, n_total, np.inf, np.zeros(basis_s.rank), tol)
     return ScOptimum(
         offset=basis_s.columns @ c,
-        risk_inf=f,
+        risk_inf=value(c),
         curvature=np.inf,
         grad_norm=float(np.linalg.norm(gradient(c))),
     )
@@ -163,9 +113,7 @@ def estimate_lambda(
     M, value, _ = _restricted(a_s, basis_s, n_total, code)
 
     def min_eig(c):
-        curv = np.asarray(_kernels.loss_curvs(M @ c, code))
-        H = (M.T * curv) @ M / n_total
-        return float(np.linalg.eigvalsh(H)[0])
+        return float(np.linalg.eigvalsh(risk_hessian(M, code, n_total, c))[0])
 
     c_star = basis_s.columns.T @ opt.offset
     samples = [min_eig(c_star)]

@@ -112,6 +112,38 @@ def test_verify_detects_corrupted_trace(canonical_csv, tmp_path, capsys):
     assert "smoothness" in err
 
 
+@pytest.fixture
+def exponential_trace(tmp_path):
+    """Trace recorded with the exponential loss on synthetic mixed data, seed 0."""
+    out = tmp_path / "r"
+    argv = ["run", "--synth-kind", "mixed", "--seed", "0", "--loss", "exponential",
+            "--schedule", "inv_sqrt", "--steps", "300", "--out", str(out)]
+    assert main(argv) == 0
+    return out
+
+
+def test_verify_trace_needs_no_steps(exponential_trace, tmp_path):
+    base = ["verify", "--synth-kind", "mixed", "--seed", "0", "--loss", "exponential",
+            "--schedule", "inv_sqrt", "--out", str(tmp_path / "v")]
+    assert main(base + ["--trace-dir", str(exponential_trace)]) == 0
+    assert main(base) == 2
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--synth-kind", "mixed", "--seed", "0", "--loss", "logistic"],
+        ["--synth-kind", "separable", "--seed", "3", "--loss", "exponential"],
+    ],
+    ids=["wrong_loss", "wrong_data"],
+)
+def test_verify_rejects_trace_of_other_inputs(flags, exponential_trace, tmp_path, capsys):
+    argv = ["verify", *flags, "--schedule", "inv_sqrt", "--steps", "300",
+            "--trace-dir", str(exponential_trace), "--out", str(tmp_path / "v")]
+    assert main(argv) == 2
+    assert "trace was recorded with" in capsys.readouterr().err
+
+
 def test_verify_separable_unit_steps(tmp_path):
     out = tmp_path / "v"
     code = main(

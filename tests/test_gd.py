@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import minimize
 
 from optray.dataset import MarginMatrix, synth, to_margin_matrix
 from optray.decompose import partition
@@ -14,6 +18,7 @@ from optray.gd import (
     run,
     step_sizes,
 )
+from optray.linalg import minimize_risk
 
 LN2 = np.log(2.0)
 
@@ -198,3 +203,61 @@ class TestConstrainedOpt:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValidationError):
             constrained_opt(np.array([[-1.0]]), "logistic", -1.0)
+
+
+@st.composite
+def ball_problems(draw):
+    """Rows of a risk in R^1..R^4 (some zero or duplicated), a loss and a
+    radius.  An infinite radius gets a mirrored copy of every row, scaled by
+    a positive factor, so the risk has a bounded minimizer on their span."""
+    radius = draw(st.one_of(st.floats(0.01, 20.0), st.just(np.inf)))
+    finite = np.isfinite(radius)
+    n = draw(st.integers(1, 10 if finite else 5))
+    d = draw(st.integers(1, 4))
+    rows = draw(arrays(np.float64, (n, d), elements=st.floats(-1.0, 1.0)))
+    for i in range(n):
+        kind = draw(st.sampled_from(("keep", "copy", "zero")))
+        if kind == "copy":
+            rows[i] = rows[draw(st.integers(0, n - 1))]
+        elif kind == "zero":
+            rows[i] = 0.0
+    if not finite:
+        rows = np.vstack([rows, -draw(st.floats(0.5, 2.0)) * rows])
+    return rows, draw(st.sampled_from(("logistic", "exponential"))), radius
+
+
+class TestMinimizeRisk:
+    @settings(max_examples=200, deadline=None)
+    @given(ball_problems())
+    def test_kkt_against_slsqp(self, problem):
+        rows, loss, radius = problem
+        tol = 1e-10
+        code = 0 if loss == "logistic" else 1
+        w, _ = minimize_risk(rows, code, rows.shape[0], radius, np.zeros(rows.shape[1]), tol)
+        assert np.linalg.norm(w) <= radius * (1 + 1e-12)
+        g = grad(rows, loss, w)
+        p = w - g
+        if np.linalg.norm(p) > radius:
+            p *= radius / np.linalg.norm(p)
+            res = np.linalg.norm(w - p)
+        else:
+            res = np.linalg.norm(g)
+        assert res <= tol
+        cons = [] if np.isinf(radius) else [
+            {"type": "ineq", "fun": lambda v: radius**2 - v @ v, "jac": lambda v: -2.0 * v}
+        ]
+        ref = minimize(
+            lambda v: risk(rows, loss, v),
+            np.zeros(rows.shape[1]),
+            jac=lambda v: grad(rows, loss, v),
+            method="SLSQP",
+            constraints=cons,
+            options={"ftol": 1e-15, "maxiter": 1000},
+        )
+        # SLSQP may stop just outside the ball; compare at a feasible point.
+        # Convexity and the projection give R(w) - R(x) <= res (|g| + |p - x|)
+        # for every x in the ball: what the stopping rule certifies, which
+        # matters where the risk itself is near tol
+        x = ref.x * min(1.0, radius / max(np.linalg.norm(ref.x), 1e-300))
+        certified = res * (np.linalg.norm(g) + np.linalg.norm(p - x))
+        assert risk(rows, loss, w) <= risk(rows, loss, x) + certified + 1e-12
