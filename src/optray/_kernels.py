@@ -1,32 +1,16 @@
-"""Hot numeric loops, JIT-compiled with numba when available.
+"""The loss functions and the descent loop, in plain numpy.
 
-Every kernel here is written in the numba/numpy common dialect: the same
-source runs compiled (default) or as plain interpreted numpy.  Set
-``OPTRAY_NO_NUMBA=1`` in the environment to force the pure-numpy path;
-``benchmarks/bench_kernels.py`` compares the two.
-
-The uncompiled originals stay importable as ``*_py`` for benchmarking and
-equivalence tests.
+The descent loop runs one interpreted Python iteration per step on small
+arrays, so its cost is numpy's per-call overhead, not arithmetic: it makes
+as few numpy calls per step as it can, into buffers allocated once, and keeps
+every scalar a Python float.
 """
 
-import os
+import math
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via OPTRAY_NO_NUMBA instead
-    HAS_NUMBA = False
-
-USE_NUMBA = HAS_NUMBA and os.environ.get("OPTRAY_NO_NUMBA", "").strip().lower() not in (
-    "1",
-    "true",
-    "yes",
-)
-
-# integer codes used inside kernels (numba-friendly)
+# loss and schedule codes
 LOGISTIC = 0
 EXPONENTIAL = 1
 CONSTANT_ONE = 0
@@ -40,47 +24,92 @@ STATUS_STEP_ASSERT = 4
 _EXP_CAP = 700.0  # exp overflows float64 just above this
 
 
+# The formulas below write into out, an array of z's shape, and use work,
+# another, when given, so that the descent loop can reuse its buffers.
+
+
+def _exp_capped(z, out):
+    # e^z, and +inf past _EXP_CAP
+    e = np.minimum(z, _EXP_CAP, out=out)
+    np.exp(e, e)
+    np.putmask(e, z > _EXP_CAP, np.inf)
+    return e
+
+
+def _exp_neg_abs(z, out):
+    # t = e^-|z|, the one exp both logistic formulas below take
+    t = np.abs(z, out)
+    np.negative(t, t)
+    return np.exp(t, t)
+
+
+def _logistic_value(z, t, out, work=None):
+    # ln(1+e^z) = max(z,0) + log1p(t), exact deep into both tails; out may be t
+    v = np.log1p(t, out)
+    v += np.maximum(z, 0.0, out=work)
+    return v
+
+
+def _logistic_deriv(z, t, out, work=None):
+    # sigmoid(z) = 1/(1+t) for z >= 0 and t/(1+t) below; the numerator is the
+    # larger of t <= 1 and H(z); out may be t
+    num = np.maximum(t, np.heaviside(z, 1.0, work), out=work)
+    u = np.add(t, 1.0, out)
+    return np.divide(num, u, u)
+
+
+def _fill_loss_terms(z, code, val, der, work):
+    # loss values into val and derivatives into der, from one exp
+    if code == EXPONENTIAL:
+        _exp_capped(z, val)
+        np.copyto(der, val)
+        return
+    _exp_neg_abs(z, der)
+    _logistic_value(z, der, val, work)
+    _logistic_deriv(z, der, der, work)
+
+
 def loss_values(z, code):
     """Elementwise loss: ln(1+e^z) for code 0, e^z for code 1.
 
     The logistic branch uses max(z,0)+log1p(e^-|z|), exact deep into both
     tails; the exponential branch returns +inf past the float64 range.
     """
+    z = np.asarray(z, dtype=float)
+    out = np.empty(z.shape)
     if code == EXPONENTIAL:
-        out = np.exp(np.minimum(z, _EXP_CAP))
-        return np.where(z > _EXP_CAP, np.inf, out)
-    t = np.exp(-np.abs(z))
-    return np.maximum(z, 0.0) + np.log1p(t)
+        return _exp_capped(z, out)
+    _exp_neg_abs(z, out)
+    return _logistic_value(z, out, out)
 
 
 def loss_derivs(z, code):
     """Elementwise loss derivative: sigmoid(z) or e^z."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty(z.shape)
     if code == EXPONENTIAL:
-        out = np.exp(np.minimum(z, _EXP_CAP))
-        return np.where(z > _EXP_CAP, np.inf, out)
-    t = np.exp(-np.abs(z))
-    return np.where(z >= 0.0, 1.0 / (1.0 + t), t / (1.0 + t))
+        return _exp_capped(z, out)
+    _exp_neg_abs(z, out)
+    return _logistic_deriv(z, out, out)
 
 
 def loss_curvs(z, code):
     """Elementwise second derivative: sigmoid(z)(1-sigmoid(z)) or e^z."""
     if code == EXPONENTIAL:
-        out = np.exp(np.minimum(z, _EXP_CAP))
-        return np.where(z > _EXP_CAP, np.inf, out)
+        return loss_values(z, code)
     p = loss_derivs(z, LOGISTIC)
     return p * (1.0 - p)
 
 
-def gd_loop(A, At, Act, sep_idx, BS, BST, loss_code, sched_code, T, cps):
+def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
     """Run gradient descent w_{j+1} = w_j - eta_j * grad(w_j) from w_0 = 0.
 
     Parameters
     ----------
-    A, At : (n,d) matrix of margin rows and its transpose (both contiguous).
-    Act : (d,n_sep) transpose of the separable-row block.
-    sep_idx : int64 indices of the separable rows (may be empty).
-    BS, BST : (d,r) orthonormal basis of the span of the remaining rows and
-        its transpose; r may be 0.
+    A : (n, d) matrix of margin rows.
+    sep_rows : int64 indices of the separable rows (may be empty).
+    bs_cols : (d, r) orthonormal basis of the span S of the remaining rows;
+        r may be 0.
     loss_code, sched_code : loss/schedule selectors.
     T : number of steps.
     cps : sorted int64 checkpoint times in [1, T].
@@ -88,144 +117,130 @@ def gd_loop(A, At, Act, sep_idx, BS, BST, loss_code, sched_code, T, cps):
     Returns per-step scalar series (risk, |grad|/risk, eta*risk for
     j = 0..T), per-checkpoint snapshots (iterate and running sums over
     j < t), and the worst slack of the per-step descent inequality
-    risk_{j+1} <= risk_j * (1 - eff_j (1 - eff_j/2) rel_j^2).
+    risk_{j+1} <= risk_j * (1 - eff_j (1 - eff_j/2) rel_j^2) with the step
+    where it occurs.
+
+    One step makes one product ext @ w, where ext stacks the rows of A and
+    the columns of the basis of S: that gives the margins z and the
+    coordinates of P_S w.  Then the loss terms from one exp, one product of
+    them with the columns [1, 1_sep] for the risk, the separable-block risk
+    and the separable loss mass, and A^T loss'(z) for the gradient.  When
+    both blocks exist, the cross term g_sep . P_S w, with
+    g_sep = A[sep]^T loss'(z[sep]) / n, takes five more numpy calls: its
+    running sum crosses zero, and this d-term form of it rounds several
+    times less than a sum of loss'(z_i) (A_i . P_S w) over the rows.
     """
     n, d = A.shape
-    n_sep = sep_idx.shape[0]
-    r = BS.shape[1]
+    r = bs_cols.shape[1]
+    n_sep = sep_rows.shape[0]
     K = cps.shape[0]
+    cps = cps.tolist() + [-1]
+
+    ext = np.vstack([A, bs_cols.T])
+    y = np.empty(n + r)
+    z, coords = y[:n], y[n:]
+    cols = np.zeros((2, n))
+    cols[0] = 1.0
+    cols[1, sep_rows] = 1.0
+    At = np.ascontiguousarray(A.T)
+    Act = np.ascontiguousarray(A[sep_rows].T)
+    terms = np.empty((2, n))
+    val, der = terms
+    work = np.empty(n)
+    sums = np.empty((2, 2))
+    g = np.empty(d)
+    lp_sep = np.empty(n_sep)
+    g_sep = np.empty(d)
+    ps = np.empty(d)
+    w = np.zeros(d)
+    w_list = w.tolist()
 
     risk_steps = np.empty(T + 1)
     rel_steps = np.empty(T + 1)
     eff_steps = np.empty(T + 1)
     cp_w = np.zeros((K, d))
-    cp_perceptron = np.zeros(K)
-    cp_sum_eta = np.zeros(K)
-    cp_sum_eff_grad = np.zeros(K)
-    cp_sum_tele = np.zeros(K)
-    cp_sum_eta_sep = np.zeros(K)
-    cp_sum_cross = np.zeros(K)
-    cp_sup_proj_s = np.zeros(K)
+    cp_sums = np.zeros((7, K))
 
-    w = np.zeros(d)
-    sum_eta = 0.0
-    sum_eff_grad = 0.0
-    perceptron = 0.0
-    sum_tele = 0.0
-    sum_eta_sep = 0.0
-    sum_cross = 0.0
-    sup_proj_s = 0.0
-    pending = np.inf
-    worst = np.inf
+    sum_eta = sum_eff_grad = perceptron = sum_tele = 0.0
+    sum_eta_sep = sum_cross = sup_proj_s = 0.0
+    pending = worst = math.inf
     worst_at = -1
     k = 0
     steps_done = -1
     status = STATUS_OK
 
-    for j in range(T + 1):
-        z = np.dot(A, w)
-        lv = loss_values(z, loss_code)
-        lp = loss_derivs(z, loss_code)
-        risk = np.sum(lv) / n
-        if not np.isfinite(risk) or risk <= 0.0:
-            # overflow, or underflow to exact zero (log-risk undefined)
-            status = STATUS_OVERFLOW
-            break
-        g = np.dot(At, lp) / n
-        gn = np.sqrt(np.dot(g, g))
-        if sched_code == CONSTANT_ONE:
-            eta = 1.0
-        else:
-            eta = 1.0 / np.sqrt(j + 1.0)
-        rel = gn / risk
-        eff = eta * risk
-        risk_steps[j] = risk
-        rel_steps[j] = rel
-        eff_steps[j] = eff
-        steps_done = j
+    # an exponential margin past _EXP_CAP puts inf into the sums, where it
+    # meets the zeros of 1_sep; the risk check below ends the run on it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(T + 1):
+            np.dot(ext, w, out=y)
+            _fill_loss_terms(z, loss_code, val, der, work)
+            np.dot(cols, terms.T, out=sums)
+            (risk, _), (risk_sep, l1) = sums.tolist()
+            risk /= n
+            if not 0.0 < risk < math.inf:
+                # overflow, or underflow to exact zero (log-risk undefined)
+                status = STATUS_OVERFLOW
+                break
+            np.dot(At, der, out=g)
+            grad = [x / n for x in g.tolist()]
+            gn = math.sqrt(sum([x * x for x in grad]))
+            eta = 1.0 if sched_code == CONSTANT_ONE else 1.0 / math.sqrt(j + 1.0)
+            rel = gn / risk
+            eff = eta * risk
+            risk_steps[j] = risk
+            rel_steps[j] = rel
+            eff_steps[j] = eff
+            steps_done = j
 
-        if j > 0:
-            slack = pending - risk
-            if slack < worst:
-                worst = slack
-                worst_at = j
+            if j > 0:
+                slack = pending - risk
+                if slack < worst:
+                    worst = slack
+                    worst_at = j
 
-        if k < K and cps[k] == j:
-            cp_w[k, :] = w
-            cp_perceptron[k] = perceptron
-            cp_sum_eta[k] = sum_eta
-            cp_sum_eff_grad[k] = sum_eff_grad
-            cp_sum_tele[k] = sum_tele
-            cp_sum_eta_sep[k] = sum_eta_sep
-            cp_sum_cross[k] = sum_cross
-            cp_sup_proj_s[k] = sup_proj_s
-            k += 1
+            if j == cps[k]:
+                cp_w[k] = w_list
+                cp_sums[:, k] = (
+                    perceptron,
+                    sum_eta,
+                    sum_eff_grad,
+                    sum_tele,
+                    sum_eta_sep,
+                    sum_cross,
+                    sup_proj_s,
+                )
+                k += 1
 
-        if j == T:
-            break
+            if j == T:
+                break
 
-        # separable-row block quantities at w_j
-        gc = np.zeros(d)
-        l1 = 0.0
-        rc = 0.0
-        if n_sep > 0:
-            lpc = lp[sep_idx]
-            l1 = np.sum(lpc)
-            rc = np.sum(lv[sep_idx]) / n
-            gc = np.dot(Act, lpc) / n
-        psn = 0.0
-        cross = 0.0
-        if r > 0:
-            ps = np.dot(BS, np.dot(BST, w))
-            psn = np.sqrt(np.dot(ps, ps))
-            cross = np.dot(gc, ps)
+            # accumulators cover j' < t at the moment checkpoint t is recorded
+            descent = eff * (1.0 - eff / 2.0) * rel * rel
+            if n_sep and r:
+                np.take(der, sep_rows, out=lp_sep)
+                np.dot(Act, lp_sep, out=g_sep)
+                np.divide(g_sep, n, out=g_sep)
+                np.dot(bs_cols, coords, out=ps)
+                sum_cross += eta * float(np.dot(g_sep, ps))
+            sum_eta_sep += eta * (risk_sep / n)
+            sum_eta += eta
+            sum_eff_grad += eff * rel
+            sum_tele += descent
+            perceptron += eta * l1 / n
+            if r:
+                psn = math.hypot(*coords.tolist())
+                if psn > sup_proj_s:
+                    sup_proj_s = psn
 
-        # accumulators cover j' < t at the moment checkpoint t is recorded
-        sum_cross += eta * cross
-        sum_eta_sep += eta * rc
-        sum_eta += eta
-        sum_eff_grad += eff * rel
-        sum_tele += eff * (1.0 - eff / 2.0) * rel * rel
-        perceptron += eta * l1 / n
-        if psn > sup_proj_s:
-            sup_proj_s = psn
+            if eff > 1.0 + 1e-9:
+                # eta <= 1 and risk(w_0) <= 1 guarantee eff <= 1; reaching here
+                # means the input violated its normalization contract
+                status = STATUS_STEP_ASSERT
+                break
 
-        if eff > 1.0 + 1e-9:
-            # eta <= 1 and risk(w_0) <= 1 guarantee eff <= 1; reaching here
-            # means the input violated its normalization contract
-            status = STATUS_STEP_ASSERT
-            break
+            pending = risk * (1.0 - descent)
+            w_list = [a - eta * b for a, b in zip(w_list, grad)]
+            w[:] = w_list
 
-        pending = risk * (1.0 - eff * (1.0 - eff / 2.0) * rel * rel)
-        w = w - eta * g
-
-    return (
-        status,
-        steps_done,
-        risk_steps,
-        rel_steps,
-        eff_steps,
-        cp_w,
-        cp_perceptron,
-        cp_sum_eta,
-        cp_sum_eff_grad,
-        cp_sum_tele,
-        cp_sum_eta_sep,
-        cp_sum_cross,
-        cp_sup_proj_s,
-        worst,
-        worst_at,
-    )
-
-
-# keep interpreted originals importable, then compile the hot entry points
-loss_values_py = loss_values
-loss_derivs_py = loss_derivs
-loss_curvs_py = loss_curvs
-gd_loop_py = gd_loop
-
-if USE_NUMBA:
-    loss_values = njit(cache=True)(loss_values)
-    loss_derivs = njit(cache=True)(loss_derivs)
-    loss_curvs = njit(cache=True)(loss_curvs)
-    gd_loop = njit(cache=True)(gd_loop)
+    return (status, steps_done, risk_steps, rel_steps, eff_steps, cp_w, *cp_sums, worst, worst_at)

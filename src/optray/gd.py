@@ -246,18 +246,6 @@ def run(
     bs_cols = basis_s.columns if basis_s is not None else np.zeros((d, 0))
     ts = checkpoint_times(T, checkpoints_per_decade)
 
-    out = _kernels.gd_loop(
-        rows,
-        np.ascontiguousarray(rows.T),
-        np.ascontiguousarray(rows[sep_idx].T),
-        sep_idx,
-        np.ascontiguousarray(bs_cols),
-        np.ascontiguousarray(bs_cols.T),
-        loss_code,
-        sched_code,
-        int(T),
-        ts,
-    )
     (
         status,
         steps_done,
@@ -274,7 +262,7 @@ def run(
         cp_sup_proj_s,
         worst,
         worst_at,
-    ) = out
+    ) = _kernels.gd_loop(rows, sep_idx, bs_cols, loss_code, sched_code, int(T), ts)
 
     if status == _kernels.STATUS_STEP_ASSERT:
         raise NumericalError(

@@ -216,7 +216,11 @@ def minimize_risk(
     It stops when the unit-step natural residual |w - P(w - grad R(w))|
     reaches tol, where P projects onto the ball (|grad R(w)| for an infinite
     radius).  Returns (w, iterations); raises ConvergenceError after
-    NEWTON_MAX_ITERS iterations or when a line search finds no descent.
+    NEWTON_MAX_ITERS iterations, when a line search finds no descent, or at
+    once when tol lies below the rounding floor eps |M|_2^2 |w| / n_total of
+    the gradient at w: rounding M w moves each margin by up to about
+    eps |M_i| |w|, so the computed gradient is known only to about that
+    floor, and the iterations that remain would chase rounding noise.
     """
     eps = np.finfo(float).eps
     basis = orthonormal_basis(M, rank_tol=max(M.shape) * eps).columns
@@ -224,6 +228,7 @@ def minimize_risk(
     nw = np.linalg.norm(w)
     if nw > radius:
         w *= radius / nw
+    curvature_scale = np.linalg.norm(M, 2) ** 2 / n_total
     for it in range(NEWTON_MAX_ITERS):
         z = M @ w
         g = M.T @ np.asarray(_kernels.loss_derivs(z, loss_code)) / n_total
@@ -232,6 +237,14 @@ def minimize_risk(
         res = np.linalg.norm(w - (w - g) * (radius / cn)) if cn > radius else np.linalg.norm(g)
         if res <= tol:
             return basis @ w, it
+        floor = eps * curvature_scale * np.linalg.norm(w)
+        if floor > tol:
+            raise ConvergenceError(
+                f"tol {tol:.1e} lies below the gradient's rounding floor {floor:.1e} "
+                f"(eps |M|^2 |w| / n) at iteration {it}; residual {res:.1e}",
+                best=float(res),
+                iterations=it,
+            )
         lam, Q = np.linalg.eigh(risk_hessian(M, loss_code, n_total, w))
         # curvature below what eigh resolves is raised to that resolution: the
         # shortest step the data allows along such a direction

@@ -530,6 +530,6 @@ def report_meta(trace: GDTrace, structure: Structure, digest: str, tolerances: d
         "offset_norm": float(np.linalg.norm(structure.offset)),
         "inf_risk": structure.inf_risk,
         "curvature_est": None if not np.isfinite(structure.curvature) else structure.curvature,
-        "kernel_path": "numba" if _kernels.USE_NUMBA else "numpy",
+        "kernel_path": "numpy",
         "tolerances": tolerances,
     }

@@ -7,7 +7,7 @@ from scipy.optimize import minimize
 
 from optray.dataset import MarginMatrix, synth, to_margin_matrix
 from optray.decompose import partition
-from optray.errors import ValidationError
+from optray.errors import ConvergenceError, ValidationError
 from optray.gd import (
     GDTrace,
     ball_series,
@@ -235,6 +235,15 @@ def ball_problems(draw):
 
 
 class TestMinimizeRisk:
+    def test_tol_below_rounding_floor_raises_early(self):
+        # singular values 2.4, 1.3 and 4.6e-9 put the minimizer at |w| ~ 1e8,
+        # where rounding M w alone moves the gradient by more than tol
+        rows = np.array([[1.0, 1e-8, 0.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+        M = np.vstack([rows, -0.5 * rows])
+        with pytest.raises(ConvergenceError, match="rounding floor") as info:
+            minimize_risk(M, 0, M.shape[0], np.inf, np.zeros(3), 1e-10)
+        assert 0 <= info.value.iterations <= 10
+
     @settings(max_examples=200, deadline=None)
     @given(ball_problems())
     def test_kkt_against_slsqp(self, problem):
