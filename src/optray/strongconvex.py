@@ -10,7 +10,7 @@ from . import _kernels
 from .decompose import Decomposition
 from .errors import NumericalError
 from .gd import LOSS_CODES
-from .linalg import Basis, minimize_risk, risk_hessian
+from .linalg import Basis, minimize_risk
 
 GRAD_TOL = 1e-10
 LAMBDA_DIRECTIONS = 32
@@ -23,7 +23,7 @@ class ScOptimum:
 
     risk_inf is the restricted risk at the optimum with the full dataset size
     in the denominator, which equals the infimum of the total risk.
-    curvature is the sampled lower estimate of the strong-convexity modulus
+    curvature is the sampled upper estimate of the strong-convexity modulus
     over the level-1 sublevel set (+inf for a rank-0 subspace).
     """
 
@@ -89,59 +89,59 @@ def infimum_risk(dec: Decomposition, opt: ScOptimum) -> float:
     return opt.risk_inf
 
 
-def estimate_lambda(
-    a_s: np.ndarray,
-    basis_s: Basis,
-    loss: str,
-    opt: ScOptimum,
-    n_total: int,
-    n_directions: int = LAMBDA_DIRECTIONS,
-    seed: int = LAMBDA_SEED,
-) -> float:
-    """Sampled estimate of the strong-convexity modulus of the restricted risk
-    over its level-1 sublevel set.
+def _level(M: np.ndarray, code: int, n_total: int, points: np.ndarray) -> np.ndarray:
+    """Restricted risk sum_i loss((M c)_i) / n_total at each row c of points."""
+    return np.sum(_kernels.loss_values(points @ M.T, code), axis=1) / n_total
 
-    Evaluates the smallest eigenvalue of the reduced Hessian at the optimum
-    and at points found by bisecting, along seeded random directions, to the
-    sublevel-set boundary.  The sampled minimum is an upper estimate of the
-    true modulus and is reported as such.
-    """
+
+def _boundary_steps(M: np.ndarray, code: int, n_total: int, c_star: np.ndarray, D: np.ndarray):
+    """Brackets lo <= t <= hi on the step where R(c_star + t d) crosses 1,
+    for all unit directions d (rows of D) at once, one _level call per step:
+    at most 60 doublings of hi from 1 (lo = hi = 2**60 if R stays <= 1), then
+    bisection until every bracket has collapsed (mid is lo or hi), which is
+    where 80 halvings would leave it.  Collapsed: R(lo) <= 1 < R(hi)."""
+
+    def over(t):
+        return _level(M, code, n_total, c_star + t[:, None] * D) > 1.0
+
+    hi = np.ones(D.shape[0])
+    grow = np.ones(D.shape[0], dtype=bool)
+    for _ in range(60):
+        grow &= ~over(hi)
+        if not grow.any():
+            break
+        hi[grow] *= 2.0
+    lo = np.where(grow, hi, 0.0)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            break
+        up = over(mid)
+        hi, lo = np.where(up, mid, hi), np.where(up, lo, mid)
+    return lo, hi
+
+
+def estimate_lambda(a_s: np.ndarray, basis_s: Basis, loss: str, opt: ScOptimum, n_total: int) -> float:
+    """Sampled estimate of the strong-convexity modulus of the restricted risk
+    over its level-1 sublevel set: the least eigenvalue of the reduced Hessian
+    at the optimum and where seeded random directions leave the set
+    (_boundary_steps), from one stacked product and one batched eigvalsh.
+    The sampled minimum is an upper estimate of the true modulus."""
     code = LOSS_CODES[loss]
     a_s = np.asarray(a_s, dtype=float)
     if a_s.shape[0] == 0 or basis_s.rank == 0:
         return np.inf
     M, value, _ = _restricted(a_s, basis_s, n_total, code)
-
-    def min_eig(c):
-        return float(np.linalg.eigvalsh(risk_hessian(M, code, n_total, c))[0])
-
     c_star = basis_s.columns.T @ opt.offset
-    samples = [min_eig(c_star)]
-    f_star = value(c_star)
-    if f_star < 1.0 - 1e-12:
-        rng = np.random.default_rng(seed)
-        for _ in range(n_directions):
-            direction = rng.standard_normal(basis_s.rank)
-            nd = np.linalg.norm(direction)
-            if nd == 0.0:
-                continue
-            direction /= nd
-            lo, hi = 0.0, 1.0
-            for _ in range(60):
-                if value(c_star + hi * direction) > 1.0:
-                    break
-                hi *= 2.0
-            else:
-                samples.append(min_eig(c_star + hi * direction))
-                continue
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if value(c_star + mid * direction) > 1.0:
-                    hi = mid
-                else:
-                    lo = mid
-            samples.append(min_eig(c_star + lo * direction))
-    out = min(samples)
+    points = c_star[None, :]
+    if value(c_star) < 1.0 - 1e-12:
+        D = np.random.default_rng(LAMBDA_SEED).standard_normal((LAMBDA_DIRECTIONS, basis_s.rank))
+        norms = np.linalg.norm(D, axis=1)
+        D = D[norms > 0.0] / norms[norms > 0.0, None]
+        lo, _ = _boundary_steps(M, code, n_total, c_star, D)
+        points = np.vstack([points, c_star + lo[:, None] * D])
+    curv = _kernels.loss_curvs(points @ M.T, code)
+    out = float(np.linalg.eigvalsh((M.T * curv[:, None, :]) @ M / n_total)[:, 0].min())
     if not out > 0.0:
         raise NumericalError(f"nonpositive curvature estimate {out:.3e} on the remainder block")
     return out

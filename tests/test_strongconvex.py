@@ -1,11 +1,25 @@
+import lambda_oracle
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from optray.dataset import MarginMatrix
 from optray.decompose import partition
+from optray.errors import ConvergenceError, LPError, NumericalError
+from optray.gd import LOSS_CODES
 from optray.linalg import orthonormal_basis
-from optray.strongconvex import estimate_lambda, infimum_risk, solve_vbar
+from optray.strongconvex import (
+    _boundary_steps,
+    _level,
+    _restricted,
+    estimate_lambda,
+    infimum_risk,
+    solve_vbar,
+)
 
+EPS = np.finfo(float).eps
 LN2 = np.log(2.0)
 BASIS_1D = orthonormal_basis(np.array([[1.0]]))
 
@@ -137,3 +151,83 @@ class TestEstimateLambda:
             opt = solve_vbar(rows, basis, "logistic", rows.shape[0])
             lam = estimate_lambda(rows, basis, "logistic", opt, rows.shape[0])
             assert 0 < lam < np.inf
+
+
+@st.composite
+def remainder_problems(draw):
+    """A non-separable remainder block: 1-8 rows of rank 1-4 and their mirror
+    images times a factor, some scaled down and some with a factor within
+    1e-3 of 1, which puts the exponential risk's optimum f* near 1; optionally
+    next to strictly separable rows in one more coordinate, split off by
+    partition.  Returns the remainder rows, the basis of their span, a loss,
+    the restricted optimum and the total row count."""
+    r = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 8))
+    base = draw(arrays(np.float64, (m, r), elements=st.floats(-1.0, 1.0)))
+    assume(np.abs(base).max() >= 1e-3)
+    mirror = draw(st.one_of(st.floats(0.5, 2.0), st.floats(-1e-3, 1e-3).map(lambda e: 1.0 + e)))
+    rows = np.vstack([base, -mirror * base])
+    rows *= draw(st.sampled_from((1.0, 1.0, 0.1, 1e-3))) / np.linalg.norm(rows, axis=1).max()
+    n_sep = draw(st.integers(0, 4))
+    if n_sep:
+        sep = draw(arrays(np.float64, (n_sep, r + 1), elements=st.floats(-1.0, 1.0)))
+        sep[:, -1] = -draw(arrays(np.float64, n_sep, elements=st.floats(0.1, 1.0)))
+        sep /= max(1.0, np.linalg.norm(sep, axis=1).max())
+        rows = np.vstack([np.hstack([rows, np.zeros((2 * m, 1))]), sep])
+    A = MarginMatrix(rows)
+    try:
+        dec = partition(A)
+    except LPError:
+        assume(False)
+    loss = draw(st.sampled_from(("logistic", "exponential")))
+    a_s = A.rows[dec.sc_rows]
+    try:
+        opt = solve_vbar(a_s, dec.basis_s, loss, n_total=A.n)
+    except ConvergenceError:
+        assume(False)
+    return a_s, dec.basis_s, loss, opt, A.n
+
+
+def _estimate_or_none(sampler, problem):
+    try:
+        return sampler(*problem)
+    except NumericalError:
+        return None
+
+
+class TestBatchedSampler:
+    @settings(max_examples=200, deadline=None)
+    @given(remainder_problems())
+    def test_matches_per_direction_sampler(self, problem):
+        a_s, basis, loss, opt, n = problem
+        old = _estimate_or_none(lambda_oracle.estimate_lambda, problem)
+        new = _estimate_or_none(estimate_lambda, problem)
+        # eigvalsh resolves lambda_min only to about eps |H|; on the level-1
+        # set |H| <= |M|_2^2 c / n, with c = 1/4 for the logistic loss and
+        # c = n for the exponential (there every e^{z_i} <= n R <= n)
+        c = 0.25 if loss == "logistic" else n
+        floor = EPS * np.linalg.norm(a_s @ basis.columns, 2) ** 2 * c / n
+        if (old is None) != (new is None):
+            # the sign of an estimate within the rounding floor of 0 is noise
+            assert (new if old is None else old) <= 4 * floor
+        elif old is not None:
+            assert abs(new - old) <= 1e-12 * abs(old) + 4 * floor
+
+    @settings(max_examples=200, deadline=None)
+    @given(remainder_problems(), st.integers(0, 2**32 - 1))
+    def test_collapsed_brackets_straddle_level_one(self, problem, seed):
+        a_s, basis, loss, opt, n = problem
+        assume(basis.rank > 0)
+        code = LOSS_CODES[loss]
+        M = _restricted(a_s, basis, n, code)[0]
+        c_star = basis.columns.T @ opt.offset
+        assume(_level(M, code, n, c_star[None, :])[0] < 1.0 - 1e-12)
+        D = np.random.default_rng(seed).standard_normal((8, basis.rank))
+        D /= np.linalg.norm(D, axis=1)[:, None]
+        lo, hi = _boundary_steps(M, code, n, c_star, D)
+        collapsed = hi == np.nextafter(lo, np.inf)
+        # below f* <= 1 - 1e-12 every bracket collapses within 80 halvings,
+        # or its direction never reached 1 and carries the 2**60 sentinel
+        assert np.all(collapsed | ((lo == 2.0**60) & (hi == 2.0**60)))
+        assert np.all(_level(M, code, n, c_star + lo[:, None] * D)[collapsed] <= 1.0)
+        assert np.all(_level(M, code, n, c_star + hi[:, None] * D)[collapsed] > 1.0)
