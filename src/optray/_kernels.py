@@ -24,8 +24,8 @@ STATUS_STEP_ASSERT = 4
 _EXP_CAP = 700.0  # exp overflows float64 just above this
 
 
-# The formulas below write into out, an array of z's shape, and use work,
-# another, when given, so that the descent loop can reuse its buffers.
+# The formulas below write into out, an array of z's shape, so that their
+# callers can reuse buffers.
 
 
 def _exp_capped(z, out):
@@ -43,30 +43,46 @@ def _exp_neg_abs(z, out):
     return np.exp(t, t)
 
 
-def _logistic_value(z, t, out, work=None):
+def _logistic_value(z, t, out):
     # ln(1+e^z) = max(z,0) + log1p(t), exact deep into both tails; out may be t
     v = np.log1p(t, out)
-    v += np.maximum(z, 0.0, out=work)
+    v += np.maximum(z, 0.0)
     return v
 
 
-def _logistic_deriv(z, t, out, work=None):
+def _logistic_deriv(z, t, out):
     # sigmoid(z) = 1/(1+t) for z >= 0 and t/(1+t) below; the numerator is the
     # larger of t <= 1 and H(z); out may be t
-    num = np.maximum(t, np.heaviside(z, 1.0, work), out=work)
+    num = np.maximum(t, np.heaviside(z, 1.0))
     u = np.add(t, 1.0, out)
     return np.divide(num, u, u)
 
 
+def _logistic_terms(m, ex, val, der):
+    # the two formulas above from the minima m = [-|z|, min(z,0), -max(z,0)]
+    # (3n values, one np.minimum of [z, z, -z] and [-z, 0, 0]) with the same
+    # bits: one exp into ex (2n) gives t and e^min(z,0), which is the
+    # numerator max(t, H(z)), and log1p(t) - (-max(z,0)) is the value
+    n = val.shape[0]
+    np.exp(m[: 2 * n], out=ex)
+    t = ex[:n]
+    np.log1p(t, out=val)
+    np.subtract(val, m[2 * n :], out=val)
+    np.add(t, 1.0, out=der)
+    np.divide(ex[n:], der, out=der)
+
+
 def _fill_loss_terms(z, code, val, der, work):
-    # loss values into val and derivatives into der, from one exp
+    # the descent loop's loss values into val and derivatives into der, from
+    # the margins z alone, for the loss tests (the loop reads -z and the
+    # minima off its margins product); work is an array of z's shape
     if code == EXPONENTIAL:
-        _exp_capped(z, val)
-        np.copyto(der, val)
+        np.copyto(der, _exp_capped(z, val))
         return
-    _exp_neg_abs(z, der)
-    _logistic_value(z, der, val, work)
-    _logistic_deriv(z, der, der, work)
+    neg = np.negative(z, work)
+    zero = np.zeros_like(z)
+    m = np.minimum(np.concatenate([z, z, neg]), np.concatenate([neg, zero, zero]))
+    _logistic_terms(m, np.empty(2 * z.shape[0]), val, der)
 
 
 def loss_values(z, code):
@@ -120,38 +136,51 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
     risk_{j+1} <= risk_j * (1 - eff_j (1 - eff_j/2) rel_j^2) with the step
     where it occurs.
 
-    One step makes one product ext @ w, where ext stacks the rows of A and
-    the columns of the basis of S: that gives the margins z and the
-    coordinates of P_S w.  Then the loss terms from one exp, one product of
-    them with the columns [1, 1_sep] for the risk, the separable-block risk
-    and the separable loss mass, and A^T loss'(z) for the gradient.  When
-    both blocks exist, the cross term g_sep . P_S w, with
-    g_sep = A[sep]^T loss'(z[sep]) / n, takes five more numpy calls: its
-    running sum crosses zero, and this d-term form of it rounds several
-    times less than a sum of loss'(z_i) (A_i . P_S w) over the rows.
+    One step makes three products.  The first, ext @ w, where ext stacks
+    the basis of S and the rows A, A and -A, gives the coordinates of P_S w
+    and the margins z twice and negated; trailing zeros turn them into the
+    minima the logistic terms start from (_logistic_terms) in one
+    np.minimum.  The loss terms then come from one exp, and the second
+    product takes them against the rows of P = [1; 1_sep; A_sep^T]: the
+    risk, the separable-block risk, the separable loss mass and
+    g_sep = A_sep^T loss'(z_sep) (its rows only when both blocks exist), in
+    one .tolist().  The exponential loss is its own derivative, so it takes
+    P against the values alone.  The gradient is the third product,
+    A^T loss'(z) on its own as in the reference loop, so that it keeps its
+    bits: near an interior optimum its terms cancel, and summed in another
+    order (as rows of P) they move |grad| by ulps of the terms, not of
+    |grad|.  The cross term g_sep . P_S w, with P_S w = B coords, is summed
+    in Python floats over its d terms: its running sum crosses zero, and
+    this form rounds several times less than a sum of
+    loss'(z_i) (A_i . P_S w) over the rows.
     """
     n, d = A.shape
     r = bs_cols.shape[1]
-    n_sep = sep_rows.shape[0]
+    cross = sep_rows.shape[0] > 0 and r > 0
     K = cps.shape[0]
     cps = cps.tolist() + [-1]
 
-    ext = np.vstack([A, bs_cols.T])
-    y = np.empty(n + r)
-    z, coords = y[:n], y[n:]
-    cols = np.zeros((2, n))
-    cols[0] = 1.0
-    cols[1, sep_rows] = 1.0
+    ext = np.vstack([bs_cols.T, A, A, -A])
+    y = np.zeros(r + 5 * n)
+    head, coords, z = y[: r + 3 * n], y[:r], y[r : r + n]
+    lo, hi = y[r : r + 3 * n], y[r + 2 * n :]
+    m = np.empty(3 * n)
+    ex = np.empty(2 * n)
+    P = np.zeros((2 + d if cross else 2, n))
+    P[0] = 1.0
+    P[1, sep_rows] = 1.0
+    if cross:
+        P[2:, sep_rows] = A[sep_rows].T
+    PT = P.T
     At = np.ascontiguousarray(A.T)
-    Act = np.ascontiguousarray(A[sep_rows].T)
+    g = np.empty(d)
+    basis = bs_cols.tolist()
     terms = np.empty((2, n))
     val, der = terms
-    work = np.empty(n)
-    sums = np.empty((2, 2))
-    g = np.empty(d)
-    lp_sep = np.empty(n_sep)
-    g_sep = np.empty(d)
-    ps = np.empty(d)
+    if loss_code == EXPONENTIAL:
+        der = val  # its own derivative
+    sums = np.empty((2, P.shape[0]))
+    sums0 = sums[0]
     w = np.zeros(d)
     w_list = w.tolist()
 
@@ -170,20 +199,23 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
     status = STATUS_OK
 
     # an exponential margin past _EXP_CAP puts inf into the sums, where it
-    # meets the zeros of 1_sep; the risk check below ends the run on it
+    # meets the zeros of P; the risk check below ends the run on it
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(T + 1):
-            np.dot(ext, w, out=y)
-            _fill_loss_terms(z, loss_code, val, der, work)
-            np.dot(cols, terms.T, out=sums)
-            (risk, _), (risk_sep, l1) = sums.tolist()
-            risk /= n
+            np.dot(ext, w, out=head)
+            if loss_code == EXPONENTIAL:
+                _exp_capped(z, val)
+                vals = ders = np.dot(val, PT, out=sums0).tolist()
+            else:
+                np.minimum(lo, hi, out=m)
+                _logistic_terms(m, ex, val, der)
+                vals, ders = np.dot(terms, PT, out=sums).tolist()
+            risk = vals[0] / n
             if not 0.0 < risk < math.inf:
                 # overflow, or underflow to exact zero (log-risk undefined)
                 status = STATUS_OVERFLOW
                 break
-            np.dot(At, der, out=g)
-            grad = [x / n for x in g.tolist()]
+            grad = [x / n for x in np.dot(At, der, out=g).tolist()]
             gn = math.sqrt(sum([x * x for x in grad]))
             eta = 1.0 if sched_code == CONSTANT_ONE else 1.0 / math.sqrt(j + 1.0)
             rel = gn / risk
@@ -217,21 +249,19 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
 
             # accumulators cover j' < t at the moment checkpoint t is recorded
             descent = eff * (1.0 - eff / 2.0) * rel * rel
-            if n_sep and r:
-                np.take(der, sep_rows, out=lp_sep)
-                np.dot(Act, lp_sep, out=g_sep)
-                np.divide(g_sep, n, out=g_sep)
-                np.dot(bs_cols, coords, out=ps)
-                sum_cross += eta * float(np.dot(g_sep, ps))
-            sum_eta_sep += eta * (risk_sep / n)
+            if r:
+                c = coords.tolist()
+                if cross:
+                    ps = [sum([b * x for b, x in zip(row, c)]) for row in basis]
+                    sum_cross += eta * sum([x / n * p for x, p in zip(ders[2:], ps)])
+                psn = math.hypot(*c)
+                if psn > sup_proj_s:
+                    sup_proj_s = psn
+            sum_eta_sep += eta * (vals[1] / n)
             sum_eta += eta
             sum_eff_grad += eff * rel
             sum_tele += descent
-            perceptron += eta * l1 / n
-            if r:
-                psn = math.hypot(*coords.tolist())
-                if psn > sup_proj_s:
-                    sup_proj_s = psn
+            perceptron += eta * ders[1] / n
 
             if eff > 1.0 + 1e-9:
                 # eta <= 1 and risk(w_0) <= 1 guarantee eff <= 1; reaching here

@@ -176,7 +176,9 @@ class GDTrace:
             json.dump({"meta": self.meta(), "checkpoints": records}, fh, indent=1)
 
     def save_steps(self, path) -> None:
-        np.savez_compressed(
+        """The per-step series as an uncompressed .npz (24 bytes per step);
+        from_files reads compressed archives too."""
+        np.savez(
             path,
             risk_steps=self.risk_steps,
             rel_steps=self.rel_steps,

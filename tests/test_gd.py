@@ -1,3 +1,5 @@
+import zipfile
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize
 
+from optray.cli import main
 from optray.dataset import MarginMatrix, synth, to_margin_matrix
 from optray.decompose import partition
 from optray.errors import ConvergenceError, ValidationError
@@ -177,6 +180,28 @@ class TestTraceIO:
         np.testing.assert_allclose(back.risk_steps, tr.risk_steps)
         np.testing.assert_allclose(back.sum_cross, tr.sum_cross)
         assert back.loss == tr.loss and back.T == tr.T
+
+    def test_compressed_steps_still_read(self, tmp_path):
+        # traces recorded before steps.npz was written uncompressed
+        run_dir, old_dir = tmp_path / "run", tmp_path / "old"
+        argv = ["--synth-kind", "mixed", "--seed", "2", "--loss", "logistic", "--schedule", "inv_sqrt"]
+        assert main(["run", *argv, "--steps", "400", "--out", str(run_dir)]) == 0
+        with zipfile.ZipFile(run_dir / "steps.npz") as archive:
+            assert {m.compress_type for m in archive.infolist()} == {zipfile.ZIP_STORED}
+        old_dir.mkdir()
+        (old_dir / "trace.json").write_bytes((run_dir / "trace.json").read_bytes())
+        with np.load(run_dir / "steps.npz") as steps:
+            np.savez_compressed(old_dir / "steps.npz", **steps)
+        new = GDTrace.from_files(run_dir / "trace.json", run_dir / "steps.npz")
+        old = GDTrace.from_files(old_dir / "trace.json", old_dir / "steps.npz")
+        for name in ("risk_steps", "rel_steps", "eff_steps"):
+            np.testing.assert_array_equal(getattr(old, name), getattr(new, name), strict=True)
+        reports = []
+        for trace_dir in (run_dir, old_dir):
+            out = tmp_path / f"verify-{trace_dir.name}"
+            assert main(["verify", *argv, "--trace-dir", str(trace_dir), "--out", str(out)]) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
 
 
 class TestConstrainedOpt:

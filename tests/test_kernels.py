@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from optray import _kernels as K
-from optray.dataset import MarginMatrix
+from optray.dataset import MarginMatrix, synth, to_margin_matrix
 from optray.decompose import partition
 from optray.errors import LPError
 from optray.gd import checkpoint_times
@@ -189,3 +189,20 @@ class TestDescentLoop:
             old = _oracle(A, sep_rows, bs_cols, loss_code, sched_code, T, cps)
         new = K.gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps)
         assert_loops_agree(new, old)
+
+
+@pytest.mark.parametrize(
+    "kind, loss_code, sched_code",
+    [("separable", K.EXPONENTIAL, K.CONSTANT_ONE), ("mixed", K.LOGISTIC, K.INV_SQRT)],
+)
+def test_matches_reference_loop_at_benchmark_size(kind, loss_code, sched_code):
+    # the hypothesis problems have n <= 12; BLAS may take other kernel paths
+    # for the products of the 40- and 43-row long-run inputs
+    A = to_margin_matrix(synth(kind, 20, 1)).rows
+    dec = partition(MarginMatrix(A))
+    T = 20_000
+    cps = checkpoint_times(T, 20)
+    old = _oracle(A, dec.sep_rows, dec.basis_s.columns, loss_code, sched_code, T, cps)
+    new = K.gd_loop(A, dec.sep_rows, dec.basis_s.columns, loss_code, sched_code, T, cps)
+    assert new[0] == K.STATUS_OK
+    assert_loops_agree(new, old)
