@@ -131,10 +131,10 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
     cps : sorted int64 checkpoint times in [1, T].
 
     Returns per-step scalar series (risk, |grad|/risk, eta*risk for
-    j = 0..T), per-checkpoint snapshots (iterate and running sums over
-    j < t), and the worst slack of the per-step descent inequality
-    risk_{j+1} <= risk_j * (1 - eff_j (1 - eff_j/2) rel_j^2) with the step
-    where it occurs.
+    j = 0..T) and per-checkpoint snapshots (iterate and running sums over
+    j < t).  Four sums need per-step data the loop does not store and run
+    in it; sum_eta, sum_eff_grad and sum_tele are cumulative sums of the
+    stored series, taken after it.
 
     One step makes three products.  The first, ext @ w, where ext stacks
     the basis of S and the rows A, A and -A, gives the coordinates of P_S w
@@ -188,12 +188,9 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
     rel_steps = np.empty(T + 1)
     eff_steps = np.empty(T + 1)
     cp_w = np.zeros((K, d))
-    cp_sums = np.zeros((7, K))
+    cp_sums = np.zeros((7, K))  # in the order of the return tuple
 
-    sum_eta = sum_eff_grad = perceptron = sum_tele = 0.0
-    sum_eta_sep = sum_cross = sup_proj_s = 0.0
-    pending = worst = math.inf
-    worst_at = -1
+    perceptron = sum_eta_sep = sum_cross = sup_proj_s = 0.0
     k = 0
     steps_done = -1
     status = STATUS_OK
@@ -225,30 +222,15 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
             eff_steps[j] = eff
             steps_done = j
 
-            if j > 0:
-                slack = pending - risk
-                if slack < worst:
-                    worst = slack
-                    worst_at = j
-
             if j == cps[k]:
                 cp_w[k] = w_list
-                cp_sums[:, k] = (
-                    perceptron,
-                    sum_eta,
-                    sum_eff_grad,
-                    sum_tele,
-                    sum_eta_sep,
-                    sum_cross,
-                    sup_proj_s,
-                )
+                cp_sums[[0, 4, 5, 6], k] = (perceptron, sum_eta_sep, sum_cross, sup_proj_s)
                 k += 1
 
             if j == T:
                 break
 
             # accumulators cover j' < t at the moment checkpoint t is recorded
-            descent = eff * (1.0 - eff / 2.0) * rel * rel
             if r:
                 c = coords.tolist()
                 if cross:
@@ -258,9 +240,6 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
                 if psn > sup_proj_s:
                     sup_proj_s = psn
             sum_eta_sep += eta * (vals[1] / n)
-            sum_eta += eta
-            sum_eff_grad += eff * rel
-            sum_tele += descent
             perceptron += eta * ders[1] / n
 
             if eff > 1.0 + 1e-9:
@@ -269,8 +248,34 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
                 status = STATUS_STEP_ASSERT
                 break
 
-            pending = risk * (1.0 - descent)
             w_list = [a - eta * b for a, b in zip(w_list, grad)]
             w[:] = w_list
 
-    return (status, steps_done, risk_steps, rel_steps, eff_steps, cp_w, *cp_sums, worst, worst_at)
+        # sum_eta, sum_eff_grad and sum_tele are cumulative sums of eta_j,
+        # eff_j rel_j and descent_terms: each term is built in one reused
+        # buffer with the float operations of the loop's own eta and eff,
+        # and np.cumsum adds in step order, so the sums have the bits of
+        # running sums in the loop
+        if k:
+            at = np.array(cps[:k]) - 1
+            buf = np.ones(cps[k - 1])
+            eff, rel = eff_steps[: buf.size], rel_steps[: buf.size]
+            if sched_code == INV_SQRT:
+                np.sqrt(np.cumsum(buf, out=buf), out=buf)  # sqrt(j + 1), j + 1 exact
+                np.divide(1.0, buf, out=buf)
+            cp_sums[1, :k] = np.cumsum(buf, out=buf)[at]
+            cp_sums[2, :k] = np.cumsum(np.multiply(eff, rel, out=buf), out=buf)[at]
+            cp_sums[3, :k] = np.cumsum(descent_terms(eff, rel, out=buf), out=buf)[at]
+
+    return (status, steps_done, risk_steps, rel_steps, eff_steps, cp_w, *cp_sums)
+
+
+def descent_terms(eff, rel, out=None):
+    """eff_j (1 - eff_j/2) rel_j^2, the fraction of the risk that step j is
+    bound to remove by smoothness: risk_{j+1} <= risk_j (1 - this)."""
+    out = np.divide(eff, 2.0, out=out)
+    np.subtract(1.0, out, out=out)
+    np.multiply(eff, out, out=out)
+    out *= rel
+    out *= rel
+    return out

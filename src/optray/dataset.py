@@ -37,6 +37,8 @@ class Dataset:
         self.labels = np.asarray(self.labels)
         if self.features.ndim != 2 or self.features.shape[0] < 1 or self.features.shape[1] < 1:
             raise ValidationError("features must be a nonempty (n, d) array")
+        if not np.all(np.isfinite(self.features)):
+            raise ValidationError("every feature must be finite (no nan or inf)")
         if self.labels.shape != (self.features.shape[0],):
             raise ValidationError("labels must be a vector of length n")
         if not np.all(np.isin(self.labels, (-1, 1))):
@@ -73,7 +75,7 @@ class MarginMatrix:
         if self.rows.ndim != 2 or self.rows.shape[0] < 1:
             raise ValidationError("rows must be a nonempty (n, d) array")
         norms = np.linalg.norm(self.rows, axis=1)
-        if norms.max() > 1.0 + NORM_SLACK:
+        if not norms.max() <= 1.0 + NORM_SLACK:  # a nan row fails this too
             raise ValidationError(
                 f"row norms must not exceed 1 (got {norms.max():.17g}); normalize first"
             )

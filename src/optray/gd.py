@@ -64,6 +64,8 @@ def checkpoint_times(T: int, per_decade: int = DEFAULT_PER_DECADE) -> np.ndarray
     """Log-spaced integer checkpoint times in [1, T], always including T."""
     if T < 1:
         raise ValidationError("T must be >= 1")
+    if per_decade < 1:
+        raise ValidationError("checkpoints per decade must be >= 1")
     grid = 10.0 ** (np.arange(0, np.log10(T) * per_decade + 1) / per_decade)
     ts = np.unique(np.rint(grid).astype(np.int64))
     ts = ts[(ts >= 1) & (ts <= T)]
@@ -109,8 +111,6 @@ class GDTrace:
     risk_steps: np.ndarray
     rel_steps: np.ndarray
     eff_steps: np.ndarray
-    smooth_worst_slack: float
-    smooth_worst_step: int
     digest: str = ""
 
     CSV_SCALARS = (
@@ -159,8 +159,6 @@ class GDTrace:
             "d": self.d,
             "status": self.status,
             "sep_rows": self.sep_rows.tolist(),
-            "smooth_worst_slack": self.smooth_worst_slack,
-            "smooth_worst_step": self.smooth_worst_step,
             "digest": self.digest,
         }
 
@@ -209,8 +207,6 @@ class GDTrace:
             risk_steps=steps["risk_steps"],
             rel_steps=steps["rel_steps"],
             eff_steps=steps["eff_steps"],
-            smooth_worst_slack=meta["smooth_worst_slack"],
-            smooth_worst_step=meta["smooth_worst_step"],
             digest=meta.get("digest", ""),
             **arrays,
         )
@@ -262,8 +258,6 @@ def run(
         cp_sum_eta_sep,
         cp_sum_cross,
         cp_sup_proj_s,
-        worst,
-        worst_at,
     ) = _kernels.gd_loop(rows, sep_idx, bs_cols, loss_code, sched_code, int(T), ts)
 
     if status == _kernels.STATUS_STEP_ASSERT:
@@ -315,8 +309,6 @@ def run(
         risk_steps=risk_steps[: steps_done + 1],
         rel_steps=rel_steps[: steps_done + 1],
         eff_steps=eff_steps[: steps_done + 1],
-        smooth_worst_slack=float(worst),
-        smooth_worst_step=int(worst_at),
     )
 
 

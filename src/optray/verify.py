@@ -139,9 +139,7 @@ def check_risk_bound(trace: GDTrace, structure: Structure) -> CheckResult:
 
 def check_smoothness(trace: GDTrace) -> CheckResult:
     r = trace.risk_steps
-    eff = trace.eff_steps[:-1]
-    rel = trace.rel_steps[:-1]
-    pred = r[:-1] * (1.0 - eff * (1.0 - eff / 2.0) * rel * rel)
+    pred = r[:-1] * (1.0 - _kernels.descent_terms(trace.eff_steps[:-1], trace.rel_steps[:-1]))
     slack = pred - r[1:]
     return _from_slacks("smoothness", slack, r[1:], np.arange(1, r.size))
 

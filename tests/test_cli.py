@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import optray
 import optray.pipeline
 from optray.cli import main
 from optray.decompose import ValidationReport
@@ -191,6 +196,29 @@ def test_empty_input_is_input_error(tmp_path, capsys):
 
 def test_missing_input_flag_is_input_error(tmp_path):
     assert main(["decompose", "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize(
+    "command", [["decompose"], ["verify", "--steps", "100"]], ids=["decompose", "verify"]
+)
+def test_non_finite_input_is_input_error(command, tmp_path, capsys):
+    path = tmp_path / "nan.csv"
+    path.write_text("f1,f2,label\n1,0,1\nnan,1,1\n0,1,-1\n")
+    code = main([*command, "--input", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_runs_without_scipy(tmp_path):
+    # the package declares numpy as its only runtime dependency
+    script = (
+        "import sys; sys.modules['scipy'] = None; from optray.cli import main; "
+        "sys.exit(main(sys.argv[1:]))"
+    )
+    argv = ["verify", "--synth-kind", "mixed", "--steps", "300", "--out", str(tmp_path / "o")]
+    env = dict(os.environ, PYTHONPATH=str(Path(optray.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_report_pretty_print(canonical_csv, tmp_path, capsys):

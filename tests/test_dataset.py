@@ -40,6 +40,13 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="row 3"):
             load_csv(p)
 
+    def test_non_finite_feature_rejected(self, tmp_path):
+        for value in ("nan", "inf", "-inf"):
+            p = tmp_path / f"{value}.csv"
+            p.write_text(f"f1,f2,label\n1,0,1\n{value},1,1\n0,1,-1\n")
+            with pytest.raises(ValidationError, match="finite"):
+                load_csv(p)
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "e.csv"
         p.write_text("")
@@ -100,8 +107,10 @@ class TestMarginMatrix:
         )
 
     def test_oversized_rows_rejected(self):
-        with pytest.raises(ValidationError):
-            MarginMatrix(np.array([[2.0, 0.0]]))
+        # a nan row has a nan norm, which no comparison with the bound admits
+        for rows in ([[2.0, 0.0]], [[0.5, 0.0], [np.nan, 0.0]]):
+            with pytest.raises(ValidationError):
+                MarginMatrix(np.array(rows))
 
 
 class TestSynth:

@@ -1,3 +1,4 @@
+import json
 import zipfile
 
 import numpy as np
@@ -22,6 +23,7 @@ from optray.gd import (
     step_sizes,
 )
 from optray.linalg import minimize_risk
+from optray.verify import check_smoothness
 
 LN2 = np.log(2.0)
 
@@ -95,6 +97,11 @@ class TestCheckpointTimes:
         assert np.all(np.diff(ts) > 0)
         assert ts.dtype == np.int64
 
+    def test_per_decade_below_one_rejected(self):
+        for per_decade in (0, -1, -20):
+            with pytest.raises(ValidationError):
+                checkpoint_times(1000, per_decade)
+
 
 class TestRun:
     def test_single_step_exponential(self):
@@ -133,7 +140,7 @@ class TestRun:
         A = to_margin_matrix(synth("overlap", 10, 4))
         for loss in ("logistic", "exponential"):
             tr = run(A, loss, "constant_one", 2000)
-            assert tr.smooth_worst_slack >= -1e-12
+            assert check_smoothness(tr).worst_slack >= -1e-12
 
     def test_projection_fields(self):
         A = to_margin_matrix(synth("mixed", 6, 5))
@@ -182,14 +189,20 @@ class TestTraceIO:
         assert back.loss == tr.loss and back.T == tr.T
 
     def test_compressed_steps_still_read(self, tmp_path):
-        # traces recorded before steps.npz was written uncompressed
+        # traces in the earlier format: steps.npz compressed, and the worst
+        # smoothness slack and its step in the trace.json meta
         run_dir, old_dir = tmp_path / "run", tmp_path / "old"
         argv = ["--synth-kind", "mixed", "--seed", "2", "--loss", "logistic", "--schedule", "inv_sqrt"]
         assert main(["run", *argv, "--steps", "400", "--out", str(run_dir)]) == 0
         with zipfile.ZipFile(run_dir / "steps.npz") as archive:
             assert {m.compress_type for m in archive.infolist()} == {zipfile.ZIP_STORED}
         old_dir.mkdir()
-        (old_dir / "trace.json").write_bytes((run_dir / "trace.json").read_bytes())
+        trace = json.loads((run_dir / "trace.json").read_text())
+        assert not {"smooth_worst_slack", "smooth_worst_step"} & trace["meta"].keys()
+        smooth = check_smoothness(GDTrace.from_files(run_dir / "trace.json", run_dir / "steps.npz"))
+        trace["meta"]["smooth_worst_slack"] = smooth.worst_slack
+        trace["meta"]["smooth_worst_step"] = smooth.location
+        (old_dir / "trace.json").write_text(json.dumps(trace, indent=1))
         with np.load(run_dir / "steps.npz") as steps:
             np.savez_compressed(old_dir / "steps.npz", **steps)
         new = GDTrace.from_files(run_dir / "trace.json", run_dir / "steps.npz")

@@ -1,6 +1,8 @@
 """Kernel-level checks: the loss terms and the descent loop against the frozen
 reference loop in gd_oracle.py, and the loop's overflow and step-assert exits."""
 
+from types import SimpleNamespace
+
 import gd_oracle
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from optray.dataset import MarginMatrix, synth, to_margin_matrix
 from optray.decompose import partition
 from optray.errors import LPError
 from optray.gd import checkpoint_times
+from optray.verify import check_smoothness
 
 EPS = np.finfo(float).eps
 SUM_NAMES = (
@@ -153,9 +156,10 @@ def descent_problems(draw):
 def assert_loops_agree(new, old):
     """Equal exits; every series, iterate and running sum within 1e-12
     relative and, for exact zeros, 4 eps m absolute; the worst smoothness
-    slack within 4 eps m, at a step whose slack ties with the reference's
-    worst within that band.  m is the largest risk or predicted risk
-    risk_j (1 - eff_j (1 - eff_j/2) rel_j^2) of the run, leaving out
+    slack that check_smoothness recomputes from the new series within 4 eps m
+    of the one the reference streams, at a step whose slack ties with the
+    reference's worst within that band.  m is the largest risk or predicted
+    risk risk_j (1 - eff_j (1 - eff_j/2) rel_j^2) of the run, leaving out
     overflows: risk_0 for rows of at most unit norm, where rel_j <= 1,
     eff_j <= 1 and the risk falls."""
     assert new[0] == old[0] and new[1] == old[1]
@@ -170,7 +174,9 @@ def assert_loops_agree(new, old):
     np.testing.assert_allclose(new[5], old[5], rtol=1e-12, atol=band, err_msg="w")
     for name, a, b in zip(SUM_NAMES, new[6:13], old[6:13]):
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=band, err_msg=name)
-    worst, worst_at = new[13], new[14]
+    series = dict(zip(("risk_steps", "rel_steps", "eff_steps"), (a[:done] for a in new[2:5])))
+    smooth = check_smoothness(SimpleNamespace(**series))
+    worst, worst_at = smooth.worst_slack, smooth.location
     ref_worst, ref_at = old[13], old[14]
     if ref_at < 0 or not np.isfinite(ref_worst):
         assert worst_at == ref_at and worst == ref_worst

@@ -1,5 +1,6 @@
 import math
 
+import gd_oracle
 import numpy as np
 import pytest
 
@@ -69,12 +70,28 @@ class TestSmoothness:
         assert res.worst_slack == pytest.approx(0.5 - math.exp(-1.0), abs=1e-12)
 
     def test_streamed_worst_matches_recompute(self):
-        _, trace = pipeline_for(
+        # against the worst slack and step the frozen reference loop streams
+        structure, trace = pipeline_for(
             to_margin_matrix(synth("touching", 8, 2)), "logistic", "constant_one", 2000
+        )
+        A, sep = structure.matrix.rows, structure.dec.sep_rows
+        B = structure.dec.basis_s.columns
+        ref = gd_oracle.gd_loop(
+            A,
+            np.ascontiguousarray(A.T),
+            np.ascontiguousarray(A[sep].T),
+            sep,
+            B,
+            np.ascontiguousarray(B.T),
+            _kernels.LOGISTIC,
+            _kernels.CONSTANT_ONE,
+            2000,
+            trace.ts,
         )
         res = check_smoothness(trace)
         assert res.holds
-        assert res.worst_slack == pytest.approx(trace.smooth_worst_slack, rel=1e-12)
+        assert res.worst_slack == pytest.approx(ref[13], rel=1e-12)
+        assert res.location == ref[14]
 
     def test_corrupted_trace_detected(self):
         _, trace = pipeline_for(
