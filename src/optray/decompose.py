@@ -1,10 +1,21 @@
 """Unique partition of the margin matrix into a strictly separable block and a
-remainder whose restricted risk is strongly convex, via LP certificates.
+remainder whose restricted risk is strongly convex, by one cone test per row.
 
 A row i is separable when some u achieves A u <= 0 componentwise with
-(A u)_i < 0.  The partition solves an aggregate certificate LP over the
-still-unclassified rows, moves every row that attains slack above
-SLACK_TOL, and repeats; the leftover rows span the subspace S.
+(A u)_i < 0.  By Gordan's alternative it is not exactly when -a_i lies in the
+cone of the other rows, so each row gets one nonnegative least-squares solve,
+min_{q >= 0} |A_{-i}^T q + a_i| (linalg.nnls).  The residual r of that solve
+is the largest margin -a_i^T u that a unit u holding every other row at or
+below zero gives row i (u = -r / |r|), and the row is separable when it
+exceeds SLACK_TOL.  The remainder rows span the subspace S.
+
+`validate` checks a finished split with one matrix product per certificate:
+the max-margin direction of the separable rows projected off S separates
+them while holding the remainder at zero, and the summed weight vectors of
+the remainder rows' cone tests form a strictly positive combination of the
+remainder that vanishes (Stiemke), so that no remainder row is separable.
+
+`separable_certificate` and its boxed LP (lp.py) are not used by either.
 """
 
 from dataclasses import dataclass
@@ -14,9 +25,11 @@ import numpy as np
 from . import lp
 from .dataset import MarginMatrix
 from .errors import ValidationError
-from .linalg import Basis, complement, min_norm_point, orthonormal_basis
+from .linalg import Basis, complement, min_norm_point, nnls, orthonormal_basis
 
-SLACK_TOL = 1e-7  # slack above this classifies a row as strictly separable
+# a row is strictly separable when a unit direction holding every other row at
+# or below zero gives it a margin above this
+SLACK_TOL = 1e-7
 BOX_SCALE = 10.0  # |u|_inf bound is BOX_SCALE * n, keeping the LP bounded
 
 
@@ -33,14 +46,17 @@ class Certificate:
 
 @dataclass(eq=False)
 class Decomposition:
-    """Index partition (sep_rows, sc_rows), bases of S and its complement, and
-    the separable rows projected onto the complement."""
+    """Index partition (sep_rows, sc_rows), bases of S and its complement, the
+    separable rows projected onto the complement, and positive weights under
+    which the remainder rows sum to zero (None when not known: `validate`
+    then derives them, and `to_dict` leaves them out)."""
 
     sep_rows: np.ndarray
     sc_rows: np.ndarray
     basis_s: Basis
     basis_perp: Basis
     a_perp: np.ndarray
+    sc_weights: np.ndarray | None = None
 
     @property
     def n_sep(self) -> int:
@@ -116,35 +132,44 @@ def separable_certificate(A: MarginMatrix, active) -> Certificate:
     return Certificate(u=u, slacks=slacks)
 
 
+def _cone_test(rows: np.ndarray, i: int) -> tuple[float, np.ndarray]:
+    """Residual norm of min_{q >= 0} |rows_{-i}^T q + rows_i|, and the weight
+    vector over all rows: q, with weight 1 on row i."""
+    q, r = nnls(np.delete(rows, i, axis=0).T, -rows[i])
+    return float(np.linalg.norm(r)), np.insert(q, i, 1.0)
+
+
+def _cone_weights(rows: np.ndarray, slack_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the rows that no direction separates from the others, and the
+    sum of their weight vectors."""
+    n = rows.shape[0]
+    inside, weights = np.zeros(n, dtype=bool), np.zeros(n)
+    for i in range(n):
+        resid, lam = _cone_test(rows, i)
+        if resid <= slack_tol:
+            inside[i] = True
+            weights += lam
+    return inside, weights
+
+
 def row_feasible(A: MarginMatrix, i: int, slack_tol: float = SLACK_TOL) -> bool:
     """Per-row oracle: can row i get strictly negative margin while every row
-    stays at or below zero?  Solves the single-row LP directly."""
+    stays at or below zero?  The cone test of row i alone."""
     if not 0 <= i < A.n:
         raise ValidationError(f"row index {i} out of range")
-    cert = separable_certificate(A, [i])
-    return float(cert.slacks[i]) > slack_tol
+    return _cone_test(A.rows, i)[0] > slack_tol
 
 
 def partition(A: MarginMatrix, slack_tol: float = SLACK_TOL) -> Decomposition:
     """Split the rows into the maximal strictly separable set and the rest.
 
-    Iterates the aggregate certificate LP because a single solve can leave a
-    genuinely separable row at zero slack when the box bound binds; re-solving
-    on the smaller active set recovers it.  The result does not depend on row
-    order.
+    Each row is tested on its own against all the others, so the result does
+    not depend on row order.  The remainder keeps the summed weight vectors
+    of its rows' cone tests as its Stiemke weights.
     """
-    n, d = A.n, A.d
-    remaining = list(range(n))
-    sep: list[int] = []
-    while remaining:
-        cert = separable_certificate(A, remaining)
-        moved = [i for i in remaining if cert.slacks[i] > slack_tol]
-        if not moved:
-            break
-        sep.extend(moved)
-        remaining = [i for i in remaining if i not in set(moved)]
-    sep_rows = np.array(sorted(sep), dtype=np.int64)
-    sc_rows = np.array(sorted(remaining), dtype=np.int64)
+    d = A.d
+    inside, weights = _cone_weights(A.rows, slack_tol)
+    sep_rows, sc_rows = np.flatnonzero(~inside), np.flatnonzero(inside)
     basis_s = orthonormal_basis(A.rows[sc_rows] if sc_rows.size else np.zeros((0, d)))
     basis_perp = complement(basis_s)
     if sep_rows.size:
@@ -157,6 +182,7 @@ def partition(A: MarginMatrix, slack_tol: float = SLACK_TOL) -> Decomposition:
         basis_s=basis_s,
         basis_perp=basis_perp,
         a_perp=np.ascontiguousarray(a_perp),
+        sc_weights=weights[sc_rows],
     )
 
 
@@ -172,18 +198,25 @@ class ValidationReport:
 def validate(dec: Decomposition, A: MarginMatrix, slack_tol: float = SLACK_TOL) -> ValidationReport:
     """Check a decomposition against its defining properties.
 
-    (a) one certificate separates every sep row strictly while holding the
-        remainder at zero; (b) the remainder, viewed in S-coordinates, admits
-        no positive margin; (c) the remainder rows live entirely inside S.
+    (a) certificate: the max-margin direction of the sep rows projected onto
+        the complement of S separates every sep row by at least slack_tol
+        while holding the remainder at zero; (b) the remainder, viewed in
+        S-coordinates, admits no positive margin; (c) the remainder rows live
+        entirely inside S; (d) stiemke: the remainder weights are strictly
+        positive and their combination of the remainder rows nearly vanishes,
+        so that no remainder row gets a margin above slack_tol from a unit
+        direction holding the others at or below zero.
     """
     checks = {}
     if dec.sep_rows.size:
-        cert = separable_certificate(A, dec.sep_rows)
-        margins = A.rows[dec.sep_rows] @ cert.u
-        worst_sep = float(margins.max())
+        sep = A.rows[dec.sep_rows]
+        x = min_norm_point(dec.basis_perp.project(sep))[1]
+        gamma = float(np.linalg.norm(x))
+        u = -x / gamma if gamma > 0.0 else x
+        worst_sep = float((sep @ u).max())
         ok_a = worst_sep <= -slack_tol
         if dec.sc_rows.size:
-            held = float(np.abs(A.rows[dec.sc_rows] @ cert.u).max())
+            held = float(np.abs(A.rows[dec.sc_rows] @ u).max())
             ok_a = ok_a and held <= 1e-9
         else:
             held = 0.0
@@ -203,4 +236,14 @@ def validate(dec: Decomposition, A: MarginMatrix, slack_tol: float = SLACK_TOL) 
         checks["remainder_in_span"] = (leak <= 1e-9, leak - 1e-9)
     else:
         checks["remainder_in_span"] = (True, 0.0)
+
+    if dec.sc_rows.size:
+        sc = A.rows[dec.sc_rows]
+        q = dec.sc_weights if dec.sc_weights is not None else _cone_weights(sc, slack_tol)[1]
+        # a unit u with A_sc u <= 0 has q_k (A_sc u)_k >= q^T A_sc u >= -|A_sc^T q|
+        leak = float(np.linalg.norm(sc.T @ q))
+        bound = slack_tol * float(q.min())
+        checks["stiemke"] = (bound > 0.0 and leak <= bound, leak - bound)
+    else:
+        checks["stiemke"] = (True, 0.0)
     return ValidationReport(checks=checks)

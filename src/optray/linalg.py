@@ -1,6 +1,6 @@
 """Small dense linear algebra: orthonormal bases, projections, the simplex
-projection, the nearest point of a polytope to the origin, and the minimizer
-of the empirical risk over a ball."""
+projection, the nearest point of a polytope to the origin, nonnegative least
+squares, and the minimizer of the empirical risk over a ball."""
 
 from dataclasses import dataclass
 
@@ -10,7 +10,9 @@ from . import _kernels
 from .errors import ConvergenceError
 
 DEFAULT_RANK_TOL = 1e-10
-# Wolfe's stopping rule: no row improves on x by more than this times |x| max |P_i|
+# stopping rule of both active-set methods: in Wolfe's, no row improves on x by
+# more than this times |x| max |P_i|; in Lawson-Hanson's, no column's gradient
+# exceeds this times its norm times the residual's
 MNP_TOL = 1e-15
 # Newton iterations of minimize_risk before it gives up
 NEWTON_MAX_ITERS = 200
@@ -157,6 +159,58 @@ def min_norm_point(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     q = np.zeros(n)
     q[corral] = lam
     return q, P.T @ q, iterations
+
+
+def nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x >= 0 minimizing |E x - f|.
+
+    The active-set method of Lawson and Hanson (Solving Least Squares
+    Problems, 1974, ch. 23): each major cycle moves the column of largest
+    gradient w_j = E_j^T (f - E x) into the passive set,
+    then minor cycles solve least squares on the passive columns and, while
+    some of its weights are not positive, step from x toward that solution
+    until a weight reaches zero and drop that column.  It stops once no
+    column has w_j > MNP_TOL |E_j| |f - E x|, or when only rounding drives a
+    cycle (the entering column gets no weight, or the residual fails to
+    shrink).  Zero columns never enter.  Returns (x, r), r = f - E x.
+    """
+    E = np.asarray(E, dtype=float)
+    f = np.asarray(f, dtype=float)
+    if E.ndim != 2 or f.shape != (E.shape[0],):
+        raise ValueError("expected a (d, m) matrix and a length-d vector")
+    m = E.shape[1]
+    norms = np.hypot.reduce(E, axis=0)  # no underflow for tiny columns
+    x, passive = np.zeros(m), np.zeros(m, dtype=bool)
+    r, rr = f, float(f @ f)
+    while not passive.all():
+        w = E.T @ r
+        entering = ~passive & (w > MNP_TOL * np.sqrt(rr) * norms)
+        if not entering.any():
+            break
+        j = int(np.argmax(np.where(entering, w, -np.inf)))
+        p, y = passive.copy(), x.copy()
+        p[j] = True
+        while True:
+            cols = np.flatnonzero(p)
+            z = np.zeros(m)
+            z[cols] = np.linalg.lstsq(E[:, cols], f, rcond=None)[0]
+            neg = cols[z[cols] <= 0.0]
+            if neg.size == 0:
+                break
+            # y > 0 >= z on neg, except for the entering column (y_j = 0), whose
+            # ratio 0 leaves y as it is and drops it again
+            ratios = y[neg] / np.maximum(y[neg] - z[neg], 1e-300)
+            k = int(np.argmin(ratios))
+            y = y + ratios[k] * (z - y)
+            y[neg[k]] = 0.0
+            p &= y > 0.0
+            y[~p] = 0.0
+        r_new = f - E @ z
+        rr_new = float(r_new @ r_new)
+        if not rr_new < rr:
+            break
+        x, passive, r, rr = z, p, r_new, rr_new
+    return x, r
 
 
 def risk_hessian(M: np.ndarray, loss_code: int, n_total: int, w: np.ndarray) -> np.ndarray:

@@ -6,11 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_lp import _block_rows
 
 import optray
 import optray.pipeline
 from optray.cli import main
-from optray.decompose import ValidationReport
+from optray.dataset import Dataset, load_csv, save_csv, to_margin_matrix
+from optray.decompose import ValidationReport, partition, validate
 from optray.errors import LPError
 
 
@@ -177,6 +179,21 @@ def test_failed_self_check_aborts(command, failing_self_check, canonical_csv, tm
     assert not out.exists()
 
 
+def test_decompose_passes_self_check_on_former_lp_fault_instance(tmp_path):
+    # d = 6, 50 separable rows and a remainder of rank 3: the simplex behind the
+    # former certificate check returned an infeasible point here, and decompose
+    # exited 3
+    rows = _block_rows(6, 3, 50, 30, 8)
+    path, out = tmp_path / "block6.csv", tmp_path / "o"
+    save_csv(Dataset(-rows, np.ones(rows.shape[0], dtype=np.int64)), path)
+    assert main(["decompose", "--input", str(path), "--out", str(out)]) == 0
+    A = to_margin_matrix(load_csv(path))
+    assert validate(partition(A), A).ok
+    dec = json.loads((out / "decomposition.json").read_text())
+    assert dec["sep_rows"] == list(range(50))
+    assert np.array(dec["basis_s"]).shape == (6, 3)
+
+
 def test_numeric_abort_in_decompose_leaves_output_dir(canonical_csv, tmp_path, monkeypatch):
     def fail(A):
         raise LPError("simplex returned an infeasible point")
@@ -209,13 +226,16 @@ def test_non_finite_input_is_input_error(command, tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
-def test_runs_without_scipy(tmp_path):
+@pytest.mark.parametrize(
+    "command", [["verify", "--steps", "300"], ["decompose"]], ids=["verify", "decompose"]
+)
+def test_runs_without_scipy(command, tmp_path):
     # the package declares numpy as its only runtime dependency
     script = (
         "import sys; sys.modules['scipy'] = None; from optray.cli import main; "
         "sys.exit(main(sys.argv[1:]))"
     )
-    argv = ["verify", "--synth-kind", "mixed", "--steps", "300", "--out", str(tmp_path / "o")]
+    argv = [*command, "--synth-kind", "mixed", "--out", str(tmp_path / "o")]
     env = dict(os.environ, PYTHONPATH=str(Path(optray.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

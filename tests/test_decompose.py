@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_lp import _block_rows
 
 from optray.dataset import MarginMatrix, synth, to_margin_matrix
 from optray.decompose import (
@@ -100,6 +103,19 @@ class TestPartition:
         base = set(partition(mat(rows)).sep_rows.tolist())
         for scale in (0.25, 0.5):
             assert set(partition(mat(rows * scale)).sep_rows.tolist()) == base
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), d=st.integers(2, 5), seed=st.integers(0, 2**16))
+    def test_invariant_under_permutation_and_row_scaling(self, data, d, seed):
+        rank = data.draw(st.integers(1, d - 1))
+        n_sep, n_sc = data.draw(st.integers(1, 10)), data.draw(st.integers(2, 10))
+        rows = _block_rows(d, rank, n_sep, n_sc, seed)
+        n = n_sep + n_sc
+        perm = np.array(data.draw(st.permutations(range(n))))
+        scales = np.array(data.draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+        base = set(partition(mat(rows)).sep_rows.tolist())
+        dec = partition(mat(rows[perm] * scales[:, None]))
+        assert {int(perm[i]) for i in dec.sep_rows} == base
 
     def test_agrees_with_scipy_feasibility(self):
         # cross-check the per-row LP against an unrelated solver

@@ -10,6 +10,7 @@ from optray.linalg import (
     Basis,
     complement,
     min_norm_point,
+    nnls,
     orthonormal_basis,
     project,
     simplex_project,
@@ -193,3 +194,40 @@ class TestMinNormPoint:
         np.testing.assert_array_equal(x, P.T @ q)
         assert float(np.min(P @ x)) >= float(x @ x) - 1e-12
         assert abs(float(np.linalg.norm(x)) - nearest_point_oracle(P)) <= 1e-12
+
+
+class TestNnls:
+    def test_target_inside_the_cone(self):
+        E = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, -1.0]])
+        x, r = nnls(E, np.array([2.0, 3.0]))
+        np.testing.assert_allclose(E @ x, [2.0, 3.0], atol=1e-15)
+        np.testing.assert_allclose(r, [0.0, 0.0], atol=1e-15)
+
+    def test_target_outside_the_cone(self):
+        # the cone is the first quadrant; (-1, 2) projects onto (0, 2)
+        x, r = nnls(np.eye(2), np.array([-1.0, 2.0]))
+        np.testing.assert_allclose(x, [0.0, 2.0])
+        np.testing.assert_allclose(r, [-1.0, 0.0])
+
+    def test_no_columns_and_zero_columns(self):
+        f = np.array([1.0, -2.0])
+        x, r = nnls(np.zeros((2, 0)), f)
+        assert x.shape == (0,)
+        np.testing.assert_array_equal(r, f)
+        x, r = nnls(np.zeros((2, 3)), f)
+        np.testing.assert_array_equal(x, np.zeros(3))
+        np.testing.assert_array_equal(r, f)
+
+    @settings(max_examples=300, deadline=None)
+    @given(point_sets(), st.data())
+    def test_matches_scipy(self, P, data):
+        scipy_opt = pytest.importorskip("scipy.optimize")
+        # a column many orders of magnitude shorter than the others falls under
+        # the rank cutoff of the least-squares step, where scipy's solver would
+        # give it a weight near the float range
+        E = np.where(np.abs(P) < 1e-6, 0.0, P).T
+        f = data.draw(arrays(np.float64, E.shape[0], elements=st.floats(-2.0, 2.0)))
+        x, r = nnls(E, f)
+        assert x.min() >= 0.0
+        np.testing.assert_array_equal(r, f - E @ x)
+        assert float(np.linalg.norm(r)) <= scipy_opt.nnls(E, f)[1] + 1e-12
