@@ -1,19 +1,27 @@
 """Unique partition of the margin matrix into a strictly separable block and a
-remainder whose restricted risk is strongly convex, by one cone test per row.
+remainder whose restricted risk is strongly convex, by an iterated global
+cone test.
 
 A row i is separable when some u achieves A u <= 0 componentwise with
 (A u)_i < 0.  By Gordan's alternative it is not exactly when -a_i lies in the
-cone of the other rows, so each row gets one nonnegative least-squares solve,
-min_{q >= 0} |A_{-i}^T q + a_i| (linalg.nnls).  The residual r of that solve
-is the largest margin -a_i^T u that a unit u holding every other row at or
-below zero gives row i (u = -r / |r|), and the row is separable when it
-exceeds SLACK_TOL.  The remainder rows span the subspace S.
+cone of the other rows: min_{q >= 0} |A_{-i}^T q + a_i| (linalg.nnls) is then
+zero.  That residual is the largest margin -a_i^T u that a unit u holding
+every other row at or below zero gives row i, and the row is separable when
+it exceeds SLACK_TOL (`row_feasible`, the per-row oracle).
+
+`partition` tests all rows at once.  One solve of
+min_{p >= 0} |A_R^T (1 + p)| over the candidate rows R either leaves a
+residual within SLACK_TOL, so that q = 1 + p >= 1 is a strictly positive
+combination of R that vanishes (Stiemke) and every row of R is remainder, or
+gives a unit direction holding R at or below zero; the rows it separates by
+more than SLACK_TOL leave R, layer by layer as in Gordan's alternative, and
+the solve repeats.  A round that separates no row falls back to one cone test
+per row.  The remainder rows span the subspace S.
 
 `validate` checks a finished split with one matrix product per certificate:
 the max-margin direction of the separable rows projected off S separates
-them while holding the remainder at zero, and the summed weight vectors of
-the remainder rows' cone tests form a strictly positive combination of the
-remainder that vanishes (Stiemke), so that no remainder row is separable.
+them while holding the remainder at zero, and the Stiemke weights show that
+no remainder row is separable.
 
 `separable_certificate` and its boxed LP (lp.py) are not used by either.
 """
@@ -141,15 +149,44 @@ def _cone_test(rows: np.ndarray, i: int) -> tuple[float, np.ndarray]:
 
 def _cone_weights(rows: np.ndarray, slack_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Mask of the rows that no direction separates from the others, and the
-    sum of their weight vectors."""
+    sum of their weight vectors over n, by one cone test per row (a weight can
+    come near the float range, where the plain sum would overflow)."""
     n = rows.shape[0]
     inside, weights = np.zeros(n, dtype=bool), np.zeros(n)
     for i in range(n):
         resid, lam = _cone_test(rows, i)
         if resid <= slack_tol:
             inside[i] = True
-            weights += lam
+            weights += lam / n
     return inside, weights
+
+
+def _remainder(rows: np.ndarray, slack_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the rows that no direction separates from the others, and
+    Stiemke weights on them (zero elsewhere), by the iterated global cone test.
+
+    Each round solves min_{p >= 0} |A_R^T (1 + p)| over the candidate rows R.
+    A residual r within slack_tol leaves R as the remainder with weights
+    q = 1 + p >= 1.  Otherwise u = r / |r| holds R at or below zero (the KKT
+    conditions of the solve), and the rows it gives a margin above slack_tol
+    are separable and leave R.  When a round drops no row, or u lifts a row
+    above zero, the per-row tests (`_cone_weights`) decide instead.
+    """
+    inside = np.ones(rows.shape[0], dtype=bool)
+    while inside.any():
+        cand = rows[inside]
+        p, r = nnls(cand.T, -cand.sum(axis=0))
+        resid = float(np.linalg.norm(r))
+        if resid <= slack_tol:
+            weights = np.zeros(rows.shape[0])
+            weights[inside] = 1.0 + p
+            return inside, weights
+        margins = cand @ (r / resid)
+        drop = margins < -slack_tol
+        if not drop.any() or margins.max() > 1e-12:
+            return _cone_weights(rows, slack_tol)
+        inside[np.flatnonzero(inside)[drop]] = False
+    return inside, np.zeros(rows.shape[0])
 
 
 def row_feasible(A: MarginMatrix, i: int, slack_tol: float = SLACK_TOL) -> bool:
@@ -163,12 +200,13 @@ def row_feasible(A: MarginMatrix, i: int, slack_tol: float = SLACK_TOL) -> bool:
 def partition(A: MarginMatrix, slack_tol: float = SLACK_TOL) -> Decomposition:
     """Split the rows into the maximal strictly separable set and the rest.
 
-    Each row is tested on its own against all the others, so the result does
-    not depend on row order.  The remainder keeps the summed weight vectors
-    of its rows' cone tests as its Stiemke weights.
+    The iterated global cone test (`_remainder`) needs a few solves per input;
+    the rows of each round are tested together, so the result does not depend
+    on row order.  The remainder keeps the weights of the last solve (or of
+    the per-row tests, when they decide) as its Stiemke weights.
     """
     d = A.d
-    inside, weights = _cone_weights(A.rows, slack_tol)
+    inside, weights = _remainder(A.rows, slack_tol)
     sep_rows, sc_rows = np.flatnonzero(~inside), np.flatnonzero(inside)
     basis_s = orthonormal_basis(A.rows[sc_rows] if sc_rows.size else np.zeros((0, d)))
     basis_perp = complement(basis_s)
@@ -239,7 +277,7 @@ def validate(dec: Decomposition, A: MarginMatrix, slack_tol: float = SLACK_TOL) 
 
     if dec.sc_rows.size:
         sc = A.rows[dec.sc_rows]
-        q = dec.sc_weights if dec.sc_weights is not None else _cone_weights(sc, slack_tol)[1]
+        q = dec.sc_weights if dec.sc_weights is not None else _remainder(sc, slack_tol)[1]
         # a unit u with A_sc u <= 0 has q_k (A_sc u)_k >= q^T A_sc u >= -|A_sc^T q|
         leak = float(np.linalg.norm(sc.T @ q))
         bound = slack_tol * float(q.min())

@@ -170,9 +170,14 @@ def nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     then minor cycles solve least squares on the passive columns and, while
     some of its weights are not positive, step from x toward that solution
     until a weight reaches zero and drop that column.  It stops once no
-    column has w_j > MNP_TOL |E_j| |f - E x|, or when only rounding drives a
-    cycle (the entering column gets no weight, or the residual fails to
-    shrink).  Zero columns never enter.  Returns (x, r), r = f - E x.
+    column has w_j > MNP_TOL |E_j| |f - E x|, when only rounding drives a
+    cycle (the entering column gets no weight, or the squared residual
+    shrinks by no more than MNP_TOL |E (z - x)| |f - E x|), or when a weight
+    would pass the float range.  Every step works on the columns scaled to
+    unit norm: the entering column is the one of largest w_j / |E_j|, and the
+    least-squares solve, refined once, does not let lstsq's rank cutoff drop
+    a column many orders of magnitude shorter than the others.  Zero columns
+    never enter.  Returns (x, r), r = f - E x.
     """
     E = np.asarray(E, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -180,20 +185,27 @@ def nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("expected a (d, m) matrix and a length-d vector")
     m = E.shape[1]
     norms = np.hypot.reduce(E, axis=0)  # no underflow for tiny columns
+    unit = np.divide(E, norms, out=np.zeros_like(E), where=norms > 0.0)
     x, passive = np.zeros(m), np.zeros(m, dtype=bool)
     r, rr = f, float(f @ f)
     while not passive.all():
-        w = E.T @ r
-        entering = ~passive & (w > MNP_TOL * np.sqrt(rr) * norms)
+        g = unit.T @ r  # w_j / |E_j|
+        entering = ~passive & (g > MNP_TOL * np.sqrt(rr))
         if not entering.any():
             break
-        j = int(np.argmax(np.where(entering, w, -np.inf)))
+        j = int(np.argmax(np.where(entering, g, -np.inf)))
         p, y = passive.copy(), x.copy()
         p[j] = True
         while True:
             cols = np.flatnonzero(p)
             z = np.zeros(m)
-            z[cols] = np.linalg.lstsq(E[:, cols], f, rcond=None)[0]
+            U = unit[:, cols]
+            s = np.linalg.lstsq(U, f, rcond=None)[0]
+            s += np.linalg.lstsq(U, f - U @ s, rcond=None)[0]  # one refinement step
+            if np.any(np.abs(s) / np.finfo(float).max > norms[cols]):
+                p[j] = False  # a weight past the float range: the cycle cannot be taken
+                break
+            z[cols] = s / norms[cols]
             neg = cols[z[cols] <= 0.0]
             if neg.size == 0:
                 break
@@ -205,11 +217,15 @@ def nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             y[neg[k]] = 0.0
             p &= y > 0.0
             y[~p] = 0.0
-        r_new = f - E @ z
-        rr_new = float(r_new @ r_new)
-        if not rr_new < rr:
+        if not p[j]:
             break
-        x, passive, r, rr = z, p, r_new, rr_new
+        # |r|^2 - |r_new|^2 from the step itself: subtracting the two squares
+        # loses a decrease below eps |r|^2
+        delta = E @ (z - x)
+        if not float(delta @ (2.0 * r - delta)) > MNP_TOL * np.linalg.norm(delta) * np.sqrt(rr):
+            break
+        r = f - E @ z
+        x, passive, rr = z, p, float(r @ r)
     return x, r
 
 

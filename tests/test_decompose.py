@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_lp import _block_rows
 
+from optray import decompose
 from optray.dataset import MarginMatrix, synth, to_margin_matrix
 from optray.decompose import (
     Decomposition,
@@ -19,6 +20,36 @@ CANONICAL_MIXED = np.array([[-1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
 
 def mat(rows):
     return MarginMatrix(np.asarray(rows, dtype=float))
+
+
+@st.composite
+def block_inputs(draw):
+    """Block rows in d <= 6 with a remainder of every rank below d, then up to
+    four copies or mirror images of drawn rows, each row scaled by a factor in
+    [1e-3, 1]."""
+    d = draw(st.integers(1, 6))
+    rank = draw(st.integers(0, d - 1))
+    n_sep = draw(st.integers(1 if rank == 0 else 0, 10))
+    n_sc = draw(st.integers(2, 10))
+    rows = _block_rows(d, rank, n_sep, n_sc, draw(st.integers(0, 2**16)))
+    pick = st.tuples(st.integers(0, n_sep + n_sc - 1), st.sampled_from((1.0, -1.0)))
+    picks = draw(st.lists(pick, max_size=4))
+    rows = np.vstack([rows] + [sign * rows[i] for i, sign in picks])
+    scales = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=len(rows), max_size=len(rows))))
+    return rows * scales[:, None]
+
+
+def count_calls(monkeypatch, name):
+    """Replace decompose.<name> by a wrapper that counts its calls."""
+    calls = []
+    inner = getattr(decompose, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(decompose, name, counted)
+    return calls
 
 
 class TestSeparableCertificate:
@@ -117,6 +148,35 @@ class TestPartition:
         dec = partition(mat(rows[perm] * scales[:, None]))
         assert {int(perm[i]) for i in dec.sep_rows} == base
 
+    @settings(max_examples=200, deadline=None)
+    @given(rows=block_inputs())
+    def test_global_split_matches_per_row_split(self, rows):
+        A = mat(rows)
+        dec = partition(A)
+        assert dec.sep_rows.tolist() == [i for i in range(A.n) if row_feasible(A, i)]
+        assert validate(dec, A).ok
+
+    def test_near_tolerance_rows_all_remain_with_one_solve(self, monkeypatch):
+        # k copies of (0.5, 0) and of (-0.5, 2.5e-8): every per-row residual is
+        # 2.5e-8, and the global one is k 2.5e-8 = 7.5e-8 <= SLACK_TOL at k = 3.
+        # The per-row tests' weights miss the Stiemke bound on this input
+        A = mat([[0.5, 0.0]] * 3 + [[-0.5, 2.5e-8]] * 3)
+        solves = count_calls(monkeypatch, "nnls")
+        dec = partition(A)
+        assert dec.sep_rows.size == 0 and dec.rank_s == 2
+        assert validate(dec, A).ok
+        assert len(solves) == 1
+
+    def test_near_tolerance_rows_fall_back_to_per_row_tests(self, monkeypatch):
+        # at k = 6 the global residual is 1.5e-7 > SLACK_TOL, and its direction
+        # gives no row a margin above SLACK_TOL: the per-row tests decide
+        A = mat([[0.5, 0.0]] * 6 + [[-0.5, 2.5e-8]] * 6)
+        fallbacks = count_calls(monkeypatch, "_cone_weights")
+        dec = partition(A)
+        assert len(fallbacks) == 1
+        assert not any(row_feasible(A, i) for i in range(A.n))
+        assert dec.sep_rows.size == 0 and dec.sc_rows.tolist() == list(range(12))
+
     def test_agrees_with_scipy_feasibility(self):
         # cross-check the per-row LP against an unrelated solver
         scipy_opt = pytest.importorskip("scipy.optimize")
@@ -193,6 +253,15 @@ class TestValidate:
             A = to_margin_matrix(synth(kind, 10, 2))
             rep = validate(partition(A), A)
             assert rep.ok, (kind, rep.checks)
+
+    def test_missing_weights_take_one_solve(self, monkeypatch):
+        A = to_margin_matrix(synth("mixed", 20, 1))
+        dec = Decomposition.from_dict(partition(A).to_dict())
+        assert dec.sc_weights is None
+        solves = count_calls(monkeypatch, "nnls")
+        rep = validate(dec, A)
+        assert rep.ok, rep.checks
+        assert len(solves) == 1
 
     def test_round_trip_dict(self):
         dec = partition(mat(CANONICAL_MIXED))

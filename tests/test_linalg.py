@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -218,16 +218,46 @@ class TestNnls:
         np.testing.assert_array_equal(x, np.zeros(3))
         np.testing.assert_array_equal(r, f)
 
+    def test_column_near_the_underflow_limit(self):
+        # lstsq's rank cutoff dropped the third column, leaving residual 0.707;
+        # the answer needs a weight of about 1/1.1e-308 on it
+        E = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, -1.1e-308]])
+        f = np.array([1.0, 0.0])
+        x, r = nnls(E, f)
+        assert np.all(np.isfinite(x)) and x.min() >= 0.0
+        assert float(np.linalg.norm(r)) <= 1e-15
+
+    def test_decrease_below_the_rounding_of_the_residual(self):
+        # the first column alone lowers |r|^2 by 1e-24, which 1 - 1e-24 rounds
+        # away; both columns together reach the target
+        E = np.array([[1.0, -1.0], [1e-12, 0.0]])
+        x, r = nnls(E, np.array([0.0, 1.0]))
+        np.testing.assert_allclose(x, [1e12, 1e12], rtol=1e-12)
+        assert float(np.linalg.norm(r)) <= 1e-15
+
     @settings(max_examples=300, deadline=None)
     @given(point_sets(), st.data())
     def test_matches_scipy(self, P, data):
         scipy_opt = pytest.importorskip("scipy.optimize")
-        # a column many orders of magnitude shorter than the others falls under
-        # the rank cutoff of the least-squares step, where scipy's solver would
-        # give it a weight near the float range
-        E = np.where(np.abs(P) < 1e-6, 0.0, P).T
-        f = data.draw(arrays(np.float64, E.shape[0], elements=st.floats(-2.0, 2.0)))
+        # columns of any length from 1 down to 1e-300 (subnormal entries are
+        # zeroed, and the target has none: scipy's solver can crash on them).
+        # Entries below 1e-6 of their column's largest are zeroed: two columns at
+        # an angle below about sqrt(eps) hide the last step from the residual
+        # (columns (1, 1e-9), (1, 0) and target (1, 0) end at 1e-9)
+        P = np.where(np.abs(P) < 1e-6 * np.abs(P).max(axis=1, keepdims=True), 0.0, P)
+        exps = data.draw(st.lists(st.integers(-300, 0), min_size=P.shape[0], max_size=P.shape[0]))
+        E = P.T * 10.0 ** np.array(exps)
+        E = np.where(np.abs(E) < np.finfo(float).tiny, 0.0, E)
+        f = data.draw(
+            arrays(np.float64, E.shape[0], elements=st.floats(-2.0, 2.0, allow_subnormal=False))
+        )
+        x_ref = scipy_opt.nnls(E, f)[0]
+        # the comparison needs an answer resolved to 1e-12: drop the few inputs
+        # whose weights are large enough for rounding to exceed that
+        assume(np.finfo(float).eps * float(np.hypot.reduce(E, axis=0) @ x_ref) <= 1e-13)
         x, r = nnls(E, f)
         assert x.min() >= 0.0
         np.testing.assert_array_equal(r, f - E @ x)
-        assert float(np.linalg.norm(r)) <= scipy_opt.nnls(E, f)[1] + 1e-12
+        # against the residual scipy's weights reach: the one it reports can be
+        # lower than any weights reach when column lengths differ by many orders
+        assert float(np.linalg.norm(r)) <= float(np.linalg.norm(f - E @ x_ref)) + 1e-12
