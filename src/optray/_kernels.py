@@ -2,11 +2,14 @@
 
 The descent loop runs one interpreted Python iteration per step on small
 arrays, so its cost is numpy's per-call overhead, not arithmetic: it makes
-as few numpy calls per step as it can, into buffers allocated once, and keeps
-every scalar a Python float.
+only the numpy calls that compute something, into buffers allocated once,
+and keeps every scalar a Python float.  Every operand of those calls is an
+array (a Python-float operand costs a conversion on every call), and every
+view they take is sliced once, before the loop.
 """
 
 import math
+import struct
 
 import numpy as np
 
@@ -58,18 +61,19 @@ def _logistic_deriv(z, t, out):
     return np.divide(num, u, u)
 
 
-def _logistic_terms(m, ex, val, der):
+def _logistic_terms(m2, neg_max, ex, t, num, ones, val, der):
     # the two formulas above from the minima m = [-|z|, min(z,0), -max(z,0)]
     # (3n values, one np.minimum of [z, z, -z] and [-z, 0, 0]) with the same
-    # bits: one exp into ex (2n) gives t and e^min(z,0), which is the
-    # numerator max(t, H(z)), and log1p(t) - (-max(z,0)) is the value
-    n = val.shape[0]
-    np.exp(m[: 2 * n], out=ex)
-    t = ex[:n]
+    # bits: one exp of m2 = m[:2n] into ex (2n) gives t = ex[:n] and
+    # num = ex[n:] = e^min(z,0), which is the numerator max(t, H(z)), and
+    # log1p(t) - neg_max, neg_max = m[2n:] = -max(z,0), is the value.  The
+    # descent loop takes the views once and passes them on every step; ones
+    # is n ones, so that no operand is a Python float
+    np.exp(m2, out=ex)
     np.log1p(t, out=val)
-    np.subtract(val, m[2 * n :], out=val)
-    np.add(t, 1.0, out=der)
-    np.divide(ex[n:], der, out=der)
+    np.subtract(val, neg_max, out=val)
+    np.add(t, ones, out=der)
+    np.divide(num, der, out=der)
 
 
 def _fill_loss_terms(z, code, val, der, work):
@@ -79,10 +83,12 @@ def _fill_loss_terms(z, code, val, der, work):
     if code == EXPONENTIAL:
         np.copyto(der, _exp_capped(z, val))
         return
+    n = z.shape[0]
     neg = np.negative(z, work)
     zero = np.zeros_like(z)
     m = np.minimum(np.concatenate([z, z, neg]), np.concatenate([neg, zero, zero]))
-    _logistic_terms(m, np.empty(2 * z.shape[0]), val, der)
+    ex = np.empty(2 * n)
+    _logistic_terms(m[: 2 * n], m[2 * n :], ex, ex[:n], ex[n:], np.ones(n), val, der)
 
 
 def loss_values(z, code):
@@ -144,15 +150,25 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
     product takes them against the rows of P = [1; 1_sep; A_sep^T]: the
     risk, the separable-block risk, the separable loss mass and
     g_sep = A_sep^T loss'(z_sep) (its rows only when both blocks exist), in
-    one .tolist().  The exponential loss is its own derivative, so it takes
-    P against the values alone.  The gradient is the third product,
-    A^T loss'(z) on its own as in the reference loop, so that it keeps its
-    bits: near an interior optimum its terms cancel, and summed in another
-    order (as rows of P) they move |grad| by ulps of the terms, not of
-    |grad|.  The cross term g_sep . P_S w, with P_S w = B coords, is summed
-    in Python floats over its d terms: its running sum crosses zero, and
-    this form rounds several times less than a sum of
-    loss'(z_i) (A_i . P_S w) over the rows.
+    one .tolist().  The gradient is the third product, A^T loss'(z) on its
+    own as in the reference loop, so that it keeps its bits: near an
+    interior optimum its terms cancel, and summed in another order (as rows
+    of P) they move |grad| by ulps of the terms, not of |grad|.  The cross
+    term g_sep . P_S w, with P_S w = B coords, is summed in Python floats
+    over its d terms: its running sum crosses zero, and this form rounds
+    several times less than a sum of loss'(z_i) (A_i . P_S w) over the
+    rows.  The new iterate goes back into w with one struct pack_into,
+    which builds no array.
+
+    A logistic step thus makes nine numpy calls: the three products,
+    np.minimum, and exp, log1p, subtract, add and divide.  The exponential
+    loss is its own derivative, so it takes P against the values alone, and
+    a step makes five: the products, np.minimum(z, cap) and exp.  A margin
+    past the cap (700, where exp nears the float64 range) ends the run with
+    status overflow.  The exact test for one runs only when the capped risk
+    sum reaches e_cap, the loop's own exp of the cap, and misses nothing: a
+    capped margin adds e_cap to that sum of positive terms, and such a sum
+    is never below any one of its terms.
     """
     n, d = A.shape
     r = bs_cols.shape[1]
@@ -165,7 +181,11 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
     head, coords, z = y[: r + 3 * n], y[:r], y[r : r + n]
     lo, hi = y[r : r + 3 * n], y[r + 2 * n :]
     m = np.empty(3 * n)
+    m2, neg_max = m[: 2 * n], m[2 * n :]
     ex = np.empty(2 * n)
+    t, num = ex[:n], ex[n:]
+    ones = np.ones(n)
+    cap = np.full(n, _EXP_CAP)
     P = np.zeros((2 + d if cross else 2, n))
     P[0] = 1.0
     P[1, sep_rows] = 1.0
@@ -183,6 +203,7 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
     sums0 = sums[0]
     w = np.zeros(d)
     w_list = w.tolist()
+    write_w = struct.Struct(f"{d}d").pack_into
 
     risk_steps = np.empty(T + 1)
     rel_steps = np.empty(T + 1)
@@ -195,21 +216,26 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
     steps_done = -1
     status = STATUS_OK
 
-    # an exponential margin past _EXP_CAP puts inf into the sums, where it
-    # meets the zeros of P; the risk check below ends the run on it
+    # a capped risk sum below e_cap holds no capped margin (docstring)
+    e_cap = float(np.exp(cap).min())
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(T + 1):
             np.dot(ext, w, out=head)
             if loss_code == EXPONENTIAL:
-                _exp_capped(z, val)
+                np.minimum(z, cap, out=val)
+                np.exp(val, out=val)
                 vals = ders = np.dot(val, PT, out=sums0).tolist()
+                if vals[0] >= e_cap and (z > cap).any():
+                    status = STATUS_OVERFLOW
+                    break
             else:
                 np.minimum(lo, hi, out=m)
-                _logistic_terms(m, ex, val, der)
+                _logistic_terms(m2, neg_max, ex, t, num, ones, val, der)
                 vals, ders = np.dot(terms, PT, out=sums).tolist()
             risk = vals[0] / n
             if not 0.0 < risk < math.inf:
-                # overflow, or underflow to exact zero (log-risk undefined)
+                # overflow of the sum, or underflow to exact zero (log-risk
+                # undefined)
                 status = STATUS_OVERFLOW
                 break
             grad = [x / n for x in np.dot(At, der, out=g).tolist()]
@@ -249,7 +275,7 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
                 break
 
             w_list = [a - eta * b for a, b in zip(w_list, grad)]
-            w[:] = w_list
+            write_w(w, 0, *w_list)
 
         # sum_eta, sum_eff_grad and sum_tele are cumulative sums of eta_j,
         # eff_j rel_j and descent_terms: each term is built in one reused

@@ -14,7 +14,7 @@ import numpy as np
 from . import _kernels
 from .dataset import MarginMatrix
 from .errors import NumericalError, ValidationError
-from .linalg import Basis, minimize_risk
+from .linalg import Basis, _row_space, _RowSpace, minimize_risk
 
 LOSS_CODES = {"logistic": _kernels.LOGISTIC, "exponential": _kernels.EXPONENTIAL}
 SCHED_CODES = {"constant_one": _kernels.CONSTANT_ONE, "inv_sqrt": _kernels.INV_SQRT}
@@ -319,21 +319,26 @@ def constrained_opt(
     tol: float = BALL_TOL,
     w0: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Minimizer of the risk over the Euclidean ball of the given radius."""
-    rows = _rows(A)
+    """Minimizer of the risk over the Euclidean ball of the given radius.
+
+    A may also be the rows' factored row space, which ball_series computes
+    once for all of its radii."""
+    rows = A if isinstance(A, _RowSpace) else _rows(A)
     if radius < 0:
         raise ValidationError("radius must be >= 0")
-    start = np.zeros(rows.shape[1]) if w0 is None else w0
-    w, _ = minimize_risk(rows, _loss_code(loss), rows.shape[0], float(radius), start, tol)
+    n, d = rows.shape
+    start = np.zeros(d) if w0 is None else w0
+    w, _ = minimize_risk(rows, _loss_code(loss), n, float(radius), start, tol)
     return w
 
 
 def ball_series(A, loss: str, trace: GDTrace, tol: float = BALL_TOL) -> np.ndarray:
     """Ball-constrained minimizers at every checkpoint radius |w_t|, warm-started
-    along the checkpoint sequence."""
+    along the checkpoint sequence; the rows are factored once for all radii."""
+    space = _row_space(_rows(A))
     out = np.zeros_like(trace.w)
     prev = None
     for k in range(trace.k):
-        out[k] = constrained_opt(A, loss, float(trace.norm_w[k]), tol=tol, w0=prev)
+        out[k] = constrained_opt(space, loss, float(trace.norm_w[k]), tol=tol, w0=prev)
         prev = out[k]
     return out

@@ -263,8 +263,36 @@ def _ball_multiplier(lam: np.ndarray, beta: np.ndarray, radius: float) -> float:
     return mu
 
 
+@dataclass(eq=False)
+class _RowSpace:
+    """The rows M of a risk, factored for minimize_risk: an orthonormal basis
+    (d, r) of their span, the rows in that basis M B (n, r), and |M B|_2."""
+
+    basis: np.ndarray
+    coords: np.ndarray
+    norm: float
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The shape (n, d) of M."""
+        return self.coords.shape[0], self.basis.shape[0]
+
+
+def _row_space(M: np.ndarray) -> _RowSpace:
+    """Factor M once for any number of minimize_risk calls on it."""
+    eps = np.finfo(float).eps
+    basis = orthonormal_basis(M, rank_tol=max(M.shape) * eps).columns
+    coords = M @ basis
+    return _RowSpace(basis, coords, np.linalg.norm(coords, 2))
+
+
 def minimize_risk(
-    M: np.ndarray, loss_code: int, n_total: int, radius: float, w0: np.ndarray, tol: float
+    M: np.ndarray | _RowSpace,
+    loss_code: int,
+    n_total: int,
+    radius: float,
+    w0: np.ndarray,
+    tol: float,
 ) -> tuple[np.ndarray, int]:
     """Minimizer of R(w) = sum_i loss((M w)_i) / n_total over |w| <= radius.
 
@@ -291,14 +319,18 @@ def minimize_risk(
     the gradient at w: rounding M w moves each margin by up to about
     eps |M_i| |w|, so the computed gradient is known only to about that
     floor, and the iterations that remain would chase rounding noise.
+
+    M may also be given as _row_space(M), which a series of solves on the
+    same rows computes once.
     """
     eps = np.finfo(float).eps
-    basis = orthonormal_basis(M, rank_tol=max(M.shape) * eps).columns
-    w, M = basis.T @ np.asarray(w0, dtype=float), M @ basis
+    space = M if isinstance(M, _RowSpace) else _row_space(M)
+    basis, M = space.basis, space.coords
+    w = basis.T @ np.asarray(w0, dtype=float)
     nw = np.linalg.norm(w)
     if nw > radius:
         w *= radius / nw
-    curvature_scale = np.linalg.norm(M, 2) ** 2 / n_total
+    curvature_scale = space.norm**2 / n_total
     for it in range(NEWTON_MAX_ITERS):
         z = M @ w
         g = M.T @ np.asarray(_kernels.loss_derivs(z, loss_code)) / n_total

@@ -1,5 +1,6 @@
 import json
 import zipfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -217,6 +218,25 @@ class TestTraceIO:
         assert reports[0] == reports[1]
 
 
+@st.composite
+def ball_series_problems(draw):
+    """Rows of rank 1 or 2 in R^rank..R^4 (some zero), rescaled to at most
+    unit norm, a loss, and the ascending radii of a checkpoint sequence."""
+    rank = draw(st.integers(1, 2))
+    d = draw(st.integers(rank, 4))
+    n = draw(st.integers(rank, 8))
+    span = draw(arrays(np.float64, (rank, d), elements=st.floats(-1.0, 1.0)))
+    coef = draw(arrays(np.float64, (n, rank), elements=st.floats(-1.0, 1.0)))
+    for i in range(n):
+        if draw(st.integers(0, 4)) == 0:
+            coef[i] = 0.0
+    rows = coef @ span
+    assume(np.linalg.matrix_rank(rows) == rank)
+    rows /= max(1.0, float(np.linalg.norm(rows, axis=1).max()))
+    radii = draw(arrays(np.float64, st.integers(1, 12), elements=st.floats(0.0, 50.0)))
+    return rows, draw(st.sampled_from(("logistic", "exponential"))), np.sort(radii)
+
+
 class TestConstrainedOpt:
     def test_zero_radius(self):
         np.testing.assert_array_equal(constrained_opt(np.array([[-1.0]]), "logistic", 0.0), [0.0])
@@ -241,6 +261,25 @@ class TestConstrainedOpt:
     def test_negative_radius_rejected(self):
         with pytest.raises(ValidationError):
             constrained_opt(np.array([[-1.0]]), "logistic", -1.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ball_series_problems())
+    def test_ball_series_matches_one_solve_per_radius(self, problem):
+        # ball_series factors the rows once; each constrained_opt call on the
+        # rows themselves factors them again, with the same bits
+        rows, loss, radii = problem
+        trace = SimpleNamespace(k=radii.size, norm_w=radii, w=np.zeros((radii.size, rows.shape[1])))
+        expected, prev = [], None
+        try:
+            for radius in radii:
+                prev = constrained_opt(rows, loss, float(radius), w0=prev)
+                expected.append(prev)
+        except ConvergenceError as err:
+            with pytest.raises(ConvergenceError) as info:
+                ball_series(rows, loss, trace)
+            assert str(info.value) == str(err)
+            return
+        np.testing.assert_array_equal(ball_series(rows, loss, trace), expected, strict=True)
 
 
 @st.composite

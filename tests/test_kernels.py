@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import gd_oracle
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -100,6 +100,72 @@ def test_margin_past_exp_cap_mid_run_is_overflow():
     assert out[0] == K.STATUS_OVERFLOW
     assert out[1] == 0
     assert out[2][0] == 1.0
+
+
+def _one_step_rows(k, m, z1):
+    """k rows 1 and m rows -b in R^1, with b chosen so that the first unit
+    step w_1 = (m b - k) / (k + m) puts the margins of the rows 1 at about
+    z1 and those of the others far below zero."""
+    b = ((k + m) * z1 + k) / m
+    return np.array([[1.0]] * k + [[-b]] * m)
+
+
+@st.composite
+def exponential_exit_problems(draw):
+    """Exponential-loss problems that end at or near the cap of the capped
+    exp: rows in R^1..R^3 scaled past unit norm, so that margins can pass 700
+    after admissible steps; one margin within a few ulps of 700, on either
+    side, among rows far below it; or many margins just under 700, whose
+    capped sum passes e^700 with no margin past the cap."""
+    kind = draw(st.sampled_from(("scaled", "one_at_cap", "many_under_cap")))
+    if kind == "scaled":
+        d = draw(st.integers(1, 3))
+        rows = draw(arrays(np.float64, (draw(st.integers(1, 6)), d), elements=st.floats(-1.0, 1.0)))
+        top = float(np.linalg.norm(rows, axis=1).max())
+        assume(top > 1e-3)
+        rows *= draw(st.floats(1.0, 200.0)) / top
+    elif kind == "one_at_cap":
+        ulps = draw(st.integers(-8, 8))
+        rows = _one_step_rows(1, draw(st.integers(1, 40)), 700.0 + ulps * np.spacing(700.0))
+    else:
+        k, m = draw(st.integers(2, 40)), draw(st.integers(1, 5))
+        rows = _one_step_rows(k, m, 700.0 - draw(st.floats(1e-12, 0.5)))
+    T = draw(st.integers(2, 200))
+    return kind, rows, draw(st.sampled_from((K.CONSTANT_ONE, K.INV_SQRT))), T
+
+
+@settings(max_examples=300, deadline=None)
+@given(exponential_exit_problems())
+@example(("one_at_cap", _one_step_rows(1, 5, 700.0 + np.spacing(700.0)), K.CONSTANT_ONE, 10))
+@example(("many_under_cap", _one_step_rows(2, 1, 699.5), K.INV_SQRT, 10))
+# risk 1, then 0.507, then a margin past the cap at step 2
+@example(
+    (
+        "scaled",
+        np.array([[-38.4, -51.5], [22.4, -15.9], [28.8, 19.7], [20.4, 23.0]]),
+        K.CONSTANT_ONE,
+        100,
+    )
+)
+def test_exponential_exit_matches_reference_loop(problem):
+    # the loop tests for a margin past the cap only when the capped risk sum
+    # reaches e^700; the reference loop tests every step
+    kind, rows, sched_code, T = problem
+    dec = partition(MarginMatrix(rows / float(np.linalg.norm(rows, axis=1).max())))
+    args = (rows, dec.sep_rows, dec.basis_s.columns, K.EXPONENTIAL, sched_code, T)
+    cps = checkpoint_times(T, 5)
+    with np.errstate(all="ignore"):
+        old = _oracle(*args, cps)
+    new = K.gd_loop(*args, cps)
+    assert_loops_agree(new, old)
+    status, steps_done = new[0], new[1]
+    if kind == "one_at_cap":
+        # past the cap at step 1, or a finite risk of about e^700 / n
+        assert (status, steps_done) in ((K.STATUS_OVERFLOW, 0), (K.STATUS_STEP_ASSERT, 1))
+    elif kind == "many_under_cap":
+        # a capped sum past e^700 at step 1, then the step assert, not overflow
+        assert (status, steps_done) == (K.STATUS_STEP_ASSERT, 1)
+        assert new[2][1] * rows.shape[0] >= np.exp(np.array([700.0]))[0]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
