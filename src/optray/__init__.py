@@ -4,10 +4,10 @@ gradient descent on logistic/exponential empirical risk."""
 from .dataset import Dataset, MarginMatrix, load_csv, normalize, save_csv, synth, to_margin_matrix
 from .decompose import Decomposition, partition, row_feasible, separable_certificate, validate
 from .gd import GDTrace, ball_series, constrained_opt, grad, risk, run
-from .linalg import Basis, complement, orthonormal_basis, project, simplex_project
+from .linalg import Basis, complement, orthonormal_basis
 from .margin import MarginSolution, primal_margin, solve_dual
 from .pipeline import Structure, analyze, run_pipeline
-from .strongconvex import ScOptimum, estimate_lambda, infimum_risk, solve_vbar
+from .strongconvex import ScOptimum, estimate_lambda, solve_vbar
 from .verify import CheckResult, VerificationReport, build_report, run_checks
 
 __version__ = "0.1.0"
@@ -30,13 +30,11 @@ __all__ = [
     "constrained_opt",
     "estimate_lambda",
     "grad",
-    "infimum_risk",
     "load_csv",
     "normalize",
     "orthonormal_basis",
     "partition",
     "primal_margin",
-    "project",
     "risk",
     "row_feasible",
     "run",
@@ -44,7 +42,6 @@ __all__ = [
     "run_pipeline",
     "save_csv",
     "separable_certificate",
-    "simplex_project",
     "solve_dual",
     "solve_vbar",
     "synth",

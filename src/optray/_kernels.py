@@ -1,13 +1,16 @@
 """The loss functions and the descent loop, in plain numpy.
 
 The descent loop runs one interpreted Python iteration per step on small
-arrays, so its cost is numpy's per-call overhead, not arithmetic: it makes
-only the numpy calls that compute something, into buffers allocated once,
-and keeps every scalar a Python float.  Every operand of those calls is an
-array (a Python-float operand costs a conversion on every call), and every
-view they take is sliced once, before the loop.
+arrays, so its cost is the overhead of each numpy call and of the
+interpreter, not arithmetic.  A step makes only the calls that move the
+iterate: its three products and the loss terms, into buffers allocated once,
+with array operands and views sliced before the loop (a Python-float operand
+costs a conversion on every call), and the iterate update in Python floats.
+The series, the stop tests and the running sums are folded once per chunk of
+steps, in a few vectorized calls over the products the chunk stored.
 """
 
+import bisect
 import math
 import struct
 
@@ -25,6 +28,7 @@ STATUS_OVERFLOW = 3
 STATUS_STEP_ASSERT = 4
 
 _EXP_CAP = 700.0  # exp overflows float64 just above this
+_CHUNK = 256  # descent steps per fold of the loop's bookkeeping
 
 
 # The formulas below write into out, an array of z's shape, so that their
@@ -76,21 +80,6 @@ def _logistic_terms(m2, neg_max, ex, t, num, ones, val, der):
     np.divide(num, der, out=der)
 
 
-def _fill_loss_terms(z, code, val, der, work):
-    # the descent loop's loss values into val and derivatives into der, from
-    # the margins z alone, for the loss tests (the loop reads -z and the
-    # minima off its margins product); work is an array of z's shape
-    if code == EXPONENTIAL:
-        np.copyto(der, _exp_capped(z, val))
-        return
-    n = z.shape[0]
-    neg = np.negative(z, work)
-    zero = np.zeros_like(z)
-    m = np.minimum(np.concatenate([z, z, neg]), np.concatenate([neg, zero, zero]))
-    ex = np.empty(2 * n)
-    _logistic_terms(m[: 2 * n], m[2 * n :], ex, ex[:n], ex[n:], np.ones(n), val, der)
-
-
 def loss_values(z, code):
     """Elementwise loss: ln(1+e^z) for code 0, e^z for code 1.
 
@@ -123,6 +112,14 @@ def loss_curvs(z, code):
     return p * (1.0 - p)
 
 
+def _row_sums(x):
+    # Python's sum() over each row of x: from 0, term by term, left to right
+    s = x[:, 0] + 0.0
+    for col in x.T[1:]:
+        s += col
+    return s
+
+
 def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
     """Run gradient descent w_{j+1} = w_j - eta_j * grad(w_j) from w_0 = 0.
 
@@ -137,10 +134,8 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
     cps : sorted int64 checkpoint times in [1, T].
 
     Returns per-step scalar series (risk, |grad|/risk, eta*risk for
-    j = 0..T) and per-checkpoint snapshots (iterate and running sums over
-    j < t).  Four sums need per-step data the loop does not store and run
-    in it; sum_eta, sum_eff_grad and sum_tele are cumulative sums of the
-    stored series, taken after it.
+    j = 0..T, zero past steps_done) and per-checkpoint snapshots (iterate
+    and running sums over j < t, zero past steps_done).
 
     One step makes three products.  The first, ext @ w, where ext stacks
     the basis of S and the rows A, A and -A, gives the coordinates of P_S w
@@ -149,43 +144,68 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
     np.minimum.  The loss terms then come from one exp, and the second
     product takes them against the rows of P = [1; 1_sep; A_sep^T]: the
     risk, the separable-block risk, the separable loss mass and
-    g_sep = A_sep^T loss'(z_sep) (its rows only when both blocks exist), in
-    one .tolist().  The gradient is the third product, A^T loss'(z) on its
+    g_sep = A_sep^T loss'(z_sep) (its rows only when both blocks exist).
+    The exponential loss is its own derivative and takes P against its
+    values alone.  The gradient is the third product, A^T loss'(z) on its
     own as in the reference loop, so that it keeps its bits: near an
     interior optimum its terms cancel, and summed in another order (as rows
-    of P) they move |grad| by ulps of the terms, not of |grad|.  The cross
-    term g_sep . P_S w, with P_S w = B coords, is summed in Python floats
-    over its d terms: its running sum crosses zero, and this form rounds
-    several times less than a sum of loss'(z_i) (A_i . P_S w) over the
-    rows.  The new iterate goes back into w with one struct pack_into,
-    which builds no array.
+    of P) they move |grad| by ulps of the terms, not of |grad|.
 
-    A logistic step thus makes nine numpy calls: the three products,
-    np.minimum, and exp, log1p, subtract, add and divide.  The exponential
-    loss is its own derivative, so it takes P against the values alone, and
-    a step makes five: the products, np.minimum(z, cap) and exp.  A margin
-    past the cap (700, where exp nears the float64 range) ends the run with
-    status overflow.  The exact test for one runs only when the capped risk
-    sum reaches e_cap, the loop's own exp of the cap, and misses nothing: a
-    capped margin adds e_cap to that sum of positive terms, and such a sum
-    is never below any one of its terms.
+    Besides these, a step only updates the iterate in Python floats
+    (written back into w with one struct pack_into, which builds no array)
+    and compares j with the next checkpoint, where it copies the iterate.
+    That is nine numpy calls for the logistic loss (the products,
+    np.minimum, and exp, log1p, subtract, add and divide) and four for the
+    exponential (the products and exp).  Each product writes into slot i of
+    a block allocated once for a chunk of C = _CHUNK steps, with the views
+    of every slot sliced before the loop: ext @ w into (C, r + 5n), the P
+    product into (C, 2, p) and the gradient into (C, d).  At n = 43, r = 1
+    and d = 2 the blocks take 0.47 MB, whatever T is.
+
+    After each chunk, vectorized calls over the blocks do the rest with the
+    float operations of a step-by-step loop:
+    - the series: risk = sum/n, eff = eta risk, and |grad|/risk, where
+      |grad|^2 adds the squares of grad = A^T loss'(z)/n in order, as
+      Python's sum() of a list does;
+    - the stops, at the first step that meets one.  A risk outside
+      (0, inf) (overflow of the sum, or underflow to exact zero, where the
+      log-risk is undefined) or an exponential margin past the cap (700,
+      where e^z nears the float64 range) ends the run with status overflow
+      before the step is recorded; eff > 1 + 1e-9 at j < T ends it with
+      status step assert after.  The exponential step takes exp of the
+      margins uncapped, and they are read back for the cap test only at
+      steps whose risk sum reaches e_cap, the loop's own exp of the cap.
+      That misses nothing: exp is monotone, so a margin past the cap adds
+      at least e_cap to a sum of positive terms, and such a sum is never
+      below any one of its terms.  Steps computed past a stop are
+      discarded, so the values of a step with a margin past the cap are
+      never kept;
+    - the running sums perceptron, sum_eta_sep, sum_cross and sup_proj_s,
+      by np.cumsum (np.fmax.accumulate for the sup) over rows whose slot 0
+      holds the value carried in and slot 1 + i the term of step j0 + i.
+      An accumulate adds one term at a time onto the carry, so every slot
+      has the bits of the running sum a step-by-step loop keeps; the sum of
+      the chunk added to the carry afterwards would round differently.  The
+      cross term g_sep . P_S w, with P_S w = B coords, is summed over its d
+      terms: its running sum crosses zero, and this form rounds several
+      times less than a sum of loss'(z_i) (A_i . P_S w) over the rows.
+    sum_eta, sum_eff_grad and sum_tele are cumulative sums of the stored
+    series, taken after the loop.
     """
     n, d = A.shape
     r = bs_cols.shape[1]
     cross = sep_rows.shape[0] > 0 and r > 0
+    exponential = loss_code == EXPONENTIAL
     K = cps.shape[0]
     cps = cps.tolist() + [-1]
+    C = min(_CHUNK, T + 1)
 
     ext = np.vstack([bs_cols.T, A, A, -A])
-    y = np.zeros(r + 5 * n)
-    head, coords, z = y[: r + 3 * n], y[:r], y[r : r + n]
-    lo, hi = y[r : r + 3 * n], y[r + 2 * n :]
     m = np.empty(3 * n)
     m2, neg_max = m[: 2 * n], m[2 * n :]
     ex = np.empty(2 * n)
     t, num = ex[:n], ex[n:]
     ones = np.ones(n)
-    cap = np.full(n, _EXP_CAP)
     P = np.zeros((2 + d if cross else 2, n))
     P[0] = 1.0
     P[1, sep_rows] = 1.0
@@ -193,89 +213,119 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
         P[2:, sep_rows] = A[sep_rows].T
     PT = P.T
     At = np.ascontiguousarray(A.T)
-    g = np.empty(d)
     basis = bs_cols.tolist()
     terms = np.empty((2, n))
     val, der = terms
-    if loss_code == EXPONENTIAL:
+    if exponential:
         der = val  # its own derivative
-    sums = np.empty((2, P.shape[0]))
-    sums0 = sums[0]
     w = np.zeros(d)
     w_list = w.tolist()
     write_w = struct.Struct(f"{d}d").pack_into
 
-    risk_steps = np.empty(T + 1)
-    rel_steps = np.empty(T + 1)
-    eff_steps = np.empty(T + 1)
+    # slot i of each block holds the products of step j0 + i of the chunk
+    Y = np.zeros((C, r + 5 * n))  # ext @ w, then the 2n zeros of the minima
+    S = np.empty((C, 2, P.shape[0]))  # terms @ PT; the exponential fills row 0
+    G = np.empty((C, d))  # At @ der
+    slots = list(
+        zip(
+            Y[:, : r + 3 * n],
+            Y[:, r : r + 3 * n],
+            Y[:, r + 2 * n :],
+            Y[:, r : r + n],
+            S[:, 0] if exponential else S,
+            G,
+        )
+    )
+    coords, vals, ders = Y[:, :r], S[:, 0], S[:, 0 if exponential else 1]
+    from_one = np.arange(1.0, C + 1.0)
+    etas = np.ones(C)
+    eta_list = etas.tolist()
+    # perceptron, sum_eta_sep, sum_cross and sup_proj_s: slot 0 holds the
+    # value carried in, slot 1 + i the term of step j0 + i
+    folds = np.zeros((4, C + 1))
+
+    risk_steps = np.zeros(T + 1)
+    rel_steps = np.zeros(T + 1)
+    eff_steps = np.zeros(T + 1)
     cp_w = np.zeros((K, d))
     cp_sums = np.zeros((7, K))  # in the order of the return tuple
 
-    perceptron = sum_eta_sep = sum_cross = sup_proj_s = 0.0
     k = 0
-    steps_done = -1
+    steps_done = T
     status = STATUS_OK
 
-    # a capped risk sum below e_cap holds no capped margin (docstring)
-    e_cap = float(np.exp(cap).min())
+    # a risk sum below e_cap holds no margin past the cap (docstring)
+    e_cap = float(np.exp(np.full(n, _EXP_CAP)).min())
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(T + 1):
-            np.dot(ext, w, out=head)
-            if loss_code == EXPONENTIAL:
-                np.minimum(z, cap, out=val)
-                np.exp(val, out=val)
-                vals = ders = np.dot(val, PT, out=sums0).tolist()
-                if vals[0] >= e_cap and (z > cap).any():
-                    status = STATUS_OVERFLOW
-                    break
-            else:
-                np.minimum(lo, hi, out=m)
-                _logistic_terms(m2, neg_max, ex, t, num, ones, val, der)
-                vals, ders = np.dot(terms, PT, out=sums).tolist()
-            risk = vals[0] / n
-            if not 0.0 < risk < math.inf:
-                # overflow of the sum, or underflow to exact zero (log-risk
-                # undefined)
-                status = STATUS_OVERFLOW
-                break
-            grad = [x / n for x in np.dot(At, der, out=g).tolist()]
-            gn = math.sqrt(sum([x * x for x in grad]))
-            eta = 1.0 if sched_code == CONSTANT_ONE else 1.0 / math.sqrt(j + 1.0)
-            rel = gn / risk
-            eff = eta * risk
-            risk_steps[j] = risk
-            rel_steps[j] = rel
-            eff_steps[j] = eff
-            steps_done = j
+        for j0 in range(0, T + 1, C):
+            j1 = min(j0 + C, T + 1)
+            if sched_code == INV_SQRT:
+                np.add(from_one, j0, out=etas)  # j + 1, exact
+                np.sqrt(etas, out=etas)
+                np.divide(1.0, etas, out=etas)
+                eta_list = etas.tolist()
+            k0 = k
+            for j, eta, (head, lo, hi, z, s, g) in zip(range(j0, j1), eta_list, slots):
+                ext.dot(w, out=head)
+                if exponential:
+                    np.exp(z, out=val)
+                    val.dot(PT, out=s)
+                else:
+                    np.minimum(lo, hi, out=m)
+                    _logistic_terms(m2, neg_max, ex, t, num, ones, val, der)
+                    terms.dot(PT, out=s)
+                if j == cps[k]:
+                    cp_w[k] = w_list
+                    k += 1
+                w_list = [a - eta * (x / n) for a, x in zip(w_list, At.dot(der, out=g).tolist())]
+                write_w(w, 0, *w_list)
 
-            if j == cps[k]:
-                cp_w[k] = w_list
-                cp_sums[[0, 4, 5, 6], k] = (perceptron, sum_eta_sep, sum_cross, sup_proj_s)
-                k += 1
+            # the chunk's series and stops; steps past a stop are discarded
+            c = j1 - j0
+            risk = np.divide(vals[:c, 0], n, out=risk_steps[j0:j1])
+            eff = np.multiply(etas[:c], risk, out=eff_steps[j0:j1])
+            # overflow of the sum, or underflow to exact zero (log-risk
+            # undefined)
+            overflow = ~((risk > 0.0) & (risk < math.inf))
+            if exponential:
+                hot = np.flatnonzero(vals[:c, 0] >= e_cap)
+                overflow[hot] |= (Y[hot, r : r + n] > _EXP_CAP).any(axis=1)
+            # eta <= 1 and risk(w_0) <= 1 guarantee eff <= 1; more means the
+            # input violated its normalization contract.  No step follows T
+            big = eff > 1.0 + 1e-9
+            if j1 > T:
+                big[-1] = False
+            stops = np.flatnonzero(overflow | big)
+            if stops.size:
+                i = int(stops[0])
+                status = STATUS_OVERFLOW if overflow[i] else STATUS_STEP_ASSERT
+                c = i if overflow[i] else i + 1
+                steps_done = j0 + c - 1
+                risk_steps[j0 + c : j1] = 0.0
+                eff_steps[j0 + c : j1] = 0.0
+            grad = np.divide(G[:c], n)
+            np.divide(np.sqrt(_row_sums(grad * grad)), risk[:c], out=rel_steps[j0 : j0 + c])
 
-            if j == T:
-                break
-
-            # accumulators cover j' < t at the moment checkpoint t is recorded
+            # after the accumulates, slot i holds the sum over the steps
+            # before j0 + i, which a checkpoint at that step records
+            eta_c = etas[:c]
+            np.divide(eta_c * ders[:c, 1], n, out=folds[0, 1 : c + 1])
+            np.multiply(eta_c, vals[:c, 1] / n, out=folds[1, 1 : c + 1])
             if r:
-                c = coords.tolist()
+                xs = coords[:c]
                 if cross:
-                    ps = [sum([b * x for b, x in zip(row, c)]) for row in basis]
-                    sum_cross += eta * sum([x / n * p for x, p in zip(ders[2:], ps)])
-                psn = math.hypot(*c)
-                if psn > sup_proj_s:
-                    sup_proj_s = psn
-            sum_eta_sep += eta * (vals[1] / n)
-            perceptron += eta * ders[1] / n
-
-            if eff > 1.0 + 1e-9:
-                # eta <= 1 and risk(w_0) <= 1 guarantee eff <= 1; reaching here
-                # means the input violated its normalization contract
-                status = STATUS_STEP_ASSERT
+                    ps = np.stack([_row_sums(xs * row) for row in basis], axis=1)  # P_S w
+                    np.multiply(eta_c, _row_sums(ders[:c, 2:] / n * ps), out=folds[2, 1 : c + 1])
+                folds[3, 1 : c + 1] = list(map(math.hypot, *xs.T.tolist()))
+            np.cumsum(folds[:3, : c + 1], axis=1, out=folds[:3, : c + 1])
+            np.fmax.accumulate(folds[3, : c + 1], out=folds[3, : c + 1])
+            kv = bisect.bisect_left(cps, j0 + c, k0, k)
+            cp_w[kv:k] = 0.0
+            k = kv
+            cp_sums[[0, 4, 5, 6], k0:k] = folds[:, np.array(cps[k0:k], dtype=np.intp) - j0]
+            folds[:, 0] = folds[:, c]
+            if status != STATUS_OK:
                 break
-
-            w_list = [a - eta * b for a, b in zip(w_list, grad)]
-            write_w(w, 0, *w_list)
 
         # sum_eta, sum_eff_grad and sum_tele are cumulative sums of eta_j,
         # eff_j rel_j and descent_terms: each term is built in one reused

@@ -85,29 +85,6 @@ def complement(basis: Basis) -> Basis:
     return Basis(_canonical_signs(vt[r:].T))
 
 
-def project(basis: Basis, w: np.ndarray) -> np.ndarray:
-    """Projection of a single vector onto the subspace spanned by basis."""
-    w = np.asarray(w, dtype=float)
-    if w.shape[0] != basis.dim:
-        raise ValueError(f"dimension mismatch: vector has {w.shape[0]}, basis {basis.dim}")
-    return basis.columns @ (basis.columns.T @ w)
-
-
-def simplex_project(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex {q >= 0, sum q = 1}."""
-    v = np.ascontiguousarray(v, dtype=float)
-    if v.ndim != 1 or v.shape[0] < 1:
-        raise ValueError("expected a nonempty 1-D vector")
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    rho = 0
-    for k in range(v.shape[0]):
-        if u[k] * (k + 1) > css[k] - 1.0:
-            rho = k
-    tau = (css[rho] - 1.0) / (rho + 1.0)
-    return np.maximum(v - tau, 0.0)
-
-
 def min_norm_point(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Point x of the convex hull of the rows of P nearest the origin.
 
@@ -117,8 +94,9 @@ def min_norm_point(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     rows, then minor cycles move x to the nearest point of the corral's hull.
     It stops once no row violates the condition by more than
     MNP_TOL |x| max_i |P_i|, or when only rounding drives a cycle (the row
-    is already in the corral, or |x| fails to shrink).  Returns (q, x,
-    iterations): simplex weights q, x = P^T q, and the number of major cycles.
+    is already in the corral, or |x| fails to shrink; a point whose |x|^2
+    ties with the last is kept).  Returns (q, x, iterations): simplex
+    weights q, x = P^T q, and the number of major cycles.
     """
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] < 1:
@@ -153,9 +131,14 @@ def min_norm_point(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
             c, w = c[w > 0.0], w[w > 0.0] / w[w > 0.0].sum()
         x_new = P[c].T @ w
         xx_new = float(x_new @ x_new)
-        if not xx_new < xx:
+        if not xx_new <= xx:
             break
+        shrank = xx_new < xx
         corral, lam, x, xx = c, w, x_new, xx_new
+        if not shrank:
+            # |x|^2 ties: only rounding could drive another cycle, and the new
+            # point is the nearer one in exact arithmetic
+            break
     q = np.zeros(n)
     q[corral] = lam
     return q, P.T @ q, iterations

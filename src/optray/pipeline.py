@@ -8,7 +8,7 @@ from .dataset import MarginMatrix
 from .decompose import Decomposition, ValidationReport, partition, validate
 from .gd import GDTrace, run
 from .margin import MarginSolution, solve_dual
-from .strongconvex import ScOptimum, estimate_lambda, infimum_risk, solve_vbar
+from .strongconvex import ScOptimum, estimate_lambda, solve_vbar
 
 
 @dataclass(eq=False)
@@ -74,7 +74,7 @@ def analyze(
         dec=dec,
         margin_sol=margin_sol,
         sc_opt=sc_opt,
-        inf_risk=infimum_risk(dec, sc_opt),
+        inf_risk=sc_opt.risk_inf,
         validation=report,
     )
 

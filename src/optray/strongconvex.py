@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .decompose import Decomposition
 from .errors import NumericalError
 from .gd import LOSS_CODES
 from .linalg import Basis, minimize_risk
@@ -82,11 +81,6 @@ def solve_vbar(
         curvature=np.inf,
         grad_norm=float(np.linalg.norm(gradient(c))),
     )
-
-
-def infimum_risk(dec: Decomposition, opt: ScOptimum) -> float:
-    """Global infimum of the full empirical risk (attained over S in the limit)."""
-    return opt.risk_inf
 
 
 def _level(M: np.ndarray, code: int, n_total: int, points: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Kernel-level checks: the loss terms and the descent loop against the frozen
-reference loop in gd_oracle.py, and the loop's overflow and step-assert exits."""
+reference loop in gd_oracle.py, the loop's overflow and step-assert exits, and
+the independence of its outputs from the length of the chunks it folds over."""
 
 from types import SimpleNamespace
 
@@ -57,6 +58,22 @@ def _oracle(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
     )
 
 
+def _fill_loss_terms(z, code, val, der, work):
+    # the descent loop's loss values into val and derivatives into der, from
+    # the margins z alone (the loop reads -z and the minima off its margins
+    # product); work is an array of z's shape
+    if code == K.EXPONENTIAL:
+        # its own derivative, of the margins uncapped
+        np.copyto(der, np.exp(z, out=val))
+        return
+    n = z.shape[0]
+    neg = np.negative(z, work)
+    zero = np.zeros_like(z)
+    m = np.minimum(np.concatenate([z, z, neg]), np.concatenate([neg, zero, zero]))
+    ex = np.empty(2 * n)
+    K._logistic_terms(m[: 2 * n], m[2 * n :], ex, ex[:n], ex[n:], np.ones(n), val, der)
+
+
 class TestLossFunctions:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -73,11 +90,14 @@ class TestLossFunctions:
             ref_der = gd_oracle.loss_derivs(z, code)
         np.testing.assert_array_equal(K.loss_values(z, code), ref_val, strict=True)
         np.testing.assert_array_equal(K.loss_derivs(z, code), ref_der, strict=True)
-        # the fused form the descent loop uses, into its buffers
+        # the fused form the descent loop uses, into its buffers; the loop
+        # keeps no step with an exponential margin past the cap
         val, der = np.empty((2,) + z.shape)
-        K._fill_loss_terms(z, code, val, der, np.empty(z.shape))
-        np.testing.assert_array_equal(val, ref_val)
-        np.testing.assert_array_equal(der, ref_der)
+        with np.errstate(over="ignore"):
+            _fill_loss_terms(z, code, val, der, np.empty(z.shape))
+        kept = z <= K._EXP_CAP if code == K.EXPONENTIAL else slice(None)
+        np.testing.assert_array_equal(val[kept], ref_val[kept])
+        np.testing.assert_array_equal(der[kept], ref_der[kept])
 
 
 def test_overflow_status_from_oversized_rows():
@@ -278,3 +298,89 @@ def test_matches_reference_loop_at_benchmark_size(kind, loss_code, sched_code):
     new = K.gd_loop(A, dec.sep_rows, dec.basis_s.columns, loss_code, sched_code, T, cps)
     assert new[0] == K.STATUS_OK
     assert_loops_agree(new, old)
+
+
+CHUNKS = (1, 2, 3, 7, K._CHUNK)
+
+
+def assert_chunk_invariant(args, chunks=CHUNKS):
+    """gd_loop gives the same 13 outputs, bit for bit, whatever the length of
+    the chunks it folds its bookkeeping over; returns them."""
+    outs = []
+    for chunk in chunks:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(K, "_CHUNK", chunk)
+            outs.append(K.gd_loop(*args))
+    ref = outs[-1]
+    for chunk, out in zip(chunks, outs):
+        assert out[:2] == ref[:2], chunk
+        for a, b in zip(out[2:], ref[2:]):
+            np.testing.assert_array_equal(a, b, strict=True, err_msg=f"chunk {chunk}")
+    return ref
+
+
+def _split(rows, loss_code, sched_code, T):
+    rows = np.array(rows, dtype=float)
+    dec = partition(MarginMatrix(rows / float(np.linalg.norm(rows, axis=1).max())))
+    cps = checkpoint_times(T, 5)
+    return (rows, dec.sep_rows, dec.basis_s.columns, loss_code, sched_code, T, cps)
+
+
+class TestChunks:
+    @settings(max_examples=200, deadline=None)
+    @given(descent_problems())
+    def test_outputs_do_not_depend_on_the_chunk_length(self, problem):
+        assert_chunk_invariant(problem)
+
+    @pytest.mark.parametrize(
+        "rows, loss_code, status, stop",
+        [
+            # a margin past the cap at step 1, and at step 2 after a risk of
+            # 0.507
+            ([[40.0], [-80.0]], K.EXPONENTIAL, K.STATUS_OVERFLOW, 1),
+            (
+                [[-38.4, -51.5], [22.4, -15.9], [28.8, 19.7], [20.4, 23.0]],
+                K.EXPONENTIAL,
+                K.STATUS_OVERFLOW,
+                2,
+            ),
+            # every margin below -745 after one step: the risk underflows to 0
+            ([[-40.0]], K.LOGISTIC, K.STATUS_OVERFLOW, 1),
+            ([[-1.0], [2.0]], K.EXPONENTIAL, K.STATUS_STEP_ASSERT, 1),
+            ([[-0.5], [6.7], [-9.6], [1.1]], K.LOGISTIC, K.STATUS_STEP_ASSERT, 2),
+            (
+                [[1.9, 0.5], [0.7, 1.1], [-3.2, -9.3], [5.1, 5.3]],
+                K.LOGISTIC,
+                K.STATUS_STEP_ASSERT,
+                6,
+            ),
+            ([[4.2], [-2.7], [-2.4]], K.LOGISTIC, K.STATUS_STEP_ASSERT, 7),
+        ],
+    )
+    def test_stop_on_the_first_and_last_slot_of_a_chunk(self, rows, loss_code, status, stop):
+        # the stop lands on the first slot of a chunk of `stop` steps and on
+        # the last slot of one of stop + 1; the chunks of 1, 2, 3 and 7 put
+        # it on other slots
+        args = _split(rows, loss_code, K.CONSTANT_ONE, 100)
+        with np.errstate(all="ignore"):
+            out = assert_chunk_invariant(args, CHUNKS + (stop, stop + 1))
+        steps_done = stop - 1 if status == K.STATUS_OVERFLOW else stop
+        assert (out[0], out[1]) == (status, steps_done)
+        for series in out[2:5]:
+            assert not series[steps_done + 1 :].any()
+
+    @pytest.mark.parametrize(
+        "loss_code, sched_code, T",
+        [(K.LOGISTIC, K.INV_SQRT, K._CHUNK - 1), (K.EXPONENTIAL, K.CONSTANT_ONE, 20)],
+    )
+    def test_last_chunk_ends_at_T(self, loss_code, sched_code, T):
+        # T + 1 steps fill whole chunks: of the default length, or of 3 and 7
+        rows = to_margin_matrix(synth("mixed", 20, 1)).rows
+        out = assert_chunk_invariant(_split(rows, loss_code, sched_code, T))
+        assert (out[0], out[1]) == (K.STATUS_OK, T)
+
+    def test_no_step_assert_at_T(self):
+        # eta risk passes 1 at step 1 = T, after which no step is taken
+        out = assert_chunk_invariant(_split([[-1.0], [2.0]], K.EXPONENTIAL, K.CONSTANT_ONE, 1))
+        assert (out[0], out[1]) == (K.STATUS_OK, 1)
+        assert out[4][1] > 1.0 + 1e-9

@@ -15,7 +15,6 @@ from optray.strongconvex import (
     _level,
     _restricted,
     estimate_lambda,
-    infimum_risk,
     solve_vbar,
 )
 
@@ -72,14 +71,14 @@ class TestInfimumRisk:
         A = MarginMatrix(np.array([[-1.0, 0.0], [0.0, -1.0], [0.0, 1.0]]))
         dec = partition(A)
         opt = solve_vbar(A.rows[dec.sc_rows], dec.basis_s, "logistic", n_total=A.n)
-        assert infimum_risk(dec, opt) == pytest.approx(2 * LN2 / 3, abs=1e-10)
+        assert opt.risk_inf == pytest.approx(2 * LN2 / 3, abs=1e-10)
         np.testing.assert_allclose(opt.offset, [0.0, 0.0], atol=1e-9)
 
     def test_fully_separable_is_zero(self):
         A = MarginMatrix(np.array([[-1.0, 0.0], [0.0, -1.0]]))
         dec = partition(A)
         opt = solve_vbar(A.rows[dec.sc_rows], dec.basis_s, "logistic", n_total=A.n)
-        assert infimum_risk(dec, opt) == 0.0
+        assert opt.risk_inf == 0.0
 
 
 class TestRayConsistency:
