@@ -2,17 +2,19 @@
 
 The descent loop runs one interpreted Python iteration per step on small
 arrays, so its cost is the overhead of each numpy call and of the
-interpreter, not arithmetic.  A step makes only the calls that move the
-iterate: its three products and the loss terms, into buffers allocated once,
-with array operands and views sliced before the loop (a Python-float operand
-costs a conversion on every call), and the iterate update in Python floats.
-The series, the stop tests and the running sums are folded once per chunk of
-steps, in a few vectorized calls over the products the chunk stored.
+interpreter, not arithmetic.  A step makes only the calls that the next
+iterate needs: the margins product, the loss derivative and the gradient,
+into blocks allocated once, with array operands and views sliced before the
+loop (a Python-float operand costs a conversion on every call), and the
+iterate update in Python floats.  The loss values, the risk product, the
+series, the stop tests and the running sums are folded once per chunk of
+steps, in a few vectorized calls over what the chunk stored.
 """
 
 import bisect
 import math
 import struct
+from itertools import repeat
 
 import numpy as np
 
@@ -63,21 +65,6 @@ def _logistic_deriv(z, t, out):
     num = np.maximum(t, np.heaviside(z, 1.0))
     u = np.add(t, 1.0, out)
     return np.divide(num, u, u)
-
-
-def _logistic_terms(m2, neg_max, ex, t, num, ones, val, der):
-    # the two formulas above from the minima m = [-|z|, min(z,0), -max(z,0)]
-    # (3n values, one np.minimum of [z, z, -z] and [-z, 0, 0]) with the same
-    # bits: one exp of m2 = m[:2n] into ex (2n) gives t = ex[:n] and
-    # num = ex[n:] = e^min(z,0), which is the numerator max(t, H(z)), and
-    # log1p(t) - neg_max, neg_max = m[2n:] = -max(z,0), is the value.  The
-    # descent loop takes the views once and passes them on every step; ones
-    # is n ones, so that no operand is a Python float
-    np.exp(m2, out=ex)
-    np.log1p(t, out=val)
-    np.subtract(val, neg_max, out=val)
-    np.add(t, ones, out=der)
-    np.divide(num, der, out=der)
 
 
 def loss_values(z, code):
@@ -137,33 +124,45 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
     j = 0..T, zero past steps_done) and per-checkpoint snapshots (iterate
     and running sums over j < t, zero past steps_done).
 
-    One step makes three products.  The first, ext @ w, where ext stacks
-    the basis of S and the rows A, A and -A, gives the coordinates of P_S w
-    and the margins z twice and negated; trailing zeros turn them into the
-    minima the logistic terms start from (_logistic_terms) in one
-    np.minimum.  The loss terms then come from one exp, and the second
-    product takes them against the rows of P = [1; 1_sep; A_sep^T]: the
-    risk, the separable-block risk, the separable loss mass and
-    g_sep = A_sep^T loss'(z_sep) (its rows only when both blocks exist).
-    The exponential loss is its own derivative and takes P against its
-    values alone.  The gradient is the third product, A^T loss'(z) on its
-    own as in the reference loop, so that it keeps its bits: near an
-    interior optimum its terms cancel, and summed in another order (as rows
-    of P) they move |grad| by ulps of the terms, not of |grad|.
+    A step makes two products and the loss derivative between them.  The
+    first, ext @ w, where ext stacks the basis of S and the rows A, A and
+    -A, gives the coordinates of P_S w and the margins z twice and negated.
+    One np.minimum of [z, z] and [-z, 0] (n trailing zeros) gives the
+    minima [-|z|, min(z,0)], and one exp of them t = e^-|z| and
+    e^min(z,0), the numerator of the sigmoid; add (against an array of
+    ones) and divide give loss'(z) = e^min(z,0) / (1 + t).  The exponential
+    loss is its own derivative, exp of the margins.  The gradient is the
+    second product, A^T loss'(z), on its own as in the reference loop, so
+    that it keeps its bits: near an interior optimum its terms cancel, and
+    summed in another order (as rows of P below) they move |grad| by ulps
+    of the terms, not of |grad|.
 
     Besides these, a step only updates the iterate in Python floats
     (written back into w with one struct pack_into, which builds no array)
     and compares j with the next checkpoint, where it copies the iterate.
-    That is nine numpy calls for the logistic loss (the products,
-    np.minimum, and exp, log1p, subtract, add and divide) and four for the
-    exponential (the products and exp).  Each product writes into slot i of
-    a block allocated once for a chunk of C = _CHUNK steps, with the views
-    of every slot sliced before the loop: ext @ w into (C, r + 5n), the P
-    product into (C, 2, p) and the gradient into (C, d).  At n = 43, r = 1
-    and d = 2 the blocks take 0.47 MB, whatever T is.
+    That is six numpy calls for the logistic loss (the products, np.minimum,
+    exp, add and divide) and three for the exponential (the products and
+    exp); nothing in the next step reads the loss values or the risk.  Each
+    call but the add (into one buffer of n) writes into slot i of a block
+    allocated once for a chunk of C = _CHUNK steps, with the views of every
+    slot sliced before the loop: ext @ w into Y, (C, r + 4n); the minima,
+    their exp in place and the derivative into L, (C, 2, n) (the
+    exponential's values into (C, 1, n)); the gradient into (C, d).  The P
+    product below goes into (C, 2, p), or (C, 1, p).  At n = 43, r = 1 and
+    d = 2 the blocks take 0.55 MB, whatever T is.
 
-    After each chunk, vectorized calls over the blocks do the rest with the
-    float operations of a step-by-step loop:
+    After each chunk, the fold first finishes the loss terms: log1p of the
+    stored t, less -max(z,0) = min(-z, 0) of the stored -z (exact), gives
+    the logistic value in place of t, with the bits of max(z,0) + log1p(t).
+    One stacked np.matmul of L with P^T, P = [1; 1_sep; A_sep^T], then
+    gives every slot's risk, separable-block risk, separable loss mass and
+    g_sep = A_sep^T loss'(z_sep) (its rows only when both blocks exist).  A
+    stacked matmul makes one BLAS product per slot, the product a step
+    would make (tests/test_kernels.py checks the bits); a flat (c, n) @
+    (n, p) product would round differently.
+
+    Vectorized calls over the blocks then do the rest with the float
+    operations of a step-by-step loop:
     - the series: risk = sum/n, eff = eta risk, and |grad|/risk, where
       |grad|^2 adds the squares of grad = A^T loss'(z)/n in order, as
       Python's sum() of a list does;
@@ -201,11 +200,8 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
     C = min(_CHUNK, T + 1)
 
     ext = np.vstack([bs_cols.T, A, A, -A])
-    m = np.empty(3 * n)
-    m2, neg_max = m[: 2 * n], m[2 * n :]
-    ex = np.empty(2 * n)
-    t, num = ex[:n], ex[n:]
     ones = np.ones(n)
+    u = np.empty(n)  # 1 + t
     P = np.zeros((2 + d if cross else 2, n))
     P[0] = 1.0
     P[1, sep_rows] = 1.0
@@ -214,29 +210,28 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
     PT = P.T
     At = np.ascontiguousarray(A.T)
     basis = bs_cols.tolist()
-    terms = np.empty((2, n))
-    val, der = terms
-    if exponential:
-        der = val  # its own derivative
     w = np.zeros(d)
     w_list = w.tolist()
     write_w = struct.Struct(f"{d}d").pack_into
 
-    # slot i of each block holds the products of step j0 + i of the chunk
-    Y = np.zeros((C, r + 5 * n))  # ext @ w, then the 2n zeros of the minima
-    S = np.empty((C, 2, P.shape[0]))  # terms @ PT; the exponential fills row 0
+    # slot i of each block holds step j0 + i of the chunk
+    Y = np.zeros((C, r + 4 * n))  # ext @ w, then the n zeros of the minima
+    L = np.empty((C, 1 if exponential else 2, n))  # loss values, derivatives
+    S = np.empty((C, L.shape[1], P.shape[0]))  # L @ PT, at the fold
     G = np.empty((C, d))  # At @ der
-    slots = list(
-        zip(
-            Y[:, : r + 3 * n],
-            Y[:, r : r + 3 * n],
-            Y[:, r + 2 * n :],
-            Y[:, r : r + n],
-            S[:, 0] if exponential else S,
-            G,
-        )
-    )
-    coords, vals, ders = Y[:, :r], S[:, 0], S[:, 0 if exponential else 1]
+    heads = Y[:, : r + 3 * n]
+    if exponential:
+        # its own derivative: exp of the margins z (in the place of lo), into
+        # the one row of L
+        z, der = Y[:, r : r + n], L[:, 0]
+        slots = list(zip(heads, z, repeat(None), der, repeat(None), der, G))
+    else:
+        # the minima [-|z|, min(z,0)] of [z, z] and [-z, 0], and their exp
+        # [t, e^min(z,0)] in place, into the two rows of L
+        lo, hi = Y[:, r : r + 2 * n], Y[:, r + 2 * n :]
+        slots = list(zip(heads, lo, hi, L.reshape(C, 2 * n), L[:, 0], L[:, 1], G))
+    neg_z = Y[:, r + 2 * n : r + 3 * n]
+    coords, vals, ders = Y[:, :r], S[:, 0], S[:, -1]
     from_one = np.arange(1.0, C + 1.0)
     etas = np.ones(C)
     eta_list = etas.tolist()
@@ -265,23 +260,33 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
                 np.divide(1.0, etas, out=etas)
                 eta_list = etas.tolist()
             k0 = k
-            for j, eta, (head, lo, hi, z, s, g) in zip(range(j0, j1), eta_list, slots):
+            for j, eta, (head, lo, hi, ex, t, der, g) in zip(range(j0, j1), eta_list, slots):
                 ext.dot(w, out=head)
                 if exponential:
-                    np.exp(z, out=val)
-                    val.dot(PT, out=s)
+                    np.exp(lo, out=der)  # lo is z
                 else:
-                    np.minimum(lo, hi, out=m)
-                    _logistic_terms(m2, neg_max, ex, t, num, ones, val, der)
-                    terms.dot(PT, out=s)
+                    np.minimum(lo, hi, out=ex)
+                    np.exp(ex, out=ex)
+                    np.add(t, ones, out=u)
+                    np.divide(der, u, out=der)  # e^min(z,0) / (1 + t)
                 if j == cps[k]:
                     cp_w[k] = w_list
                     k += 1
                 w_list = [a - eta * (x / n) for a, x in zip(w_list, At.dot(der, out=g).tolist())]
                 write_w(w, 0, *w_list)
 
-            # the chunk's series and stops; steps past a stop are discarded
+            # the loss values log1p(t) - (-max(z,0)), -max(z,0) = min(-z, 0)
+            # from the stored -z, and the P product of every slot: one
+            # stacked matmul makes the BLAS call of a step once per slot (a
+            # flat (c, n) @ (n, p) product rounds differently)
             c = j1 - j0
+            if not exponential:
+                v = L[:c, 0]
+                np.log1p(v, out=v)
+                np.subtract(v, np.minimum(neg_z[:c], 0.0, out=neg_z[:c]), out=v)
+            np.matmul(L[:c], PT, out=S[:c])
+
+            # the chunk's series and stops; steps past a stop are discarded
             risk = np.divide(vals[:c, 0], n, out=risk_steps[j0:j1])
             eff = np.multiply(etas[:c], risk, out=eff_steps[j0:j1])
             # overflow of the sum, or underflow to exact zero (log-risk

@@ -2,6 +2,7 @@
 reference loop in gd_oracle.py, the loop's overflow and step-assert exits, and
 the independence of its outputs from the length of the chunks it folds over."""
 
+import math
 from types import SimpleNamespace
 
 import gd_oracle
@@ -14,7 +15,6 @@ from hypothesis.extra.numpy import arrays
 from optray import _kernels as K
 from optray.dataset import MarginMatrix, synth, to_margin_matrix
 from optray.decompose import partition
-from optray.errors import LPError
 from optray.gd import checkpoint_times
 from optray.verify import check_smoothness
 
@@ -58,20 +58,23 @@ def _oracle(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
     )
 
 
-def _fill_loss_terms(z, code, val, der, work):
+def _fill_loss_terms(z, code, val, der):
     # the descent loop's loss values into val and derivatives into der, from
-    # the margins z alone (the loop reads -z and the minima off its margins
-    # product); work is an array of z's shape
+    # the margins z alone, in the loop's split form
     if code == K.EXPONENTIAL:
         # its own derivative, of the margins uncapped
-        np.copyto(der, np.exp(z, out=val))
+        np.copyto(val, np.exp(z, out=der))
         return
     n = z.shape[0]
-    neg = np.negative(z, work)
-    zero = np.zeros_like(z)
-    m = np.minimum(np.concatenate([z, z, neg]), np.concatenate([neg, zero, zero]))
-    ex = np.empty(2 * n)
-    K._logistic_terms(m[: 2 * n], m[2 * n :], ex, ex[:n], ex[n:], np.ones(n), val, der)
+    neg = np.negative(z)
+    # per step: one exp of the minima [-|z|, min(z,0)] of [z, z] and [-z, 0]
+    # gives t = e^-|z| and e^min(z,0), and the derivative e^min(z,0) / (1 + t)
+    ex = np.minimum(np.concatenate([z, z]), np.concatenate([neg, np.zeros(n)]))
+    np.exp(ex, out=ex)
+    t = ex[:n]
+    np.divide(ex[n:], np.add(t, np.ones(n)), out=der)
+    # at the fold: the value log1p(t) - (-max(z,0)), -max(z,0) = min(-z, 0)
+    np.subtract(np.log1p(t), np.minimum(neg, 0.0), out=val)
 
 
 class TestLossFunctions:
@@ -90,14 +93,34 @@ class TestLossFunctions:
             ref_der = gd_oracle.loss_derivs(z, code)
         np.testing.assert_array_equal(K.loss_values(z, code), ref_val, strict=True)
         np.testing.assert_array_equal(K.loss_derivs(z, code), ref_der, strict=True)
-        # the fused form the descent loop uses, into its buffers; the loop
-        # keeps no step with an exponential margin past the cap
+        # the split form the descent loop uses: the derivative per step, the
+        # value at the fold; the loop keeps no step with an exponential margin
+        # past the cap
         val, der = np.empty((2,) + z.shape)
         with np.errstate(over="ignore"):
-            _fill_loss_terms(z, code, val, der, np.empty(z.shape))
+            _fill_loss_terms(z, code, val, der)
         kept = z <= K._EXP_CAP if code == K.EXPONENTIAL else slice(None)
         np.testing.assert_array_equal(val[kept], ref_val[kept])
         np.testing.assert_array_equal(der[kept], ref_der[kept])
+
+
+@pytest.mark.parametrize("rows", (1, 2))
+def test_stacked_matmul_has_the_bits_of_one_product_per_slot(rows):
+    # the loop's fold takes the P product of a chunk's loss terms, (c, rows,
+    # n) @ (n, p), as one stacked np.matmul, where a step-by-step loop takes
+    # one product per step: [values; derivatives] @ PT for the logistic loss,
+    # values @ PT for the exponential.  A BLAS or numpy that makes the
+    # stacked product some other way would move the reported bits
+    rng = np.random.default_rng(rows)
+    c = 9
+    for n in range(1, 91):
+        for p in (2, 3, 4, 5, 6):  # 2, and 2 + d for d = 1..4
+            PT = rng.standard_normal((p, n)).T
+            X = rng.standard_normal((c, rows, n)) * np.exp(rng.uniform(-30.0, 30.0, (c, rows, n)))
+            want = np.stack([x.dot(PT) if rows == 2 else x[0].dot(PT)[None] for x in X])
+            out = np.empty((c, rows, p))
+            np.testing.assert_array_equal(np.matmul(X, PT, out=out), want, strict=True)
+            np.testing.assert_array_equal(np.matmul(X, PT), want, strict=True)
 
 
 def test_overflow_status_from_oversized_rows():
@@ -200,13 +223,68 @@ def test_risk_underflow_truncates_at_last_finite_step(rows, loss_code):
     assert risk_steps[0] == pytest.approx(risk_0, rel=1e-15)
 
 
+def _exit_rows(stop, status, sched_code, m, u):
+    """Exponential-loss rows in R^2 that end the loop at step `stop` with
+    `status`: overflow or the step assert.
+
+    A pair sigma e1, -sigma (1 + eps) e1 has its optimum at x = sigma w_1 of
+    about eps/2, where unit steps overshoot: the deviation from it grows by
+    |1 - eta_j h| per step, h = 2 sigma^2 / n, from eps (h - 1) / 2 after step
+    0.  m rows -sigma e2, whose loss step 0 takes to about 0, hold the risk
+    near 2 cosh(x) / n, so eta risk passes 1 once cosh(x) passes n / (2 eta).
+    h is set from the growth g at the last step before the stop, and eps from
+    the product of the growths:
+    - step assert: x of about acosh(n / (2 eta)) sqrt(g) at the stop, with g
+      from 2.5 to 1000;
+    - overflow: x of about 1 a step before it (risk 3.1 / n), with g from 700
+      to 5000, so that the next step jumps past the cap of 700.
+    u in [0, 1] places g in its range; a g too large for eps >= 1e-13 (the
+    stop comes early once rounding drives the growth) is lowered towards the
+    bottom of it."""
+    n = m + 2
+    etas = [1.0 / math.sqrt(j + 1.0) if sched_code == K.INV_SQRT else 1.0 for j in range(stop + 1)]
+    overflow = status == K.STATUS_OVERFLOW
+    g_lo, g_hi = (700.0, 5000.0) if overflow else (2.5, 1000.0)
+
+    def place(g):
+        h = (1.0 + g) / etas[stop - 1]
+        if overflow:
+            if stop == 1:
+                return h, 4.0 * K._EXP_CAP / h  # x_1 = h eps / 2
+            dev, steps = 1.0, range(1, stop - 1)
+        else:
+            dev, steps = math.acosh(n / (2.0 * etas[stop])) * math.sqrt(g), range(1, stop)
+        return h, 2.0 * dev / ((h - 1.0) * math.prod(abs(1.0 - etas[j] * h) for j in steps))
+
+    g = g_lo * (g_hi / g_lo) ** u
+    h, eps = place(g)
+    while eps < 1e-13 and g > 1.01 * g_lo:
+        g = math.sqrt(g * g_lo)
+        h, eps = place(g)
+    sigma = math.sqrt(h * n / 2.0)
+    rows = np.zeros((n, 2))
+    rows[0, 0], rows[1, 0] = sigma, -sigma * (1.0 + eps)
+    rows[2:, 1] = -sigma
+    return rows
+
+
 @st.composite
 def descent_problems(draw):
     """Margin rows in R^1..R^4, the split and basis partition finds, a loss,
     a schedule, T <= 400 and its checkpoints.  Rows come free (some zero or
     copied) or in mirrored pairs, so that both blocks of the split occur; a
-    few problems scale the rows past unit norm to reach the overflow and
-    step-assert exits."""
+    few problems scale the rows past unit norm.  One in four is built to stop
+    at a drawn step (_exit_rows): by overflow at steps 1-5 or by the step
+    assert at steps 1-20, T >= that step."""
+    if draw(st.sampled_from(("free", "free", "free", "exit"))) == "exit":
+        status = draw(st.sampled_from((K.STATUS_OVERFLOW, K.STATUS_STEP_ASSERT)))
+        stop = draw(st.integers(1, 5 if status == K.STATUS_OVERFLOW else 20))
+        sched_code = draw(st.sampled_from((K.CONSTANT_ONE, K.INV_SQRT)))
+        rows = _exit_rows(stop, status, sched_code, draw(st.integers(2, 8)), draw(st.floats(0.0, 1.0)))
+        T = draw(st.integers(stop, 400))
+        dec = partition(MarginMatrix(rows / float(np.linalg.norm(rows, axis=1).max())))
+        cps = checkpoint_times(T, draw(st.integers(1, 20)))
+        return rows, dec.sep_rows, dec.basis_s.columns, K.EXPONENTIAL, sched_code, T, cps
     d = draw(st.integers(1, 4))
     n_pairs = draw(st.integers(0, 3))
     n_free = draw(st.integers(0 if n_pairs else 1, 12 - 2 * n_pairs))
@@ -221,10 +299,7 @@ def descent_problems(draw):
     mirrors = -draw(arrays(np.float64, (n_pairs, 1), elements=st.floats(0.1, 1.0))) * pairs
     rows = np.vstack([free, pairs, mirrors])
     rows /= max(1.0, float(np.linalg.norm(rows, axis=1).max()))
-    try:
-        dec = partition(MarginMatrix(rows))
-    except LPError:
-        assume(False)
+    dec = partition(MarginMatrix(rows))
     scale = draw(st.sampled_from((1.0, 1.0, 1.0, 1.0, 3.0, 40.0)))
     T = draw(st.integers(1, 400))
     cps = checkpoint_times(T, draw(st.integers(1, 20)))
@@ -272,15 +347,31 @@ def assert_loops_agree(new, old):
         assert pred[worst_at - 1] - r[worst_at] - ref_worst <= band
 
 
+def run_counting_exits(test, strategy, max_examples):
+    """Run test over max_examples draws of strategy and require that at
+    least one of them ends in overflow and one in the step assert; test
+    returns the status of the problem it checked."""
+    exits = set()
+
+    @settings(max_examples=max_examples, deadline=None)
+    @given(strategy)
+    def run(problem):
+        exits.add(test(problem))
+
+    run()
+    assert {K.STATUS_OVERFLOW, K.STATUS_STEP_ASSERT} <= exits, exits
+
+
 class TestDescentLoop:
-    @settings(max_examples=300, deadline=None)
-    @given(descent_problems())
-    def test_matches_reference_loop(self, problem):
-        A, sep_rows, bs_cols, loss_code, sched_code, T, cps = problem
-        with np.errstate(all="ignore"):
-            old = _oracle(A, sep_rows, bs_cols, loss_code, sched_code, T, cps)
-        new = K.gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps)
-        assert_loops_agree(new, old)
+    def test_matches_reference_loop(self):
+        def check(problem):
+            with np.errstate(all="ignore"):
+                old = _oracle(*problem)
+            new = K.gd_loop(*problem)
+            assert_loops_agree(new, old)
+            return new[0]
+
+        run_counting_exits(check, descent_problems(), 300)
 
 
 @pytest.mark.parametrize(
@@ -327,10 +418,8 @@ def _split(rows, loss_code, sched_code, T):
 
 
 class TestChunks:
-    @settings(max_examples=200, deadline=None)
-    @given(descent_problems())
-    def test_outputs_do_not_depend_on_the_chunk_length(self, problem):
-        assert_chunk_invariant(problem)
+    def test_outputs_do_not_depend_on_the_chunk_length(self):
+        run_counting_exits(lambda problem: assert_chunk_invariant(problem)[0], descent_problems(), 200)
 
     @pytest.mark.parametrize(
         "rows, loss_code, status, stop",
