@@ -14,7 +14,7 @@ import numpy as np
 from . import _kernels
 from .dataset import MarginMatrix
 from .errors import NumericalError, ValidationError
-from .linalg import Basis, _row_space, _RowSpace, minimize_risk
+from .linalg import Basis, minimize_risk
 
 LOSS_CODES = {"logistic": _kernels.LOGISTIC, "exponential": _kernels.EXPONENTIAL}
 SCHED_CODES = {"constant_one": _kernels.CONSTANT_ONE, "inv_sqrt": _kernels.INV_SQRT}
@@ -315,30 +315,31 @@ def run(
 def constrained_opt(
     A,
     loss: str,
-    radius: float,
+    radius,
     tol: float = BALL_TOL,
     w0: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Minimizer of the risk over the Euclidean ball of the given radius.
+    """Minimizer of the risk over the Euclidean ball of the given radius,
+    from w0 (the origin by default).
 
-    A may also be the rows' factored row space, which ball_series computes
-    once for all of its radii."""
-    rows = A if isinstance(A, _RowSpace) else _rows(A)
-    if radius < 0:
+    radius may also be a 1-D array of radii, solved in one batched
+    linalg.minimize_risk call; w0 then holds one start per radius, and the
+    answer one minimizer per radius, each with the bits of its radius solved
+    alone from its start."""
+    rows = _rows(A)
+    radii = np.asarray(radius, dtype=float)
+    if not np.all(radii >= 0.0):
         raise ValidationError("radius must be >= 0")
     n, d = rows.shape
-    start = np.zeros(d) if w0 is None else w0
-    w, _ = minimize_risk(rows, _loss_code(loss), n, float(radius), start, tol)
-    return w
+    starts = np.zeros(radii.shape + (d,)) if w0 is None else np.asarray(w0, dtype=float)
+    w, _ = minimize_risk(rows, _loss_code(loss), n, radii.reshape(-1), starts.reshape(-1, d), tol)
+    return w.reshape(starts.shape)
 
 
 def ball_series(A, loss: str, trace: GDTrace, tol: float = BALL_TOL) -> np.ndarray:
-    """Ball-constrained minimizers at every checkpoint radius |w_t|, warm-started
-    along the checkpoint sequence; the rows are factored once for all radii."""
-    space = _row_space(_rows(A))
-    out = np.zeros_like(trace.w)
-    prev = None
-    for k in range(trace.k):
-        out[k] = constrained_opt(space, loss, float(trace.norm_w[k]), tol=tol, w0=prev)
-        prev = out[k]
-    return out
+    """Ball-constrained minimizers at every checkpoint radius |w_t|, from one
+    batched constrained_opt call.  The solve at checkpoint k starts from the
+    iterate w_t itself, which lies on that sphere, so no radius depends on
+    another, and each answer has the bits of constrained_opt at its radius
+    alone from w_t."""
+    return constrained_opt(A, loss, trace.norm_w, tol=tol, w0=trace.w)

@@ -1,6 +1,6 @@
-"""Small dense linear algebra: orthonormal bases, projections, the simplex
-projection, the nearest point of a polytope to the origin, nonnegative least
-squares, and the minimizer of the empirical risk over a ball."""
+"""Small dense linear algebra: orthonormal bases, projections, the nearest
+point of a polytope to the origin, nonnegative least squares, and the
+minimizers of the empirical risk over balls."""
 
 from dataclasses import dataclass
 
@@ -212,72 +212,70 @@ def nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, r
 
 
-def risk_hessian(M: np.ndarray, loss_code: int, n_total: int, w: np.ndarray) -> np.ndarray:
-    """Hessian M^T diag(loss''(M w)) M / n_total of the empirical risk at w."""
-    curv = np.asarray(_kernels.loss_curvs(M @ w, loss_code))
-    return (M.T * curv) @ M / n_total
+def _norms(X: np.ndarray) -> np.ndarray:
+    """|x| of every row x of X, with the bits of np.linalg.norm of x alone."""
+    return np.sqrt(np.vecdot(X, X))
 
 
-def _ball_multiplier(lam: np.ndarray, beta: np.ndarray, radius: float) -> float:
+def _ball_multipliers(lam: np.ndarray, beta: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Smallest mu >= 0 with |v(mu)| = |beta / (lam + mu)| <= radius, for
-    ascending lam > 0.
+    every row of ascending lam > 0, its row of beta and its radius.
 
     mu = 0 when v(0) fits in the ball.  Otherwise mu solves the secular
     equation 1/|v(mu)| = 1/radius, whose left side is increasing and concave,
     by Newton's method inside the bracket [|beta|/radius - lam_max,
     |beta|/radius - lam_min], bisecting whenever a Newton step would leave it.
+    A row stops once |v(mu)| is within 1e-14 radius, or after 100 steps.
     """
-    if not np.linalg.norm(beta / lam) > radius:
-        return 0.0
-    bn = float(np.linalg.norm(beta))
-    lo, hi = max(bn / radius - lam[-1], 0.0), bn / radius - lam[0]
-    mu = hi
+    mu = np.zeros(radii.shape)
+    outside = _norms(beta / lam) > radii
+    count = np.count_nonzero(outside)
+    if not count:
+        return mu
+    rows, radius = outside.nonzero()[0], radii
+    if count < outside.size:
+        lam, beta, radius = lam[rows], beta[rows], radii[rows]
+    bn = _norms(beta) / radius
+    lo, hi = bn - lam[:, -1], bn - lam[:, 0]
+    lo[lo < 0.0] = 0.0
+    m, inv_radius, near_radius = hi.copy(), 1.0 / radius, 1e-14 * radius
     for _ in range(100):
-        q = beta / (lam + mu)
-        vn = float(np.linalg.norm(q))
-        if abs(vn - radius) <= 1e-14 * radius:
-            break
-        if vn > radius:
-            lo = mu
-        else:
-            hi = mu
-        step = (1.0 / vn - 1.0 / radius) * vn**3 / float(q @ (q / (lam + mu)))
-        mu = mu - step if lo < mu - step < hi else 0.5 * (lo + hi)
+        t = lam + m[:, None]
+        q = beta / t
+        vn = _norms(q)
+        near = np.abs(vn - radius) <= near_radius
+        if np.count_nonzero(near):
+            mu[rows[near]] = m[near]
+            if near.all():
+                return mu
+            far = ~near
+            rows, lam, beta, radius, inv_radius, near_radius, m, lo, hi, t, q, vn = (
+                x[far]
+                for x in (rows, lam, beta, radius, inv_radius, near_radius, m, lo, hi, t, q, vn)
+            )
+        past = vn > radius
+        np.putmask(lo, past, m)
+        np.putmask(hi, ~past, m)
+        # vn**3 in Python floats: numpy's power rounds differently from pow()
+        cube = np.array([v**3 for v in vn.tolist()])
+        trial = m - (1.0 / vn - inv_radius) * cube / np.vecdot(q, q / t)
+        inside = (lo < trial) & (trial < hi)
+        m = 0.5 * (lo + hi)
+        np.putmask(m, inside, trial)
+    mu[rows] = m
     return mu
 
 
-@dataclass(eq=False)
-class _RowSpace:
-    """The rows M of a risk, factored for minimize_risk: an orthonormal basis
-    (d, r) of their span, the rows in that basis M B (n, r), and |M B|_2."""
-
-    basis: np.ndarray
-    coords: np.ndarray
-    norm: float
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        """The shape (n, d) of M."""
-        return self.coords.shape[0], self.basis.shape[0]
-
-
-def _row_space(M: np.ndarray) -> _RowSpace:
-    """Factor M once for any number of minimize_risk calls on it."""
-    eps = np.finfo(float).eps
-    basis = orthonormal_basis(M, rank_tol=max(M.shape) * eps).columns
-    coords = M @ basis
-    return _RowSpace(basis, coords, np.linalg.norm(coords, 2))
-
-
 def minimize_risk(
-    M: np.ndarray | _RowSpace,
+    M: np.ndarray,
     loss_code: int,
     n_total: int,
-    radius: float,
+    radii: np.ndarray,
     w0: np.ndarray,
     tol: float,
-) -> tuple[np.ndarray, int]:
-    """Minimizer of R(w) = sum_i loss((M w)_i) / n_total over |w| <= radius.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimizers of R(w) = sum_i loss((M w)_i) / n_total over the balls
+    |w| <= radii[k], from the starts w0[k] (K, d), in one batched solve.
 
     Newton's method on the KKT system grad R(w) + mu w = 0, mu >= 0, with
     |w| = radius whenever mu > 0 (J. J. More and D. C. Sorensen, Computing a
@@ -294,80 +292,154 @@ def minimize_risk(
     The iteration runs in an orthonormal basis of the row space of M, where
     R is strictly convex and which holds every minimizer of least norm; w0
     is projected onto it (then scaled into the ball), and so is the answer.
-    It stops when the unit-step natural residual |w - P(w - grad R(w))|
+    A radius stops when the unit-step natural residual |w - P(w - grad R(w))|
     reaches tol, where P projects onto the ball (|grad R(w)| for an infinite
-    radius).  Returns (w, iterations); raises ConvergenceError after
-    NEWTON_MAX_ITERS iterations, when a line search finds no descent, or at
-    once when tol lies below the rounding floor eps |M|_2^2 |w| / n_total of
-    the gradient at w: rounding M w moves each margin by up to about
-    eps |M_i| |w|, so the computed gradient is known only to about that
-    floor, and the iterations that remain would chase rounding noise.
+    radius).  It fails after NEWTON_MAX_ITERS iterations, when a line search
+    finds no descent, or at once when tol lies below the rounding floor
+    eps |M|_2^2 |w| / n_total of the gradient at w: rounding M w moves each
+    margin by up to about eps |M_i| |w|, so the computed gradient is known
+    only to about that floor, and the iterations that remain would chase
+    rounding noise.
 
-    M may also be given as _row_space(M), which a series of solves on the
-    same rows computes once.
+    Each radius is a slot of one iteration: every product is a stacked
+    matvec or vecdot, which makes the BLAS call of one slot's product once
+    per slot (a flat gemm over the slots rounds differently), the Hessians
+    go through one stacked eigh, and the secular equation and the line
+    search run over the slots still active; a slot leaves once it stops.  No
+    slot depends on another, and each has the bits of a batch of one.
+    Returns (w (K, d), iterations (K,)); when some slot fails, raises the
+    ConvergenceError of the first one.
     """
     eps = np.finfo(float).eps
-    space = M if isinstance(M, _RowSpace) else _row_space(M)
-    basis, M = space.basis, space.coords
-    w = basis.T @ np.asarray(w0, dtype=float)
-    nw = np.linalg.norm(w)
-    if nw > radius:
-        w *= radius / nw
-    curvature_scale = space.norm**2 / n_total
+    basis = orthonormal_basis(M, rank_tol=max(M.shape) * eps).columns
+    M = M @ basis
+    MT = M.T
+    floor_scale = eps * (np.linalg.norm(M, 2) ** 2 / n_total)
+    radius = np.asarray(radii, dtype=float)
+    w = np.matvec(basis.T, np.asarray(w0, dtype=float))
+    nw = _norms(w)
+    over = nw > radius
+    if np.count_nonzero(over):
+        w[over] *= (radius[over] / nw[over])[:, None]
+    out, iters = np.zeros((radius.shape[0], basis.shape[0])), np.zeros(radius.shape[0], dtype=int)
+    slots, error = np.arange(radius.shape[0]), None
+    if not slots.size:
+        return out, iters
+    # an infinite radius never binds: its residual is |g|, its mu 0, and its
+    # iterate is never rescaled, so a batch of them skips that work
+    bounded = bool(np.isfinite(radius).any())
     for it in range(NEWTON_MAX_ITERS):
-        z = M @ w
-        g = M.T @ np.asarray(_kernels.loss_derivs(z, loss_code)) / n_total
-        # |g| itself inside the ball, where w - (w - g) could round g away
-        cn = np.linalg.norm(w - g)
-        res = np.linalg.norm(w - (w - g) * (radius / cn)) if cn > radius else np.linalg.norm(g)
-        if res <= tol:
-            return basis @ w, it
-        floor = eps * curvature_scale * np.linalg.norm(w)
-        if floor > tol:
-            raise ConvergenceError(
-                f"tol {tol:.1e} lies below the gradient's rounding floor {floor:.1e} "
-                f"(eps |M|^2 |w| / n) at iteration {it}; residual {res:.1e}",
-                best=float(res),
-                iterations=it,
-            )
-        lam, Q = np.linalg.eigh(risk_hessian(M, loss_code, n_total, w))
+        z = np.matvec(M, w)
+        der = _kernels.loss_derivs(z, loss_code)
+        g = np.matvec(MT, der) / n_total
+        res = _norms(g)
+        if bounded:
+            # |g| itself inside the ball, where w - (w - g) could round g away
+            p = w - g
+            cn = _norms(p)
+            onto = cn > radius
+            if np.count_nonzero(onto):
+                res[onto] = _norms(w[onto] - p[onto] * (radius[onto] / cn[onto])[:, None])
+        floor = floor_scale * _norms(w)
+        leave, failed = res <= tol, floor > tol
+        if np.count_nonzero(leave) or np.count_nonzero(failed):
+            out[slots[leave]] = np.matvec(basis, w[leave])
+            iters[slots[leave]] = it
+            failed &= ~leave
+            if np.count_nonzero(failed):
+                # the slots from the first failure on no longer decide the outcome
+                j = int(np.argmax(failed))
+                error = ConvergenceError(
+                    f"tol {tol:.1e} lies below the gradient's rounding floor {floor[j]:.1e} "
+                    f"(eps |M|^2 |w| / n) at iteration {it}; residual {res[j]:.1e}",
+                    best=float(res[j]),
+                    iterations=it,
+                )
+                leave[j:] = True
+            keep = ~leave
+            if not np.count_nonzero(keep):
+                break
+            slots, radius, w, z, der, g = (x[keep] for x in (slots, radius, w, z, der, g))
+        # the loss's second derivative from its first: e^z, or p (1 - p)
+        curv = der if loss_code == _kernels.EXPONENTIAL else der * (1.0 - der)
+        lam, Q = np.linalg.eigh(np.matmul(MT * curv[:, None, :], M) / n_total)
         # curvature below what eigh resolves is raised to that resolution: the
         # shortest step the data allows along such a direction
-        lam = np.maximum(lam, eps * lam[-1])
-        c, gam = Q.T @ w, Q.T @ g
-        mu = _ball_multiplier(lam, lam * c - gam, radius)
+        lam = np.maximum(lam, eps * lam[:, -1:])
+        QT = Q.transpose(0, 2, 1)
+        c, gam = np.matvec(QT, w), np.matvec(QT, g)
+        mu = _ball_multipliers(lam, lam * c - gam, radius) if bounded else np.zeros(slots.size)
         # the step s = -(H + mu I)^-1 (g + mu w), in the eigenbasis
-        sig = -(gam + mu * c) / (lam + mu)
-        s = Q @ sig
+        mus = mu[:, None]
+        shifted = lam + mus
+        sig = -(gam + mus * c) / shifted
+        s = np.matvec(Q, sig)
         # slope of the Lagrangian R + mu |w|^2 / 2 along the step; it starts at
         # -s^T (H + mu I) s < 0, and the mu term cancels the part of grad R that
         # the ball absorbs, whose product with the rounding error of s would
         # otherwise swamp the slope near the boundary
-        ms, ws, ss = M @ s, float(w @ s), float(s @ s)
-        slope0 = -float(sig**2 @ (lam + mu))
-        alpha = 1.0
-        for trial in range(LINE_SEARCH_STEPS):
-            lp = np.asarray(_kernels.loss_derivs(z + alpha * ms, loss_code))
-            slope = float(ms @ lp) / n_total + mu * (ws + alpha * ss)
-            if -np.inf < slope <= 0.0:
-                break
-            # past the minimum along the step.  The first retry goes to the root
-            # of the secant of the slope from 0 when that lies above 1/2; near
-            # the solution it lies just short of 1, which keeps the convergence
-            # quadratic.  Every other retry halves alpha.
-            secant = slope0 / (slope0 - slope) if trial == 0 and np.isfinite(slope) else 0.0
-            alpha = max(secant, 0.5 * alpha)
-        else:
-            raise ConvergenceError(
+        ms = np.matvec(M, s)
+        alpha, stuck = _line_search(
+            z, ms, np.vecdot(w, s), np.vecdot(s, s), mu, sig, shifted, loss_code, n_total
+        )
+        if stuck.size:
+            error = ConvergenceError(
                 f"no descent along the Newton step at iteration {it}", iterations=it
             )
-        w = w + alpha * s
-        nw = np.linalg.norm(w)
-        if nw > radius or mu > 0.0:
+            keep = slice(stuck[0])
+            slots, radius, w, s, alpha, mu = (x[keep] for x in (slots, radius, w, s, alpha, mu))
+            if slots.size == 0:
+                break
+        w = w + alpha[:, None] * s
+        if bounded:
+            nw = _norms(w)
             # mu > 0 puts the model's answer on the sphere, where R falls
             # outward; a shortened step along the chord would end inside it
-            w *= radius / nw
-    raise ConvergenceError(
-        f"risk minimization did not reach tol {tol:.1e} in {NEWTON_MAX_ITERS} iterations",
-        iterations=NEWTON_MAX_ITERS,
-    )
+            onto = (nw > radius) | (mu > 0.0)
+            if np.count_nonzero(onto):
+                w[onto] *= (radius[onto] / nw[onto])[:, None]
+    else:
+        error = ConvergenceError(
+            f"risk minimization did not reach tol {tol:.1e} in {NEWTON_MAX_ITERS} iterations",
+            iterations=NEWTON_MAX_ITERS,
+        )
+    if error is not None:
+        raise error
+    return out, iters
+
+
+def _line_search(z, ms, ws, ss, mu, sig, shifted, loss_code, n_total):
+    """Step lengths alpha along each row's Newton step s at which the slope
+    of the Lagrangian, ms @ loss'(z + alpha ms) / n_total + mu (ws + alpha ss),
+    is still <= 0, and the rows that find none in LINE_SEARCH_STEPS trials.
+
+    The first retry goes to the root of the secant of the slope from its
+    start, -sig^T diag(shifted) sig (sig is the step in the Hessian's
+    eigenbasis, where H + mu I is diag(shifted)), when that root lies above
+    1/2; near the solution it lies just short of 1, which keeps the
+    convergence quadratic.  Every other retry halves alpha.
+    """
+    alpha = np.ones(z.shape[0])
+    rows, a = np.arange(z.shape[0]), alpha
+    for trial in range(LINE_SEARCH_STEPS):
+        lp = _kernels.loss_derivs(z + a[:, None] * ms, loss_code)
+        slope = np.vecdot(ms, lp) / n_total + mu * (ws + a * ss)
+        descent = slope <= 0.0
+        descent &= -np.inf < slope
+        found = np.count_nonzero(descent)
+        if found == rows.size:
+            return alpha, rows[:0]
+        if found:
+            # the rows past the minimum along the step retry
+            past = ~descent
+            rows, a, slope, z, ms, ws, ss, mu, sig, shifted = (
+                x[past] for x in (rows, a, slope, z, ms, ws, ss, mu, sig, shifted)
+            )
+        secant = 0.0
+        if trial == 0:
+            slope0 = -np.vecdot(sig**2, shifted)
+            secant = np.where(np.isfinite(slope), slope0 / (slope0 - slope), 0.0)
+        half = 0.5 * a
+        a = np.where(half > secant, half, secant)
+        alpha[rows] = a
+    return alpha, rows

@@ -61,8 +61,8 @@ def solve_vbar(
     tol: float = GRAD_TOL,
 ) -> ScOptimum:
     """Minimize the restricted risk over S by Newton's method
-    (linalg.minimize_risk with an infinite radius); stops when the gradient
-    norm reaches tol."""
+    (linalg.minimize_risk, a batch of one with an infinite radius); stops
+    when the gradient norm reaches tol."""
     code = LOSS_CODES[loss]
     a_s = np.asarray(a_s, dtype=float)
     d = basis_s.dim
@@ -74,7 +74,7 @@ def solve_vbar(
         return ScOptimum(offset=np.zeros(d), risk_inf=value_at_zero, curvature=np.inf, grad_norm=0.0)
 
     M, value, gradient = _restricted(a_s, basis_s, n_total, code)
-    c, _ = minimize_risk(M, code, n_total, np.inf, np.zeros(basis_s.rank), tol)
+    (c,), _ = minimize_risk(M, code, n_total, [np.inf], np.zeros((1, basis_s.rank)), tol)
     return ScOptimum(
         offset=basis_s.columns @ c,
         risk_inf=value(c),

@@ -5,11 +5,11 @@ sampler with it.  Not used by the package.
 """
 
 import numpy as np
+from ball_oracle import risk_hessian
 
 from optray import _kernels
 from optray.errors import NumericalError
 from optray.gd import LOSS_CODES
-from optray.linalg import risk_hessian
 
 LAMBDA_DIRECTIONS = 32
 LAMBDA_SEED = 7

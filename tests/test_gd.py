@@ -1,7 +1,9 @@
 import json
 import zipfile
 from types import SimpleNamespace
+from unittest import mock
 
+import ball_oracle
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -9,11 +11,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize
 
+from optray import linalg
 from optray.cli import main
 from optray.dataset import MarginMatrix, synth, to_margin_matrix
 from optray.decompose import partition
 from optray.errors import ConvergenceError, ValidationError
 from optray.gd import (
+    BALL_TOL,
+    LOSS_CODES,
     GDTrace,
     ball_series,
     checkpoint_times,
@@ -221,7 +226,8 @@ class TestTraceIO:
 @st.composite
 def ball_series_problems(draw):
     """Rows of rank 1 or 2 in R^rank..R^4 (some zero), rescaled to at most
-    unit norm, a loss, and the ascending radii of a checkpoint sequence."""
+    unit norm, a loss, the ascending radii of a checkpoint sequence, and a
+    point on each radius's sphere, as the iterates of a trace lie."""
     rank = draw(st.integers(1, 2))
     d = draw(st.integers(rank, 4))
     n = draw(st.integers(rank, 8))
@@ -233,8 +239,30 @@ def ball_series_problems(draw):
     rows = coef @ span
     assume(np.linalg.matrix_rank(rows) == rank)
     rows /= max(1.0, float(np.linalg.norm(rows, axis=1).max()))
-    radii = draw(arrays(np.float64, st.integers(1, 12), elements=st.floats(0.0, 50.0)))
-    return rows, draw(st.sampled_from(("logistic", "exponential"))), np.sort(radii)
+    radii = np.sort(draw(arrays(np.float64, st.integers(1, 12), elements=st.floats(0.0, 50.0))))
+    dirs = draw(arrays(np.float64, (radii.size, d), elements=st.floats(-1.0, 1.0)))
+    dirs[np.linalg.norm(dirs, axis=1) < 1e-100] = np.eye(d)[0]
+    starts = radii[:, None] * dirs / np.linalg.norm(dirs, axis=1)[:, None]
+    return rows, draw(st.sampled_from(("logistic", "exponential"))), radii, starts
+
+
+def _same_error(raised, alone):
+    """Whether two ConvergenceErrors carry the same text, residual and count."""
+    return (str(raised), raised.iterations) == (str(alone), alone.iterations) and (
+        np.array_equal(raised.best, alone.best, equal_nan=True)
+    )
+
+
+def _kkt_residual(rows, loss, w, radius):
+    """The unit-step natural residual |w - P(w - grad R(w))| that
+    minimize_risk stops on, recomputed from gd.grad, with grad R(w) and the
+    projected point p = P(w - grad R(w))."""
+    g = grad(rows, loss, w)
+    p = w - g
+    if np.linalg.norm(p) > radius:
+        p *= radius / np.linalg.norm(p)
+        return np.linalg.norm(w - p), g, p
+    return np.linalg.norm(g), g, p
 
 
 class TestConstrainedOpt:
@@ -262,18 +290,26 @@ class TestConstrainedOpt:
         with pytest.raises(ValidationError):
             constrained_opt(np.array([[-1.0]]), "logistic", -1.0)
 
+    def test_nan_radius_rejected(self):
+        # nan < 0 is false, so a test of radius < 0 alone lets a nan radius
+        # through to the unconstrained minimizer, [0.839] on these rows
+        rows = np.array([[-1.0], [0.5]])
+        for radius in (np.nan, np.array([1.0, np.nan])):
+            with pytest.raises(ValidationError):
+                constrained_opt(rows, "logistic", radius)
+
     @settings(max_examples=150, deadline=None)
     @given(ball_series_problems())
     def test_ball_series_matches_one_solve_per_radius(self, problem):
-        # ball_series factors the rows once; each constrained_opt call on the
-        # rows themselves factors them again, with the same bits
-        rows, loss, radii = problem
-        trace = SimpleNamespace(k=radii.size, norm_w=radii, w=np.zeros((radii.size, rows.shape[1])))
-        expected, prev = [], None
+        # ball_series solves every radius in one batch, slot k from the
+        # iterate w_t on its sphere; each slot has the bits of constrained_opt
+        # at that radius alone from the same start
+        rows, loss, radii, starts = problem
+        trace = SimpleNamespace(k=radii.size, norm_w=radii, w=starts)
+        expected = []
         try:
-            for radius in radii:
-                prev = constrained_opt(rows, loss, float(radius), w0=prev)
-                expected.append(prev)
+            for radius, start in zip(radii, starts):
+                expected.append(constrained_opt(rows, loss, float(radius), w0=start))
         except ConvergenceError as err:
             with pytest.raises(ConvergenceError) as info:
                 ball_series(rows, loss, trace)
@@ -318,7 +354,7 @@ class TestMinimizeRisk:
         rows = np.array([[1.0, 1e-8, 0.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
         M = np.vstack([rows, -0.5 * rows])
         with pytest.raises(ConvergenceError, match="rounding floor") as info:
-            minimize_risk(M, 0, M.shape[0], np.inf, np.zeros(3), 1e-10)
+            minimize_risk(M, 0, M.shape[0], [np.inf], np.zeros((1, 3)), 1e-10)
         assert 0 <= info.value.iterations <= 10
 
     @settings(max_examples=200, deadline=None)
@@ -327,15 +363,10 @@ class TestMinimizeRisk:
         rows, loss, radius = problem
         tol = 1e-10
         code = 0 if loss == "logistic" else 1
-        w, _ = minimize_risk(rows, code, rows.shape[0], radius, np.zeros(rows.shape[1]), tol)
+        start = np.zeros((1, rows.shape[1]))
+        (w,), _ = minimize_risk(rows, code, rows.shape[0], [radius], start, tol)
         assert np.linalg.norm(w) <= radius * (1 + 1e-12)
-        g = grad(rows, loss, w)
-        p = w - g
-        if np.linalg.norm(p) > radius:
-            p *= radius / np.linalg.norm(p)
-            res = np.linalg.norm(w - p)
-        else:
-            res = np.linalg.norm(g)
+        res, g, p = _kkt_residual(rows, loss, w, radius)
         assert res <= tol
         cons = [] if np.isinf(radius) else [
             {"type": "ineq", "fun": lambda v: radius**2 - v @ v, "jac": lambda v: -2.0 * v}
@@ -355,3 +386,81 @@ class TestMinimizeRisk:
         x = ref.x * min(1.0, radius / max(np.linalg.norm(ref.x), 1e-300))
         certified = res * (np.linalg.norm(g) + np.linalg.norm(p - x))
         assert risk(rows, loss, w) <= risk(rows, loss, x) + certified + 1e-12
+
+
+class TestBatchedAgainstFrozenSolver:
+    """The batched minimize_risk against tests/ball_oracle.py, the solver as
+    it stood with one radius per Newton solve."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ball_problems(), st.sampled_from((1e-10, 1e-14, 1e-16)), st.data())
+    def test_batch_of_one_is_the_frozen_solver(self, problem, tol, data):
+        # bit for bit, and the same error where the frozen solver fails
+        rows, loss, radius = problem
+        code, (n, d) = LOSS_CODES[loss], rows.shape
+        start = data.draw(
+            arrays(np.float64, d, elements=st.floats(-2.0, 2.0)) | st.just(np.zeros(d))
+        )
+        try:
+            expected = ball_oracle.minimize_risk(rows, code, n, radius, start, tol)
+        except ConvergenceError as err:
+            with pytest.raises(ConvergenceError) as info:
+                minimize_risk(rows, code, n, [radius], start[None], tol)
+            assert _same_error(info.value, err)
+            return
+        (w,), (it,) = minimize_risk(rows, code, n, [radius], start[None], tol)
+        np.testing.assert_array_equal(w, expected[0], strict=True)
+        assert it == expected[1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ball_series_problems(),
+        st.sampled_from((1e-10, 1e-14, 1e-15)),
+        st.sampled_from((0.0, 0.5, 1.0)),
+        st.sampled_from((linalg.LINE_SEARCH_STEPS, 1)),
+    )
+    def test_each_slot_is_its_batch_of_one(self, problem, tol, shrink, trials):
+        # tol 1e-14 and 1e-15 lie below the rounding floor at the larger radii
+        # of some draws, and a line search of one trial finds no descent
+        # wherever the full Newton step overshoots, so that some slots fail
+        # and others do not
+        rows, loss, radii, starts = problem
+        code, n = LOSS_CODES[loss], rows.shape[0]
+        starts = shrink * starts
+        alone, first_error = [], None
+        with mock.patch.object(linalg, "LINE_SEARCH_STEPS", trials):
+            for radius, start in zip(radii, starts):
+                try:
+                    alone.append(minimize_risk(rows, code, n, [radius], start[None], tol))
+                except ConvergenceError as err:
+                    first_error = first_error or err
+            if first_error is not None:
+                with pytest.raises(ConvergenceError) as info:
+                    minimize_risk(rows, code, n, radii, starts, tol)
+                assert _same_error(info.value, first_error)
+                return
+            w, its = minimize_risk(rows, code, n, radii, starts, tol)
+        np.testing.assert_array_equal(w, np.concatenate([a[0] for a in alone]), strict=True)
+        np.testing.assert_array_equal(its, np.concatenate([a[1] for a in alone]), strict=True)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ball_series_problems(), st.sampled_from(("constant_one", "inv_sqrt")), st.integers(1, 400)
+    )
+    def test_series_agrees_with_warm_started_series(self, problem, schedule, T):
+        # on a descent trace, the batched series starts slot k from w_t and
+        # the frozen one from the answer at the radius before: both meet the
+        # stopping rule, and the risks agree within what it certifies
+        rows, loss = problem[:2]
+        trace = run(rows, loss, schedule, T)
+        batched = ball_series(rows, loss, trace)
+        warm = ball_oracle.ball_series(rows, LOSS_CODES[loss], trace.norm_w, BALL_TOL)
+        for radius, wb, wo in zip(trace.norm_w, batched, warm):
+            res_b, g_b, p_b = _kkt_residual(rows, loss, wb, radius)
+            res_o, g_o, p_o = _kkt_residual(rows, loss, wo, radius)
+            for w, res in ((wb, res_b), (wo, res_o)):
+                assert np.linalg.norm(w) <= radius * (1 + 1e-12)
+                assert res <= BALL_TOL
+            r_b, r_o = risk(rows, loss, wb), risk(rows, loss, wo)
+            assert r_b <= r_o + res_b * (np.linalg.norm(g_b) + np.linalg.norm(p_b - wo)) + 1e-12
+            assert r_o <= r_b + res_o * (np.linalg.norm(g_o) + np.linalg.norm(p_o - wb)) + 1e-12
