@@ -13,7 +13,6 @@ steps, in a few vectorized calls over what the chunk stored.
 
 import bisect
 import math
-import struct
 from itertools import repeat
 
 import numpy as np
@@ -125,31 +124,35 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
     and running sums over j < t, zero past steps_done).
 
     A step makes two products and the loss derivative between them.  The
-    first, ext @ w, where ext stacks the basis of S and the rows A, A and
-    -A, gives the coordinates of P_S w and the margins z twice and negated.
-    One np.minimum of [z, z] and [-z, 0] (n trailing zeros) gives the
-    minima [-|z|, min(z,0)], and one exp of them t = e^-|z| and
-    e^min(z,0), the numerator of the sigmoid; add (against an array of
-    ones) and divide give loss'(z) = e^min(z,0) / (1 + t).  The exponential
-    loss is its own derivative, exp of the margins.  The gradient is the
-    second product, A^T loss'(z), on its own as in the reference loop, so
-    that it keeps its bits: near an interior optimum its terms cancel, and
-    summed in another order (as rows of P below) they move |grad| by ulps
-    of the terms, not of |grad|.
+    first is ext @ w.  For the logistic loss ext stacks the basis of S and
+    the rows A, A and -A, which gives the coordinates of P_S w and the
+    margins z twice and negated.  One np.minimum of [z, z] and [-z, 0] (n
+    trailing zeros) gives the minima [-|z|, min(z,0)], and one exp of them
+    t = e^-|z| and e^min(z,0), the numerator of the sigmoid; add (against
+    an array of ones) and divide give loss'(z) = e^min(z,0) / (1 + t).  The
+    exponential loss is its own derivative, exp of the margins, so there
+    ext stacks only the basis of S and A.  The gradient is the second
+    product, A^T loss'(z), on its own as in the reference loop, so that it
+    keeps its bits: near an interior optimum its terms cancel, and summed
+    in another order (as rows of P below) they move |grad| by ulps of the
+    terms, not of |grad|.
 
-    Besides these, a step only updates the iterate in Python floats
-    (written back into w with one struct pack_into, which builds no array)
-    and compares j with the next checkpoint, where it copies the iterate.
-    That is six numpy calls for the logistic loss (the products, np.minimum,
-    exp, add and divide) and three for the exponential (the products and
-    exp); nothing in the next step reads the loss values or the risk.  Each
-    call but the add (into one buffer of n) writes into slot i of a block
-    allocated once for a chunk of C = _CHUNK steps, with the views of every
-    slot sliced before the loop: ext @ w into Y, (C, r + 4n); the minima,
-    their exp in place and the derivative into L, (C, 2, n) (the
-    exponential's values into (C, 1, n)); the gradient into (C, d).  The P
-    product below goes into (C, 2, p), or (C, 1, p).  At n = 43, r = 1 and
-    d = 2 the blocks take 0.55 MB, whatever T is.
+    Besides these, a step only updates the iterate in Python floats, one
+    coordinate at a time in a plain loop that stores each new coordinate
+    into both the list and w (a list comprehension is a function call per
+    step), and compares j with the next checkpoint, where it copies the
+    iterate.  That is six numpy calls for the logistic loss (the products,
+    np.minimum, exp, add and divide) and three for the exponential (the
+    products and exp); nothing in the next step reads the loss values or
+    the risk.  Each call but the add (into one buffer of n) writes into
+    slot i of a block allocated once for a chunk of C = _CHUNK steps, with
+    the views of every slot sliced before the loop: ext @ w into Y,
+    (C, r + 4n) for the logistic loss and (C, r + n) for the exponential;
+    the minima, their exp in place and the derivative into L, (C, 2, n)
+    (the exponential's values into (C, 1, n)); the gradient into (C, d).
+    The P product below goes into (C, 2, p), or (C, 1, p).  At n = 43,
+    r = 1 and d = 2 the logistic blocks take 0.55 MB and the exponential
+    ones 0.19 MB, whatever T is.
 
     After each chunk, the fold first finishes the loss terms: log1p of the
     stored t, less -max(z,0) = min(-z, 0) of the stored -z (exact), gives
@@ -199,7 +202,8 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
     cps = cps.tolist() + [-1]
     C = min(_CHUNK, T + 1)
 
-    ext = np.vstack([bs_cols.T, A, A, -A])
+    # the logistic minima read [z, z] and [-z, 0]; the exponential reads z
+    ext = np.vstack([bs_cols.T, A] if exponential else [bs_cols.T, A, A, -A])
     ones = np.ones(n)
     u = np.empty(n)  # 1 + t
     P = np.zeros((2 + d if cross else 2, n))
@@ -212,25 +216,26 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
     basis = bs_cols.tolist()
     w = np.zeros(d)
     w_list = w.tolist()
-    write_w = struct.Struct(f"{d}d").pack_into
+    coords_d = range(d)
 
     # slot i of each block holds step j0 + i of the chunk
-    Y = np.zeros((C, r + 4 * n))  # ext @ w, then the n zeros of the minima
+    # ext @ w, then (logistic) the n zeros of the minima
+    Y = np.zeros((C, r + (n if exponential else 4 * n)))
     L = np.empty((C, 1 if exponential else 2, n))  # loss values, derivatives
     S = np.empty((C, L.shape[1], P.shape[0]))  # L @ PT, at the fold
     G = np.empty((C, d))  # At @ der
-    heads = Y[:, : r + 3 * n]
     if exponential:
         # its own derivative: exp of the margins z (in the place of lo), into
         # the one row of L
-        z, der = Y[:, r : r + n], L[:, 0]
-        slots = list(zip(heads, z, repeat(None), der, repeat(None), der, G))
+        z, der = Y[:, r:], L[:, 0]
+        slots = list(zip(Y, z, repeat(None), der, repeat(None), der, G))
     else:
         # the minima [-|z|, min(z,0)] of [z, z] and [-z, 0], and their exp
         # [t, e^min(z,0)] in place, into the two rows of L
         lo, hi = Y[:, r : r + 2 * n], Y[:, r + 2 * n :]
+        heads = Y[:, : r + 3 * n]
         slots = list(zip(heads, lo, hi, L.reshape(C, 2 * n), L[:, 0], L[:, 1], G))
-    neg_z = Y[:, r + 2 * n : r + 3 * n]
+        neg_z = Y[:, r + 2 * n : r + 3 * n]
     coords, vals, ders = Y[:, :r], S[:, 0], S[:, -1]
     from_one = np.arange(1.0, C + 1.0)
     etas = np.ones(C)
@@ -272,8 +277,11 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
                 if j == cps[k]:
                     cp_w[k] = w_list
                     k += 1
-                w_list = [a - eta * (x / n) for a, x in zip(w_list, At.dot(der, out=g).tolist())]
-                write_w(w, 0, *w_list)
+                gl = At.dot(der, out=g).tolist()
+                for i in coords_d:
+                    x = w_list[i] - eta * (gl[i] / n)
+                    w_list[i] = x
+                    w[i] = x
 
             # the loss values log1p(t) - (-max(z,0)), -max(z,0) = min(-z, 0)
             # from the stored -z, and the P product of every slot: one

@@ -189,7 +189,7 @@ def cmd_report(args) -> int:
     meta = data["meta"]
     print(
         f"dataset={meta['digest']} loss={meta['loss']} schedule={meta['schedule']} "
-        f"T={meta['T']} n={meta['n']} kernel={meta.get('kernel_path', '?')}"
+        f"T={meta['T']} n={meta['n']}"
     )
     for c in data["checks"]:
         status = "PASS" if c["holds"] else "FAIL"

@@ -50,16 +50,6 @@ def grad(A, loss: str, w: np.ndarray) -> np.ndarray:
     return rows.T @ derivs / rows.shape[0]
 
 
-def step_sizes(schedule: str, js) -> np.ndarray:
-    """eta_j for the given schedule at step indices js."""
-    js = np.asarray(js, dtype=float)
-    if schedule == "constant_one":
-        return np.ones_like(js)
-    if schedule == "inv_sqrt":
-        return 1.0 / np.sqrt(js + 1.0)
-    raise ValidationError(f"unknown schedule {schedule!r}; choose from {tuple(SCHED_CODES)}")
-
-
 def checkpoint_times(T: int, per_decade: int = DEFAULT_PER_DECADE) -> np.ndarray:
     """Log-spaced integer checkpoint times in [1, T], always including T."""
     if T < 1:

@@ -89,13 +89,20 @@ def min_norm_point(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Point x of the convex hull of the rows of P nearest the origin.
 
     Wolfe's algorithm (P. Wolfe, Finding the nearest point in a polytope,
-    Math. Programming 11, 1976): each major cycle adds the row that most
-    violates the optimality condition min_i (P x)_i >= |x|^2 to a corral of
-    rows, then minor cycles move x to the nearest point of the corral's hull.
-    It stops once no row violates the condition by more than
-    MNP_TOL |x| max_i |P_i|, or when only rounding drives a cycle (the row
-    is already in the corral, or |x| fails to shrink; a point whose |x|^2
-    ties with the last is kept).  Returns (q, x, iterations): simplex
+    Math. Programming 11, 1976): each major cycle adds the row outside the
+    corral of smallest (P x)_i to a corral of rows, then minor cycles move x
+    to the nearest point of the corral's hull.  x is optimal when
+    min_i (P x)_i >= |x|^2, which the corral's own rows meet with equality
+    in exact arithmetic.  But x carries an absolute rounding error near
+    MNP_TOL max_i |P_i|, so once |x|^2 is that small a row whose computed
+    (P x)_i looks no violation can be the one that reaches the origin.  So a
+    row is tried unless (P x)_i exceeds |x|^2 by more than
+    MNP_TOL max_i |P_i|^2, and a cycle that only rounding drives (|x|
+    grows, or it ends on a corral it has ended on before) keeps x and sets
+    its row aside until |x| next shrinks.  A point whose |x|^2 ties with
+    the last is kept, since it is the nearer one in exact arithmetic, and
+    its row is set aside too.  Every cycle ends on a new corral or sets a
+    row aside, so the cycles end.  Returns (q, x, iterations): simplex
     weights q, x = P^T q, and the number of major cycles.
     """
     P = np.asarray(P, dtype=float)
@@ -103,14 +110,18 @@ def min_norm_point(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         raise ValueError("expected a nonempty 2-D array with one point per row")
     n, d = P.shape
     sq = np.einsum("ij,ij->i", P, P)
-    scale = MNP_TOL * float(np.sqrt(sq.max()))
+    slack = MNP_TOL * float(sq.max())
     corral, lam = np.array([int(np.argmin(sq))]), np.ones(1)
     x, xx = P[corral[0]], float(sq[corral[0]])
     iterations = 0
-    while corral.shape[0] <= d:
+    seen = {tuple(corral)}
+    aside: list[int] = []
+    while corral.shape[0] <= d and xx > 0.0:
         px = P @ x
+        px[corral] = np.inf
+        px[aside] = np.inf
         j = int(np.argmin(px))
-        if xx - px[j] <= scale * np.sqrt(xx) or j in corral:
+        if px[j] > xx + slack:
             break
         iterations += 1
         c, w = np.append(corral, j), np.append(lam, 0.0)
@@ -131,14 +142,13 @@ def min_norm_point(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
             c, w = c[w > 0.0], w[w > 0.0] / w[w > 0.0].sum()
         x_new = P[c].T @ w
         xx_new = float(x_new @ x_new)
-        if not xx_new <= xx:
-            break
-        shrank = xx_new < xx
+        key = tuple(np.sort(c))
+        if not xx_new <= xx or key in seen:
+            aside.append(j)
+            continue
+        seen.add(key)
+        aside = [] if xx_new < xx else aside + [j]
         corral, lam, x, xx = c, w, x_new, xx_new
-        if not shrank:
-            # |x|^2 ties: only rounding could drive another cycle, and the new
-            # point is the nearer one in exact arithmetic
-            break
     q = np.zeros(n)
     q[corral] = lam
     return q, P.T @ q, iterations

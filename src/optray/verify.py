@@ -36,7 +36,7 @@ CHECK_NAMES = (
 )
 
 LOG_APPROX_EPS_GRID = (1.0, 0.5, 0.1, 0.01)
-LOG_APPROX_SAMPLES = 10_000
+LOG_APPROX_ULPS = 8  # steps inside the boundary of {loss <= eps}, at most
 NORM_BOUNDS_MIN_T = 10
 
 
@@ -321,34 +321,33 @@ def _estimate_first_qualifying(trace: GDTrace, excess: np.ndarray, target: float
     return float(np.exp((np.log(target) - intercept) / slope))
 
 
-def check_log_approx(
-    samples: int = LOG_APPROX_SAMPLES, eps_grid=LOG_APPROX_EPS_GRID, seed: int = 1
-) -> CheckResult:
+def check_log_approx(eps_grid=LOG_APPROX_EPS_GRID) -> CheckResult:
     """Loss-ratio facts on the low-loss region: once loss(z) <= eps, the ratio
-    loss'(z)/loss(z) is at least 1-eps, and e^z is at most twice the loss."""
-    rng = np.random.default_rng(seed)
+    loss'(z)/loss(z) is at least 1-eps, and e^z is at most twice the loss.
+
+    For the exponential loss both facts are identities.  For the logistic
+    loss, with s = e^z, loss'/loss = s / ((1+s) ln(1+s)) falls in z and
+    e^z/loss = s / ln(1+s) rises, so the worst point of {loss <= eps} is its
+    boundary z = ln(e^eps - 1), where the ratios are (1 - e^-eps)/eps and
+    (e^eps - 1)/eps.  The facts are evaluated there, a few ulps inside so
+    that the kernel's loss is at most eps."""
+    eps = np.asarray(eps_grid, dtype=float)
     worst = np.inf
     worst_eps = -1.0
-    for code, name in ((_kernels.LOGISTIC, "logistic"), (_kernels.EXPONENTIAL, "exponential")):
-        for eps in eps_grid:
-            if code == _kernels.EXPONENTIAL:
-                z_max = np.log(eps)
-            else:
-                z_max = np.log(np.expm1(eps))
-            z = rng.uniform(z_max - 30.0, z_max, size=samples)
-            lv = np.asarray(_kernels.loss_values(z, code))
-            lp = np.asarray(_kernels.loss_derivs(z, code))
-            slack = min(
-                float(np.min(lp / lv - (1.0 - eps))),
-                float(np.min(2.0 - np.exp(z) / lv)),
-            )
-            # a sample outside the region loss <= eps voids the facts above
-            outside = float(lv.max()) / eps - 1.0
-            if outside > 0.0:
-                slack = min(slack, -outside)
-            if slack < worst:
-                worst = slack
-                worst_eps = eps
+    for code in (_kernels.LOGISTIC, _kernels.EXPONENTIAL):
+        z = np.log(eps) if code == _kernels.EXPONENTIAL else np.log(np.expm1(eps))
+        for _ in range(LOG_APPROX_ULPS):
+            out = _kernels.loss_values(z, code) > eps
+            z[out] = np.nextafter(z[out], -np.inf)
+        lv = _kernels.loss_values(z, code)
+        lp = _kernels.loss_derivs(z, code)
+        slack = np.minimum(lp / lv - (1.0 - eps), 2.0 - np.exp(z) / lv)
+        # a point outside the region loss <= eps voids the facts above
+        slack = np.where(lv > eps, np.minimum(slack, 1.0 - lv / eps), slack)
+        i = int(np.argmin(slack))
+        if slack[i] < worst:
+            worst = float(slack[i])
+            worst_eps = float(eps[i])
     holds = worst >= -NUMERIC_ATOL
     return CheckResult(
         "log_approx", holds, worst, -1, note=f"worst over eps grid at eps={worst_eps}"
@@ -528,6 +527,5 @@ def report_meta(trace: GDTrace, structure: Structure, digest: str, tolerances: d
         "offset_norm": float(np.linalg.norm(structure.offset)),
         "inf_risk": structure.inf_risk,
         "curvature_est": None if not np.isfinite(structure.curvature) else structure.curvature,
-        "kernel_path": "numpy",
         "tolerances": tolerances,
     }

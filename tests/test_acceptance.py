@@ -290,7 +290,7 @@ def test_criterion_10_fenchel_young_and_log_approx(matrix_runs, long_runs):
     canon = next(r for r in long_runs if r["name"] == "canonical_mixed")
     gi = check_gen_iter(canon["trace"], canon["structure"])
     assert gi.applicable and gi.holds, gi.note
-    _pass(10, f"dual entropy bounded by ln n; loss-ratio facts at 1e4 samples per level; "
+    _pass(10, f"dual entropy bounded by ln n; loss-ratio facts at the boundary of each level; "
               f"angle bounds hold ({nonvacuous} non-vacuous runs)")
 
 

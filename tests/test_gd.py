@@ -26,7 +26,6 @@ from optray.gd import (
     grad,
     risk,
     run,
-    step_sizes,
 )
 from optray.linalg import minimize_risk
 from optray.verify import check_smoothness
@@ -80,14 +79,6 @@ class TestGrad:
             )
             scale = max(np.linalg.norm(g), 1e-12)
             assert np.linalg.norm(g - fd) / scale <= 1e-6
-
-
-class TestStepSizes:
-    def test_constant(self):
-        np.testing.assert_allclose(step_sizes("constant_one", [0, 1, 5]), [1, 1, 1])
-
-    def test_inv_sqrt(self):
-        np.testing.assert_allclose(step_sizes("inv_sqrt", [0, 3]), [1.0, 0.5])
 
 
 class TestCheckpointTimes:

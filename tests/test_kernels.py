@@ -376,11 +376,18 @@ class TestDescentLoop:
 
 @pytest.mark.parametrize(
     "kind, loss_code, sched_code",
-    [("separable", K.EXPONENTIAL, K.CONSTANT_ONE), ("mixed", K.LOGISTIC, K.INV_SQRT)],
+    [
+        ("separable", K.EXPONENTIAL, K.CONSTANT_ONE),
+        ("mixed", K.LOGISTIC, K.INV_SQRT),
+        ("mixed", K.EXPONENTIAL, K.INV_SQRT),
+        ("overlap", K.LOGISTIC, K.CONSTANT_ONE),
+    ],
 )
 def test_matches_reference_loop_at_benchmark_size(kind, loss_code, sched_code):
     # the hypothesis problems have n <= 12; BLAS may take other kernel paths
-    # for the products of the 40- and 43-row long-run inputs
+    # for the products of the 40- and 43-row long-run inputs.  Every (loss,
+    # schedule) pair appears; overlap has an interior optimum, where the
+    # gradient's terms cancel
     A = to_margin_matrix(synth(kind, 20, 1)).rows
     dec = partition(MarginMatrix(A))
     T = 20_000

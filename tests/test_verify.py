@@ -3,6 +3,8 @@ import math
 import gd_oracle
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optray import _kernels
 from optray.dataset import MarginMatrix, synth, to_margin_matrix
@@ -11,6 +13,7 @@ from optray.gd import ball_series, run
 from optray.pipeline import run_pipeline
 from optray.verify import (
     CHECK_NAMES,
+    LOG_APPROX_EPS_GRID,
     CheckResult,
     build_report,
     check_direction,
@@ -141,6 +144,44 @@ class TestLogApprox:
     def test_deterministic(self):
         a, b = check_log_approx(), check_log_approx()
         assert a.worst_slack == b.worst_slack
+
+    def test_worst_is_the_logistic_boundary(self):
+        # (1 - e^-eps)/eps - (1 - eps) at the smallest eps of the grid
+        eps = min(LOG_APPROX_EPS_GRID)
+        res = check_log_approx()
+        assert res.worst_slack == pytest.approx(-math.expm1(-eps) / eps - (1.0 - eps), rel=1e-12)
+        assert f"eps={eps}" in res.note
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-700.0, 700.0), st.floats(-700.0, 700.0))
+    def test_logistic_ratios_are_monotone(self, a, b):
+        # loss'/loss falls in z and e^z/loss rises, up to the rounding of the
+        # two ratios, so the worst point of {loss <= eps} is its boundary
+        z = np.array(sorted((a, b)))
+        lv = _kernels.loss_values(z, _kernels.LOGISTIC)
+        lp = _kernels.loss_derivs(z, _kernels.LOGISTIC)
+        falls, rises = lp / lv, np.exp(z) / lv
+        tol = 8 * np.finfo(float).eps
+        assert falls[0] >= falls[1] * (1.0 - tol)
+        assert rises[0] <= rises[1] * (1.0 + tol)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(LOG_APPROX_EPS_GRID), st.floats(0.0, 30.0))
+    def test_no_point_inside_is_worse_than_the_boundary(self, eps, depth):
+        # the sampled form of the check: a point of {loss <= eps} at depth
+        # below the boundary never has a smaller slack than the one reported
+        res = check_log_approx(eps_grid=(eps,))
+        for code, z_max in (
+            (_kernels.LOGISTIC, math.log(math.expm1(eps))),
+            (_kernels.EXPONENTIAL, math.log(eps)),
+        ):
+            z = np.array([z_max - depth])
+            lv = _kernels.loss_values(z, code)
+            if lv[0] > eps:
+                continue
+            lp = _kernels.loss_derivs(z, code)
+            slack = min(lp[0] / lv[0] - (1.0 - eps), 2.0 - math.exp(z[0]) / lv[0])
+            assert slack >= res.worst_slack - 8 * np.finfo(float).eps
 
     def test_samples_outside_region_fail(self, monkeypatch):
         # doubling loss and derivative keeps the ratio facts but puts samples
