@@ -19,9 +19,10 @@ the solve repeats.  A round that separates no row falls back to one cone test
 per row.  The remainder rows span the subspace S.
 
 `validate` checks a finished split with one matrix product per certificate:
-the max-margin direction of the separable rows projected off S separates
-them while holding the remainder at zero, and the Stiemke weights show that
-no remainder row is separable.
+the max-margin direction of the separable rows projected off S, which
+`margin.solve_dual` returns and the caller passes in, separates them while
+holding the remainder at zero, and the Stiemke weights show that no
+remainder row is separable.
 
 `separable_certificate` and its boxed LP (lp.py) are not used by either.
 """
@@ -33,7 +34,7 @@ import numpy as np
 from . import lp
 from .dataset import MarginMatrix
 from .errors import ValidationError
-from .linalg import Basis, complement, min_norm_point, nnls, orthonormal_basis
+from .linalg import Basis, complement, nnls, orthonormal_basis
 
 # a row is strictly separable when a unit direction holding every other row at
 # or below zero gives it a margin above this
@@ -56,15 +57,14 @@ class Certificate:
 class Decomposition:
     """Index partition (sep_rows, sc_rows), bases of S and its complement, the
     separable rows projected onto the complement, and positive weights under
-    which the remainder rows sum to zero (None when not known: `validate`
-    then derives them, and `to_dict` leaves them out)."""
+    which the remainder rows sum to zero (`to_dict` leaves them out)."""
 
     sep_rows: np.ndarray
     sc_rows: np.ndarray
     basis_s: Basis
     basis_perp: Basis
     a_perp: np.ndarray
-    sc_weights: np.ndarray | None = None
+    sc_weights: np.ndarray
 
     @property
     def n_sep(self) -> int:
@@ -82,16 +82,6 @@ class Decomposition:
             "basis_perp": self.basis_perp.columns.tolist(),
             "a_perp": self.a_perp.tolist(),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Decomposition":
-        return cls(
-            sep_rows=np.asarray(data["sep_rows"], dtype=np.int64),
-            sc_rows=np.asarray(data["sc_rows"], dtype=np.int64),
-            basis_s=Basis(np.asarray(data["basis_s"], dtype=float)),
-            basis_perp=Basis(np.asarray(data["basis_perp"], dtype=float)),
-            a_perp=np.asarray(data["a_perp"], dtype=float),
-        )
 
 
 def separable_certificate(A: MarginMatrix, active) -> Certificate:
@@ -233,41 +223,34 @@ class ValidationReport:
         return all(passed for passed, _ in self.checks.values())
 
 
-def validate(dec: Decomposition, A: MarginMatrix, slack_tol: float = SLACK_TOL) -> ValidationReport:
-    """Check a decomposition against its defining properties.
+def validate(
+    dec: Decomposition, A: MarginMatrix, direction: np.ndarray | None, slack_tol: float = SLACK_TOL
+) -> ValidationReport:
+    """Check a decomposition against its defining properties, given the unit
+    max-margin direction of its separable rows over the complement of S
+    (None when it has none).
 
-    (a) certificate: the max-margin direction of the sep rows projected onto
-        the complement of S separates every sep row by at least slack_tol
-        while holding the remainder at zero; (b) the remainder, viewed in
-        S-coordinates, admits no positive margin; (c) the remainder rows live
-        entirely inside S; (d) stiemke: the remainder weights are strictly
-        positive and their combination of the remainder rows nearly vanishes,
-        so that no remainder row gets a margin above slack_tol from a unit
-        direction holding the others at or below zero.
+    (a) certificate: that direction separates every sep row by at least
+        slack_tol while holding the remainder at zero; (b) the remainder rows
+        live entirely inside S; (c) stiemke: the remainder weights are
+        strictly positive and their combination of the remainder rows nearly
+        vanishes, so that no remainder row gets a margin above slack_tol from
+        a unit direction holding the others at or below zero.  (c) also puts
+        the hull of the remainder in S-coordinates within slack_tol / n_sc of
+        the origin: the remainder admits no positive margin.
     """
     checks = {}
     if dec.sep_rows.size:
-        sep = A.rows[dec.sep_rows]
-        x = min_norm_point(dec.basis_perp.project(sep))[1]
-        gamma = float(np.linalg.norm(x))
-        u = -x / gamma if gamma > 0.0 else x
-        worst_sep = float((sep @ u).max())
+        worst_sep = float((A.rows[dec.sep_rows] @ direction).max())
         ok_a = worst_sep <= -slack_tol
         if dec.sc_rows.size:
-            held = float(np.abs(A.rows[dec.sc_rows] @ u).max())
+            held = float(np.abs(A.rows[dec.sc_rows] @ direction).max())
             ok_a = ok_a and held <= 1e-9
         else:
             held = 0.0
         checks["certificate"] = (ok_a, max(worst_sep + slack_tol, held - 1e-9))
     else:
         checks["certificate"] = (True, 0.0)
-
-    if dec.sc_rows.size and dec.rank_s > 0:
-        m_coords = A.rows[dec.sc_rows] @ dec.basis_s.columns
-        resid = float(np.linalg.norm(min_norm_point(m_coords)[1]))
-        checks["remainder_nonseparable"] = (resid <= 1e-6, resid - 1e-6)
-    else:
-        checks["remainder_nonseparable"] = (True, 0.0)
 
     if dec.sc_rows.size and dec.basis_perp.rank > 0:
         leak = float(np.abs(A.rows[dec.sc_rows] @ dec.basis_perp.columns).max())
@@ -276,8 +259,7 @@ def validate(dec: Decomposition, A: MarginMatrix, slack_tol: float = SLACK_TOL) 
         checks["remainder_in_span"] = (True, 0.0)
 
     if dec.sc_rows.size:
-        sc = A.rows[dec.sc_rows]
-        q = dec.sc_weights if dec.sc_weights is not None else _remainder(sc, slack_tol)[1]
+        sc, q = A.rows[dec.sc_rows], dec.sc_weights
         # a unit u with A_sc u <= 0 has q_k (A_sc u)_k >= q^T A_sc u >= -|A_sc^T q|
         leak = float(np.linalg.norm(sc.T @ q))
         bound = slack_tol * float(q.min())

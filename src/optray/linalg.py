@@ -1,5 +1,6 @@
-"""Small dense linear algebra: orthonormal bases, projections, the nearest
-point of a polytope to the origin, nonnegative least squares, and the
+"""Small dense linear algebra: orthonormal bases, projections, nonnegative
+least squares (the one active-set solver: the partition's cone tests and the
+max-margin dual in least-distance form both reduce to it), and the
 minimizers of the empirical risk over balls."""
 
 from dataclasses import dataclass
@@ -10,10 +11,9 @@ from . import _kernels
 from .errors import ConvergenceError
 
 DEFAULT_RANK_TOL = 1e-10
-# stopping rule of both active-set methods: in Wolfe's, no row improves on x by
-# more than this times |x| max |P_i|; in Lawson-Hanson's, no column's gradient
-# exceeds this times its norm times the residual's
-MNP_TOL = 1e-15
+# stopping rule of nnls: no column's gradient exceeds this times its norm times
+# the residual's
+NNLS_TOL = 1e-15
 # Newton iterations of minimize_risk before it gives up
 NEWTON_MAX_ITERS = 200
 # trial points of one line search before it gives up
@@ -85,75 +85,6 @@ def complement(basis: Basis) -> Basis:
     return Basis(_canonical_signs(vt[r:].T))
 
 
-def min_norm_point(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Point x of the convex hull of the rows of P nearest the origin.
-
-    Wolfe's algorithm (P. Wolfe, Finding the nearest point in a polytope,
-    Math. Programming 11, 1976): each major cycle adds the row outside the
-    corral of smallest (P x)_i to a corral of rows, then minor cycles move x
-    to the nearest point of the corral's hull.  x is optimal when
-    min_i (P x)_i >= |x|^2, which the corral's own rows meet with equality
-    in exact arithmetic.  But x carries an absolute rounding error near
-    MNP_TOL max_i |P_i|, so once |x|^2 is that small a row whose computed
-    (P x)_i looks no violation can be the one that reaches the origin.  So a
-    row is tried unless (P x)_i exceeds |x|^2 by more than
-    MNP_TOL max_i |P_i|^2, and a cycle that only rounding drives (|x|
-    grows, or it ends on a corral it has ended on before) keeps x and sets
-    its row aside until |x| next shrinks.  A point whose |x|^2 ties with
-    the last is kept, since it is the nearer one in exact arithmetic, and
-    its row is set aside too.  Every cycle ends on a new corral or sets a
-    row aside, so the cycles end.  Returns (q, x, iterations): simplex
-    weights q, x = P^T q, and the number of major cycles.
-    """
-    P = np.asarray(P, dtype=float)
-    if P.ndim != 2 or P.shape[0] < 1:
-        raise ValueError("expected a nonempty 2-D array with one point per row")
-    n, d = P.shape
-    sq = np.einsum("ij,ij->i", P, P)
-    slack = MNP_TOL * float(sq.max())
-    corral, lam = np.array([int(np.argmin(sq))]), np.ones(1)
-    x, xx = P[corral[0]], float(sq[corral[0]])
-    iterations = 0
-    seen = {tuple(corral)}
-    aside: list[int] = []
-    while corral.shape[0] <= d and xx > 0.0:
-        px = P @ x
-        px[corral] = np.inf
-        px[aside] = np.inf
-        j = int(np.argmin(px))
-        if px[j] > xx + slack:
-            break
-        iterations += 1
-        c, w = np.append(corral, j), np.append(lam, 0.0)
-        while True:
-            # nearest point of the affine hull of P[c], by least squares over the
-            # differences from its first row (P[c] P[c]^T would square the conditioning)
-            beta = np.linalg.lstsq((P[c[1:]] - P[c[0]]).T, -P[c[0]], rcond=None)[0]
-            alpha = np.concatenate(([1.0 - beta.sum()], beta))
-            if alpha.min() > 0.0:
-                w = alpha / alpha.sum()
-                break
-            # outside the hull: step toward it until a weight reaches zero, and drop
-            # that row; w >= 0 >= alpha here, and w = alpha = 0 gives ratio 0
-            neg = np.flatnonzero(alpha <= 0.0)
-            ratios = w[neg] / np.maximum(w[neg] - alpha[neg], 1e-300)
-            w = w + ratios.min() * (alpha - w)
-            w[neg[int(np.argmin(ratios))]] = 0.0
-            c, w = c[w > 0.0], w[w > 0.0] / w[w > 0.0].sum()
-        x_new = P[c].T @ w
-        xx_new = float(x_new @ x_new)
-        key = tuple(np.sort(c))
-        if not xx_new <= xx or key in seen:
-            aside.append(j)
-            continue
-        seen.add(key)
-        aside = [] if xx_new < xx else aside + [j]
-        corral, lam, x, xx = c, w, x_new, xx_new
-    q = np.zeros(n)
-    q[corral] = lam
-    return q, P.T @ q, iterations
-
-
 def nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """x >= 0 minimizing |E x - f|.
 
@@ -163,9 +94,9 @@ def nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     then minor cycles solve least squares on the passive columns and, while
     some of its weights are not positive, step from x toward that solution
     until a weight reaches zero and drop that column.  It stops once no
-    column has w_j > MNP_TOL |E_j| |f - E x|, when only rounding drives a
+    column has w_j > NNLS_TOL |E_j| |f - E x|, when only rounding drives a
     cycle (the entering column gets no weight, or the squared residual
-    shrinks by no more than MNP_TOL |E (z - x)| |f - E x|), or when a weight
+    shrinks by no more than NNLS_TOL |E (z - x)| |f - E x|), or when a weight
     would pass the float range.  Every step works on the columns scaled to
     unit norm: the entering column is the one of largest w_j / |E_j|, and the
     least-squares solve, refined once, does not let lstsq's rank cutoff drop
@@ -183,7 +114,7 @@ def nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r, rr = f, float(f @ f)
     while not passive.all():
         g = unit.T @ r  # w_j / |E_j|
-        entering = ~passive & (g > MNP_TOL * np.sqrt(rr))
+        entering = ~passive & (g > NNLS_TOL * np.sqrt(rr))
         if not entering.any():
             break
         j = int(np.argmax(np.where(entering, g, -np.inf)))
@@ -215,7 +146,7 @@ def nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # |r|^2 - |r_new|^2 from the step itself: subtracting the two squares
         # loses a decrease below eps |r|^2
         delta = E @ (z - x)
-        if not float(delta @ (2.0 * r - delta)) > MNP_TOL * np.linalg.norm(delta) * np.sqrt(rr):
+        if not float(delta @ (2.0 * r - delta)) > NNLS_TOL * np.linalg.norm(delta) * np.sqrt(rr):
             break
         r = f - E @ z
         x, passive, rr = z, p, float(r @ r)

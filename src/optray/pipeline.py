@@ -57,11 +57,12 @@ def analyze(
     margin_tol: float = 1e-8,
     scvx_tol: float = 1e-10,
 ) -> Structure:
-    """Partition the rows, solve the max-margin dual over the complement, and
-    minimize the restricted risk over the span of the remainder."""
+    """Partition the rows, solve the max-margin dual over the complement,
+    check the split against that direction, and minimize the restricted risk
+    over the span of the remainder."""
     dec = partition(matrix)
-    report = validate(dec, matrix)
     margin_sol = solve_dual(dec.a_perp, tol=margin_tol) if dec.n_sep > 0 else None
+    report = validate(dec, matrix, None if margin_sol is None else margin_sol.direction)
     sc_opt = solve_vbar(
         matrix.rows[dec.sc_rows], dec.basis_s, loss, n_total=matrix.n, tol=scvx_tol
     )

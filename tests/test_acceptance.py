@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from hull_oracle import margin_direction
 
 from optray.dataset import MarginMatrix, synth, to_margin_matrix
 from optray.decompose import Decomposition, partition, row_feasible, validate
@@ -309,6 +310,7 @@ def test_criterion_11_negative_controls():
         basis_s=dec.basis_s,
         basis_perp=dec.basis_perp,
         a_perp=dec.a_perp,
+        sc_weights=np.ones(2),
     )
-    assert not validate(swapped, m).ok
+    assert not validate(swapped, m, margin_direction(swapped)).ok
     _pass(11, "injected risk increase and decomposition swap are both detected")

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from test_lp import _block_rows
+from hull_oracle import block_rows, margin_direction
 
 import optray
 import optray.pipeline
@@ -166,7 +166,9 @@ def test_verify_separable_unit_steps(tmp_path):
 @pytest.fixture
 def failing_self_check(monkeypatch):
     monkeypatch.setattr(
-        optray.pipeline, "validate", lambda dec, A: ValidationReport({"certificate": (False, 1.0)})
+        optray.pipeline,
+        "validate",
+        lambda dec, A, direction: ValidationReport({"certificate": (False, 1.0)}),
     )
 
 
@@ -183,12 +185,13 @@ def test_decompose_passes_self_check_on_former_lp_fault_instance(tmp_path):
     # d = 6, 50 separable rows and a remainder of rank 3: the simplex behind the
     # former certificate check returned an infeasible point here, and decompose
     # exited 3
-    rows = _block_rows(6, 3, 50, 30, 8)
+    rows = block_rows(6, 3, 50, 30, 8)
     path, out = tmp_path / "block6.csv", tmp_path / "o"
     save_csv(Dataset(-rows, np.ones(rows.shape[0], dtype=np.int64)), path)
     assert main(["decompose", "--input", str(path), "--out", str(out)]) == 0
     A = to_margin_matrix(load_csv(path))
-    assert validate(partition(A), A).ok
+    split = partition(A)
+    assert validate(split, A, margin_direction(split)).ok
     dec = json.loads((out / "decomposition.json").read_text())
     assert dec["sep_rows"] == list(range(50))
     assert np.array(dec["basis_s"]).shape == (6, 3)

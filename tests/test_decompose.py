@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_lp import _block_rows
+from hull_oracle import block_rows, margin_direction, nearest_point_oracle
 
 from optray import decompose
 from optray.dataset import MarginMatrix, synth, to_margin_matrix
@@ -22,6 +22,11 @@ def mat(rows):
     return MarginMatrix(np.asarray(rows, dtype=float))
 
 
+def check(dec, A):
+    """validate against the direction `pipeline.analyze` passes in."""
+    return validate(dec, A, margin_direction(dec))
+
+
 @st.composite
 def block_inputs(draw):
     """Block rows in d <= 6 with a remainder of every rank below d, then up to
@@ -31,7 +36,7 @@ def block_inputs(draw):
     rank = draw(st.integers(0, d - 1))
     n_sep = draw(st.integers(1 if rank == 0 else 0, 10))
     n_sc = draw(st.integers(2, 10))
-    rows = _block_rows(d, rank, n_sep, n_sc, draw(st.integers(0, 2**16)))
+    rows = block_rows(d, rank, n_sep, n_sc, draw(st.integers(0, 2**16)))
     pick = st.tuples(st.integers(0, n_sep + n_sc - 1), st.sampled_from((1.0, -1.0)))
     picks = draw(st.lists(pick, max_size=4))
     rows = np.vstack([rows] + [sign * rows[i] for i, sign in picks])
@@ -140,7 +145,7 @@ class TestPartition:
     def test_invariant_under_permutation_and_row_scaling(self, data, d, seed):
         rank = data.draw(st.integers(1, d - 1))
         n_sep, n_sc = data.draw(st.integers(1, 10)), data.draw(st.integers(2, 10))
-        rows = _block_rows(d, rank, n_sep, n_sc, seed)
+        rows = block_rows(d, rank, n_sep, n_sc, seed)
         n = n_sep + n_sc
         perm = np.array(data.draw(st.permutations(range(n))))
         scales = np.array(data.draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
@@ -154,7 +159,7 @@ class TestPartition:
         A = mat(rows)
         dec = partition(A)
         assert dec.sep_rows.tolist() == [i for i in range(A.n) if row_feasible(A, i)]
-        assert validate(dec, A).ok
+        assert check(dec, A).ok
 
     def test_near_tolerance_rows_all_remain_with_one_solve(self, monkeypatch):
         # k copies of (0.5, 0) and of (-0.5, 2.5e-8): every per-row residual is
@@ -164,7 +169,7 @@ class TestPartition:
         solves = count_calls(monkeypatch, "nnls")
         dec = partition(A)
         assert dec.sep_rows.size == 0 and dec.rank_s == 2
-        assert validate(dec, A).ok
+        assert validate(dec, A, None).ok
         assert len(solves) == 1
 
     def test_near_tolerance_rows_fall_back_to_per_row_tests(self, monkeypatch):
@@ -208,7 +213,7 @@ class TestPartition:
 class TestValidate:
     def test_canonical_passes(self):
         A = mat(CANONICAL_MIXED)
-        rep = validate(partition(A), A)
+        rep = check(partition(A), A)
         assert rep.ok, rep.checks
 
     def test_corrupted_swap_fails(self):
@@ -220,13 +225,15 @@ class TestValidate:
             basis_s=dec.basis_s,
             basis_perp=dec.basis_perp,
             a_perp=dec.a_perp,
+            sc_weights=np.ones(2),
         )
-        rep = validate(swapped, A)
+        rep = check(swapped, A)
         assert not rep.ok
 
-    def test_remainder_off_origin_fails_only_that_check(self):
+    def test_remainder_off_origin_fails_stiemke(self):
         # both rows lie in S = span(e2) and no row is separable, but their hull
-        # [0.5, 1] e2 misses the origin: the remainder has a positive margin
+        # [0.5, 1] e2 misses the origin: the remainder has a positive margin,
+        # and no positive weights make the rows vanish
         A = mat([[0.0, 1.0], [0.0, 0.5]])
         dec = Decomposition(
             sep_rows=np.zeros(0, dtype=np.int64),
@@ -234,40 +241,40 @@ class TestValidate:
             basis_s=Basis(np.array([[0.0], [1.0]])),
             basis_perp=Basis(np.array([[1.0], [0.0]])),
             a_perp=np.zeros((0, 2)),
+            sc_weights=np.ones(2),
         )
-        rep = validate(dec, A)
+        rep = check(dec, A)
         assert not rep.ok
         assert rep.checks["certificate"][0] and rep.checks["remainder_in_span"][0]
-        ok, slack = rep.checks["remainder_nonseparable"]
-        assert not ok
-        assert slack == pytest.approx(0.5 - 1e-6, abs=1e-15)
+        assert not rep.checks["stiemke"][0]
 
     def test_empty_separable_block(self):
         A = mat([[-1.0], [1.0]])
-        rep = validate(partition(A), A)
+        rep = check(partition(A), A)
         assert rep.ok
         assert rep.checks["certificate"] == (True, 0.0)
 
     def test_synth_kinds_pass(self):
         for kind in ("separable", "overlap", "touching", "mixed"):
             A = to_margin_matrix(synth(kind, 10, 2))
-            rep = validate(partition(A), A)
+            rep = check(partition(A), A)
             assert rep.ok, (kind, rep.checks)
 
-    def test_missing_weights_take_one_solve(self, monkeypatch):
-        A = to_margin_matrix(synth("mixed", 20, 1))
-        dec = Decomposition.from_dict(partition(A).to_dict())
-        assert dec.sc_weights is None
-        solves = count_calls(monkeypatch, "nnls")
-        rep = validate(dec, A)
-        assert rep.ok, rep.checks
-        assert len(solves) == 1
-
-    def test_round_trip_dict(self):
-        dec = partition(mat(CANONICAL_MIXED))
-        back = Decomposition.from_dict(dec.to_dict())
-        np.testing.assert_array_equal(back.sep_rows, dec.sep_rows)
-        np.testing.assert_allclose(back.basis_perp.columns, dec.basis_perp.columns)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), d=st.integers(2, 5), seed=st.integers(0, 2**16))
+    def test_stiemke_puts_the_remainder_hull_at_the_origin(self, data, d, seed):
+        # the Stiemke weights q bound the hull point A_sc^T q / sum(q) by
+        # SLACK_TOL min(q) / sum(q): the remainder admits no positive margin
+        rank = data.draw(st.integers(1, min(3, d - 1)))
+        n_sep, n_sc = data.draw(st.integers(0, 6)), data.draw(st.integers(2, 8))
+        rows = block_rows(d, rank, n_sep, n_sc, seed)
+        scales = data.draw(st.lists(st.floats(1e-3, 1.0), min_size=len(rows), max_size=len(rows)))
+        A = mat(rows * np.array(scales)[:, None])
+        dec = partition(A)
+        ok, _ = check(dec, A).checks["stiemke"]
+        if ok and dec.rank_s > 0:
+            coords = A.rows[dec.sc_rows] @ dec.basis_s.columns
+            assert nearest_point_oracle(coords) <= 1e-6
 
 
 class TestSynthGeometry:

@@ -1,15 +1,13 @@
-import itertools
-
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hull_oracle import point_sets
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from optray.linalg import (
     Basis,
     complement,
-    min_norm_point,
     nnls,
     orthonormal_basis,
 )
@@ -87,78 +85,6 @@ class TestProject:
             np.testing.assert_allclose(b.project(w) + bp.project(w), w, atol=1e-10)
             if b.rank and bp.rank:
                 np.testing.assert_allclose(b.columns.T @ bp.columns, 0.0, atol=1e-12)
-
-
-@st.composite
-def point_sets(draw):
-    """Up to 12 points in R^1..R^5, some of them copies, zeros or multiples of
-    other points."""
-    n = draw(st.integers(1, 12))
-    d = draw(st.integers(1, 5))
-    P = draw(arrays(np.float64, (n, d), elements=st.floats(-2.0, 2.0)))
-    for i in range(n):
-        j = draw(st.integers(0, n - 1))
-        kind = draw(st.sampled_from(("keep", "copy", "zero", "multiple")))
-        if kind == "copy":
-            P[i] = P[j]
-        elif kind == "zero":
-            P[i] = 0.0
-        elif kind == "multiple":
-            P[i] = draw(st.floats(-3.0, 3.0)) * P[j]
-    return P
-
-
-def nearest_point_oracle(P):
-    """min |P^T q| over the simplex by enumeration: the optimum is the nearest
-    point of the affine hull of some support of at most d+1 rows, with
-    nonnegative weights.  Every candidate is clipped onto the simplex, so each
-    one is attained by a feasible q."""
-    n, d = P.shape
-    best = np.inf
-    for k in range(1, min(n, d + 1) + 1):
-        for support in itertools.combinations(range(n), k):
-            Q = P[list(support)]
-            kkt = np.ones((k + 1, k + 1))
-            kkt[:k, :k] = Q @ Q.T
-            kkt[k, k] = 0.0
-            rhs = np.zeros(k + 1)
-            rhs[k] = 1.0
-            try:
-                w = np.maximum(np.linalg.solve(kkt, rhs)[:k], 0.0)
-            except np.linalg.LinAlgError:
-                continue  # affinely dependent support: a smaller one covers it
-            if np.isfinite(w).all() and w.sum() > 0.0:
-                best = min(best, float(np.linalg.norm(Q.T @ (w / w.sum()))))
-    return best
-
-
-class TestMinNormPoint:
-    def test_segment_through_origin(self):
-        q, x, _ = min_norm_point(np.array([[1.0, 0.0], [-1.0, 0.0], [2.0, 1.0]]))
-        np.testing.assert_allclose(q, [0.5, 0.5, 0.0])
-        np.testing.assert_allclose(x, [0.0, 0.0], atol=1e-16)
-
-    def test_nearest_point_on_an_edge(self):
-        q, x, _ = min_norm_point(np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]]))
-        np.testing.assert_allclose(x, [0.5, 0.5], atol=1e-15)
-        np.testing.assert_allclose(q, [0.5, 0.5, 0.0], atol=1e-15)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            min_norm_point(np.zeros((0, 2)))
-
-    @settings(max_examples=300, deadline=None)
-    @given(point_sets())
-    # the nearest point (0, -1) improves |x|^2 on the first row only by 1e-20,
-    # below its rounding
-    @example(P=np.array([[1e-10, -1.0], [-1.0, -1.0]]))
-    def test_optimal_against_enumeration(self, P):
-        q, x, _ = min_norm_point(P)
-        assert q.min() >= 0.0
-        assert abs(q.sum() - 1.0) <= 1e-12
-        np.testing.assert_array_equal(x, P.T @ q)
-        assert float(np.min(P @ x)) >= float(x @ x) - 1e-12
-        assert abs(float(np.linalg.norm(x)) - nearest_point_oracle(P)) <= 1e-12
 
 
 class TestNnls:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hull_oracle import block_rows
 
 from optray import lp
 from optray.dataset import MarginMatrix
@@ -67,26 +68,10 @@ def test_matches_scipy_on_random_instances():
         assert ours.objective == pytest.approx(-ref.fun, abs=1e-8)
 
 
-def _block_rows(d, rank_s, n_sep, n_sc, seed):
-    """n_sep rows that one unit vector orthogonal to a random rank_s subspace S
-    separates, followed by n_sc rows of S centred under positive weights."""
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    basis_s, perp = q[:, :rank_s], q[:, rank_s:]
-    coords = rng.standard_normal((n_sc, rank_s))
-    weights = rng.uniform(0.2, 1.0, size=n_sc)
-    coords -= weights @ coords / weights.sum()
-    p = rng.standard_normal((n_sep, d - rank_s))
-    p[:, 0] = -(0.2 + np.abs(p[:, 0]))
-    sep = p @ perp.T + rng.standard_normal((n_sep, rank_s)) @ basis_s.T
-    rows = np.vstack([sep, coords @ basis_s.T])
-    return rows / (1.1 * np.linalg.norm(rows, axis=1).max())
-
-
 def test_infeasible_pivot_result_is_not_returned():
     # on this d = 6 instance the pivot sequence ends at a point that violates
     # A u <= -s by about 4; it must raise instead of passing as optimal
-    A = MarginMatrix(_block_rows(6, 3, 50, 30, 8))
+    A = MarginMatrix(block_rows(6, 3, 50, 30, 8))
     try:
         cert = separable_certificate(A, np.arange(50))
     except LPError:

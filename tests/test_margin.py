@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hull_oracle import nearest_point_oracle, point_sets
+from hypothesis import example, given, settings
 
+import optray.margin
+from optray.dataset import synth, to_margin_matrix
 from optray.errors import NotSeparableError, ValidationError
-from optray.margin import primal_margin, solve_dual
+from optray.margin import DEFAULT_GAP_TOL, primal_margin, solve_dual
+from optray.pipeline import analyze
 
 SQRT2 = np.sqrt(2.0)
 
@@ -60,7 +65,6 @@ class TestSolveDual:
             solve_dual(np.array([[-1.0], [1.0]]))
 
     def test_direction_is_unit_and_orthogonal_to_span(self):
-        from optray.dataset import synth, to_margin_matrix
         from optray.decompose import partition
 
         A = to_margin_matrix(synth("mixed", 10, 5))
@@ -72,6 +76,55 @@ class TestSolveDual:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             solve_dual(np.zeros((0, 2)))
+
+    def test_segment_through_origin_not_separable(self):
+        with pytest.raises(NotSeparableError):
+            solve_dual(np.array([[1.0, 0.0], [-1.0, 0.0], [2.0, 1.0]]))
+
+    def test_nearest_point_on_an_edge(self):
+        sol = solve_dual(np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]]))
+        assert abs(sol.margin - 1 / SQRT2) <= 1e-15
+        np.testing.assert_allclose(sol.dual_weights, [0.5, 0.5, 0.0], atol=1e-15)
+
+    def test_rows_at_an_angle_near_the_rounding(self):
+        # (-1, 0) and (-1, 1e-9) are columns at angle 1e-9 of the NNLS solve,
+        # below sqrt(eps); the nearest point lies on the edge from c to b
+        b, c = np.array([-1.0, 1e-9]), np.array([-0.5, -0.5])
+        sol = solve_dual(np.array([[-1.0, 0.0], b, c]))
+        x = c - (c @ (b - c)) / ((b - c) @ (b - c)) * (b - c)
+        assert abs(sol.margin - np.linalg.norm(x)) <= 1e-12
+        np.testing.assert_allclose(sol.direction, -x / np.linalg.norm(x), rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(point_sets())
+    # the nearest point (0, -1) improves |x|^2 on the first row only by 1e-20,
+    # below its rounding
+    @example(P=np.array([[1e-10, -1.0], [-1.0, -1.0]]))
+    def test_optimal_against_enumeration(self, P):
+        best = nearest_point_oracle(P)
+        try:
+            sol = solve_dual(P)
+        except NotSeparableError:
+            assert best <= DEFAULT_GAP_TOL + 1e-12
+            return
+        q = sol.dual_weights
+        assert q.min() >= 0.0
+        assert abs(q.sum() - 1.0) <= 1e-12
+        assert abs(sol.margin - best) <= 1e-12
+
+
+def test_analyze_solves_the_margin_once(monkeypatch):
+    calls = []
+    inner = optray.margin.nnls
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(optray.margin, "nnls", counted)
+    structure = analyze(to_margin_matrix(synth("mixed", 10, 5)), "logistic")
+    assert structure.margin_sol is not None and structure.validation.ok
+    assert len(calls) == 1
 
 
 class TestPrimalMargin:

@@ -3,7 +3,7 @@ block instances whose split is fixed by construction."""
 
 import numpy as np
 import pytest
-from test_lp import _block_rows
+from hull_oracle import block_rows, margin_direction
 
 from optray.dataset import MarginMatrix
 from optray.decompose import partition, validate
@@ -44,7 +44,7 @@ def oracle_split(rows: np.ndarray) -> list:
 def test_oracle_finds_the_constructed_split():
     # d = 4, remainder of rank 3, seed 3: the simplex-based partition reported
     # no separable row and rank_s = 4 here
-    rows = _block_rows(4, 3, N_SEP, N_SC, 3)
+    rows = block_rows(4, 3, N_SEP, N_SC, 3)
     assert oracle_split(rows) == list(range(N_SEP))
     dec = partition(MarginMatrix(rows))
     assert dec.sep_rows.tolist() == list(range(N_SEP))
@@ -57,11 +57,11 @@ def test_partition_matches_highs_oracle_on_block_instances(d):
     for dd, r, s in BLOCK_CASES:
         if dd != d:
             continue
-        rows = _block_rows(d, r, N_SEP, N_SC, s)
+        rows = block_rows(d, r, N_SEP, N_SC, s)
         A = MarginMatrix(rows)
         dec = partition(A)
         oracle = oracle_split(rows)
         assert oracle == list(range(N_SEP)), (d, r, s)
-        if dec.sep_rows.tolist() != oracle or dec.rank_s != r or not validate(dec, A).ok:
+        if dec.sep_rows.tolist() != oracle or dec.rank_s != r or not validate(dec, A, margin_direction(dec)).ok:
             wrong.append((r, s))
     assert not wrong, f"d = {d}: partition differs from the oracle at (rank, seed) {wrong}"
