@@ -77,6 +77,12 @@ class TestSolveDual:
         with pytest.raises(ValidationError):
             solve_dual(np.zeros((0, 2)))
 
+    def test_non_matrix_rejected(self):
+        with pytest.raises(ValidationError):
+            solve_dual(np.zeros(2))
+        with pytest.raises(ValidationError):
+            solve_dual(np.zeros((1, 2, 2)))
+
     def test_segment_through_origin_not_separable(self):
         with pytest.raises(NotSeparableError):
             solve_dual(np.array([[1.0, 0.0], [-1.0, 0.0], [2.0, 1.0]]))
