@@ -6,7 +6,7 @@ from .decompose import Decomposition, partition, row_feasible, separable_certifi
 from .gd import GDTrace, ball_series, constrained_opt, grad, risk, run
 from .linalg import Basis, complement, orthonormal_basis
 from .margin import MarginSolution, primal_margin, solve_dual
-from .pipeline import Structure, analyze, run_pipeline
+from .pipeline import Structure, analyze
 from .strongconvex import ScOptimum, estimate_lambda, solve_vbar
 from .verify import CheckResult, VerificationReport, build_report, run_checks
 
@@ -39,7 +39,6 @@ __all__ = [
     "row_feasible",
     "run",
     "run_checks",
-    "run_pipeline",
     "save_csv",
     "separable_certificate",
     "solve_dual",

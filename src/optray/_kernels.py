@@ -192,7 +192,7 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
       terms: its running sum crosses zero, and this form rounds several
       times less than a sum of loss'(z_i) (A_i . P_S w) over the rows.
     sum_eta, sum_eff_grad and sum_tele are cumulative sums of the stored
-    series, taken after the loop.
+    series, taken after the loop by descent_sums.
     """
     n, d = A.shape
     r = bs_cols.shape[1]
@@ -340,23 +340,29 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
             if status != STATUS_OK:
                 break
 
-        # sum_eta, sum_eff_grad and sum_tele are cumulative sums of eta_j,
-        # eff_j rel_j and descent_terms: each term is built in one reused
-        # buffer with the float operations of the loop's own eta and eff,
-        # and np.cumsum adds in step order, so the sums have the bits of
-        # running sums in the loop
         if k:
-            at = np.array(cps[:k]) - 1
-            buf = np.ones(cps[k - 1])
-            eff, rel = eff_steps[: buf.size], rel_steps[: buf.size]
-            if sched_code == INV_SQRT:
-                np.sqrt(np.cumsum(buf, out=buf), out=buf)  # sqrt(j + 1), j + 1 exact
-                np.divide(1.0, buf, out=buf)
-            cp_sums[1, :k] = np.cumsum(buf, out=buf)[at]
-            cp_sums[2, :k] = np.cumsum(np.multiply(eff, rel, out=buf), out=buf)[at]
-            cp_sums[3, :k] = np.cumsum(descent_terms(eff, rel, out=buf), out=buf)[at]
+            cp_sums[1:4, :k] = descent_sums(eff_steps, rel_steps, sched_code, cps[:k])
 
     return (status, steps_done, risk_steps, rel_steps, eff_steps, cp_w, *cp_sums)
+
+
+def descent_sums(eff_steps, rel_steps, sched_code, ts):
+    """sum_eta, sum_eff_grad and sum_tele at each checkpoint time of ts
+    (each >= 1), as the rows of a (3, K) array: cumulative sums of
+    eta_j, eff_j rel_j and descent_terms over the steps j < t.  Each term is
+    built in one reused buffer with the float operations of the loop's own
+    eta and eff, and np.cumsum adds in step order, so the sums have the bits
+    of running sums in the loop."""
+    at = np.asarray(ts) - 1
+    buf = np.ones(at.max() + 1)
+    eff, rel = eff_steps[: buf.size], rel_steps[: buf.size]
+    if sched_code == INV_SQRT:
+        np.sqrt(np.cumsum(buf, out=buf), out=buf)  # sqrt(j + 1), j + 1 exact
+        np.divide(1.0, buf, out=buf)
+    sum_eta = np.cumsum(buf, out=buf)[at]
+    sum_eff_grad = np.cumsum(np.multiply(eff, rel, out=buf), out=buf)[at]
+    sum_tele = np.cumsum(descent_terms(eff, rel, out=buf), out=buf)[at]
+    return np.stack([sum_eta, sum_eff_grad, sum_tele])
 
 
 def descent_terms(eff, rel, out=None):

@@ -22,8 +22,10 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .gd import GDTrace, run
+from .gd import BALL_TOL, GDTrace, run
+from .margin import DEFAULT_GAP_TOL
 from .pipeline import analyze
+from .strongconvex import GRAD_TOL
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -153,14 +155,7 @@ def cmd_verify(args) -> int:
         _check_trace_inputs(trace, ds.digest(), args.loss, structure)
     else:
         trace = _run_trace(args, matrix, structure)
-    results, trends = verify_mod.run_checks(
-        trace,
-        structure,
-        eps_fy=args.eps_fy,
-        eps_gen=args.eps_gen,
-        r_gen=args.r_gen,
-        ball_tol=args.tol_ball,
-    )
+    results, trends = verify_mod.run_checks(trace, structure, ball_tol=args.tol_ball)
     tolerances = {
         "margin": args.tol_margin,
         "scvx": args.tol_scvx,
@@ -224,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
         pp = sub.add_parser(name)
         _add_input_flags(pp)
         pp.add_argument("--loss", choices=("logistic", "exponential"), default="logistic")
-        pp.add_argument("--tol-margin", type=float, default=1e-8)
-        pp.add_argument("--tol-scvx", type=float, default=1e-10)
+        pp.add_argument("--tol-margin", type=float, default=DEFAULT_GAP_TOL)
+        pp.add_argument("--tol-scvx", type=float, default=GRAD_TOL)
         pp.add_argument("--out", required=True)
         if needs_sched:
             pp.add_argument("--schedule", choices=("constant_one", "inv_sqrt"), default="inv_sqrt")
@@ -234,12 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
             pp.add_argument("--checkpoints-per-decade", type=int, default=20)
         if name == "verify":
             pp.add_argument("--trace-dir", help="reuse a saved trace instead of re-running")
-            pp.add_argument("--eps-fy", type=float, default=1.0)
-            pp.add_argument("--eps-gen", type=float, default=0.3)
-            pp.add_argument("--r-gen", type=float, default=0.9)
-            pp.add_argument("--tol-ball", type=float, default=1e-10)
-        else:
-            pp.set_defaults(tol_ball=1e-10)
+            pp.add_argument("--tol-ball", type=float, default=BALL_TOL)
         pp.set_defaults(fn=fn)
 
     pr = sub.add_parser("report", help="pretty-print a report.json")
@@ -255,7 +245,7 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError, DegenerateDataError, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (NumericalError, ConvergenceError, LPError, NotImplementedError) as exc:
+    except (NumericalError, ConvergenceError, LPError) as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OptrayError as exc:

@@ -137,7 +137,7 @@ def _cone_test(rows: np.ndarray, i: int) -> tuple[float, np.ndarray]:
     return float(np.linalg.norm(r)), np.insert(q, i, 1.0)
 
 
-def _cone_weights(rows: np.ndarray, slack_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _cone_weights(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mask of the rows that no direction separates from the others, and the
     sum of their weight vectors over n, by one cone test per row (a weight can
     come near the float range, where the plain sum would overflow)."""
@@ -145,20 +145,20 @@ def _cone_weights(rows: np.ndarray, slack_tol: float) -> tuple[np.ndarray, np.nd
     inside, weights = np.zeros(n, dtype=bool), np.zeros(n)
     for i in range(n):
         resid, lam = _cone_test(rows, i)
-        if resid <= slack_tol:
+        if resid <= SLACK_TOL:
             inside[i] = True
             weights += lam / n
     return inside, weights
 
 
-def _remainder(rows: np.ndarray, slack_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _remainder(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mask of the rows that no direction separates from the others, and
     Stiemke weights on them (zero elsewhere), by the iterated global cone test.
 
     Each round solves min_{p >= 0} |A_R^T (1 + p)| over the candidate rows R.
-    A residual r within slack_tol leaves R as the remainder with weights
+    A residual r within SLACK_TOL leaves R as the remainder with weights
     q = 1 + p >= 1.  Otherwise u = r / |r| holds R at or below zero (the KKT
-    conditions of the solve), and the rows it gives a margin above slack_tol
+    conditions of the solve), and the rows it gives a margin above SLACK_TOL
     are separable and leave R.  When a round drops no row, or u lifts a row
     above zero, the per-row tests (`_cone_weights`) decide instead.
     """
@@ -167,27 +167,27 @@ def _remainder(rows: np.ndarray, slack_tol: float) -> tuple[np.ndarray, np.ndarr
         cand = rows[inside]
         p, r = nnls(cand.T, -cand.sum(axis=0))
         resid = float(np.linalg.norm(r))
-        if resid <= slack_tol:
+        if resid <= SLACK_TOL:
             weights = np.zeros(rows.shape[0])
             weights[inside] = 1.0 + p
             return inside, weights
         margins = cand @ (r / resid)
-        drop = margins < -slack_tol
+        drop = margins < -SLACK_TOL
         if not drop.any() or margins.max() > 1e-12:
-            return _cone_weights(rows, slack_tol)
+            return _cone_weights(rows)
         inside[np.flatnonzero(inside)[drop]] = False
     return inside, np.zeros(rows.shape[0])
 
 
-def row_feasible(A: MarginMatrix, i: int, slack_tol: float = SLACK_TOL) -> bool:
+def row_feasible(A: MarginMatrix, i: int) -> bool:
     """Per-row oracle: can row i get strictly negative margin while every row
     stays at or below zero?  The cone test of row i alone."""
     if not 0 <= i < A.n:
         raise ValidationError(f"row index {i} out of range")
-    return _cone_test(A.rows, i)[0] > slack_tol
+    return _cone_test(A.rows, i)[0] > SLACK_TOL
 
 
-def partition(A: MarginMatrix, slack_tol: float = SLACK_TOL) -> Decomposition:
+def partition(A: MarginMatrix) -> Decomposition:
     """Split the rows into the maximal strictly separable set and the rest.
 
     The iterated global cone test (`_remainder`) needs a few solves per input;
@@ -196,7 +196,7 @@ def partition(A: MarginMatrix, slack_tol: float = SLACK_TOL) -> Decomposition:
     the per-row tests, when they decide) as its Stiemke weights.
     """
     d = A.d
-    inside, weights = _remainder(A.rows, slack_tol)
+    inside, weights = _remainder(A.rows)
     sep_rows, sc_rows = np.flatnonzero(~inside), np.flatnonzero(inside)
     basis_s = orthonormal_basis(A.rows[sc_rows] if sc_rows.size else np.zeros((0, d)))
     basis_perp = complement(basis_s)
@@ -223,32 +223,30 @@ class ValidationReport:
         return all(passed for passed, _ in self.checks.values())
 
 
-def validate(
-    dec: Decomposition, A: MarginMatrix, direction: np.ndarray | None, slack_tol: float = SLACK_TOL
-) -> ValidationReport:
+def validate(dec: Decomposition, A: MarginMatrix, direction: np.ndarray | None) -> ValidationReport:
     """Check a decomposition against its defining properties, given the unit
     max-margin direction of its separable rows over the complement of S
     (None when it has none).
 
     (a) certificate: that direction separates every sep row by at least
-        slack_tol while holding the remainder at zero; (b) the remainder rows
+        SLACK_TOL while holding the remainder at zero; (b) the remainder rows
         live entirely inside S; (c) stiemke: the remainder weights are
         strictly positive and their combination of the remainder rows nearly
-        vanishes, so that no remainder row gets a margin above slack_tol from
+        vanishes, so that no remainder row gets a margin above SLACK_TOL from
         a unit direction holding the others at or below zero.  (c) also puts
-        the hull of the remainder in S-coordinates within slack_tol / n_sc of
+        the hull of the remainder in S-coordinates within SLACK_TOL / n_sc of
         the origin: the remainder admits no positive margin.
     """
     checks = {}
     if dec.sep_rows.size:
         worst_sep = float((A.rows[dec.sep_rows] @ direction).max())
-        ok_a = worst_sep <= -slack_tol
+        ok_a = worst_sep <= -SLACK_TOL
         if dec.sc_rows.size:
             held = float(np.abs(A.rows[dec.sc_rows] @ direction).max())
             ok_a = ok_a and held <= 1e-9
         else:
             held = 0.0
-        checks["certificate"] = (ok_a, max(worst_sep + slack_tol, held - 1e-9))
+        checks["certificate"] = (ok_a, max(worst_sep + SLACK_TOL, held - 1e-9))
     else:
         checks["certificate"] = (True, 0.0)
 
@@ -262,7 +260,7 @@ def validate(
         sc, q = A.rows[dec.sc_rows], dec.sc_weights
         # a unit u with A_sc u <= 0 has q_k (A_sc u)_k >= q^T A_sc u >= -|A_sc^T q|
         leak = float(np.linalg.norm(sc.T @ q))
-        bound = slack_tol * float(q.min())
+        bound = SLACK_TOL * float(q.min())
         checks["stiemke"] = (bound > 0.0 and leak <= bound, leak - bound)
     else:
         checks["stiemke"] = (True, 0.0)

@@ -34,6 +34,12 @@ def _loss_code(loss: str) -> int:
     return LOSS_CODES[loss]
 
 
+def _sched_code(schedule: str) -> int:
+    if schedule not in SCHED_CODES:
+        raise ValidationError(f"unknown schedule {schedule!r}; choose from {tuple(SCHED_CODES)}")
+    return SCHED_CODES[schedule]
+
+
 def risk(A, loss: str, w: np.ndarray) -> float:
     """Empirical risk (1/n) sum_i loss((A w)_i)."""
     rows = _rows(A)
@@ -175,31 +181,61 @@ class GDTrace:
 
     @classmethod
     def from_files(cls, json_path, steps_path) -> "GDTrace":
+        """Read a trace that to_json and save_steps wrote.  The checkpoint
+        columns that follow from the iterates and the per-step series are
+        derived as run derives them; a trace.json whose copy of one differs
+        is rejected, so that every check reads the same numbers."""
         with open(json_path) as fh:
             data = json.load(fh)
         meta = data["meta"]
         recs = data["checkpoints"]
         steps = np.load(steps_path)
-        d = meta["d"]
-        arrays = {name: np.array([r[name] for r in recs]) for name in cls.CSV_SCALARS}
+        series = {name: steps[name] for name in ("risk_steps", "rel_steps", "eff_steps")}
+        ts = np.array([r["t"] for r in recs], dtype=np.int64)
+        if not (ts.size and np.all((ts >= 1) & (ts < series["risk_steps"].size))):
+            raise ValidationError(f"{json_path} has checkpoints outside the steps of {steps_path}")
+        cols = {name: np.array([r[name] for r in recs], dtype=float) for name in cls.CSV_SCALARS}
+        for name in ("w", "proj_s", "dir"):
+            cols[name] = np.array([r[name] for r in recs], dtype=float).reshape(ts.size, meta["d"])
+        derived = _checkpoint_columns(ts, cols["w"], cols["proj_s"], **series)
+        sums = _kernels.descent_sums(
+            series["eff_steps"], series["rel_steps"], _sched_code(meta["schedule"]), ts
+        )
+        derived.update(zip(("sum_eta", "sum_eff_grad", "sum_tele"), sums))
+        for name, value in derived.items():
+            if not np.array_equal(value, cols[name], equal_nan=True):
+                raise ValidationError(f"{json_path}: {name} does not match the iterates and {steps_path}")
+        cols.update(derived)
         return cls(
             loss=meta["loss"],
             schedule=meta["schedule"],
             T=meta["T"],
             n=meta["n"],
-            d=d,
+            d=meta["d"],
             status=meta["status"],
             sep_rows=np.asarray(meta["sep_rows"], dtype=np.int64),
-            ts=np.array([r["t"] for r in recs], dtype=np.int64),
-            w=np.array([r["w"] for r in recs], dtype=float).reshape(len(recs), d),
-            proj_s=np.array([r["proj_s"] for r in recs], dtype=float).reshape(len(recs), d),
-            dir=np.array([r["dir"] for r in recs], dtype=float).reshape(len(recs), d),
-            risk_steps=steps["risk_steps"],
-            rel_steps=steps["rel_steps"],
-            eff_steps=steps["eff_steps"],
+            ts=ts,
             digest=meta.get("digest", ""),
-            **arrays,
+            **series,
+            **cols,
         )
+
+
+def _checkpoint_columns(ts, w, proj_s, risk_steps, rel_steps, eff_steps) -> dict:
+    """The checkpoint columns that follow from the iterates w, their
+    projections onto S and the per-step series."""
+    risk, rel = risk_steps[ts], rel_steps[ts]
+    norm_w = np.linalg.norm(w, axis=1)
+    safe = np.where(norm_w == 0.0, 1.0, norm_w)
+    return {
+        "risk": risk,
+        "grad_norm": rel * risk,
+        "rel_grad": rel,
+        "eff_step": eff_steps[ts],
+        "norm_w": norm_w,
+        "proj_perp_norm": np.linalg.norm(w - proj_s, axis=1),
+        "dir": np.where(norm_w[:, None] > 0.0, w / safe[:, None], 0.0),
+    }
 
 
 def run(
@@ -223,32 +259,19 @@ def run(
     n, d = rows.shape
     if T < 1:
         raise ValidationError("T must be >= 1")
-    loss_code = _loss_code(loss)
-    if schedule not in SCHED_CODES:
-        raise ValidationError(f"unknown schedule {schedule!r}; choose from {tuple(SCHED_CODES)}")
-    sched_code = SCHED_CODES[schedule]
+    loss_code, sched_code = _loss_code(loss), _sched_code(schedule)
     if sep_rows is None:
         sep_idx = np.arange(n, dtype=np.int64)
     else:
         sep_idx = np.asarray(sep_rows, dtype=np.int64)
-    bs_cols = basis_s.columns if basis_s is not None else np.zeros((d, 0))
+    if basis_s is None:
+        basis_s = Basis(np.zeros((d, 0)))
     ts = checkpoint_times(T, checkpoints_per_decade)
 
-    (
-        status,
-        steps_done,
-        risk_steps,
-        rel_steps,
-        eff_steps,
-        cp_w,
-        cp_perceptron,
-        cp_sum_eta,
-        cp_sum_eff_grad,
-        cp_sum_tele,
-        cp_sum_eta_sep,
-        cp_sum_cross,
-        cp_sup_proj_s,
-    ) = _kernels.gd_loop(rows, sep_idx, bs_cols, loss_code, sched_code, int(T), ts)
+    # the running sums come in the order of the last seven CSV columns
+    status, steps_done, risk_steps, rel_steps, eff_steps, cp_w, *cp_sums = _kernels.gd_loop(
+        rows, sep_idx, basis_s.columns, loss_code, sched_code, int(T), ts
+    )
 
     if status == _kernels.STATUS_STEP_ASSERT:
         raise NumericalError(
@@ -259,18 +282,7 @@ def run(
     if ts.size == 0:
         raise NumericalError("risk overflowed before the first checkpoint")
     w = cp_w[keep]
-    risk_cp = risk_steps[ts]
-    rel_cp = rel_steps[ts]
-    eff_cp = eff_steps[ts]
-    if basis_s is not None and basis_s.rank > 0:
-        proj_s = (w @ bs_cols) @ bs_cols.T
-    else:
-        proj_s = np.zeros_like(w)
-    norm_w = np.linalg.norm(w, axis=1)
-    safe = np.where(norm_w == 0.0, 1.0, norm_w)
-    direction = np.where(norm_w[:, None] > 0.0, w / safe[:, None], 0.0)
-    proj_perp_norm = np.linalg.norm(w - proj_s, axis=1)
-
+    proj_s = basis_s.project(w)
     return GDTrace(
         loss=loss,
         schedule=schedule,
@@ -281,24 +293,12 @@ def run(
         sep_rows=sep_idx,
         ts=ts,
         w=w,
-        risk=risk_cp,
-        grad_norm=rel_cp * risk_cp,
-        rel_grad=rel_cp,
-        eff_step=eff_cp,
-        norm_w=norm_w,
         proj_s=proj_s,
-        proj_perp_norm=proj_perp_norm,
-        dir=direction,
-        perceptron_sum=cp_perceptron[keep],
-        sum_eta=cp_sum_eta[keep],
-        sum_eff_grad=cp_sum_eff_grad[keep],
-        sum_tele=cp_sum_tele[keep],
-        sum_eta_sep=cp_sum_eta_sep[keep],
-        sum_cross=cp_sum_cross[keep],
-        sup_proj_s=cp_sup_proj_s[keep],
+        **{name: s[keep] for name, s in zip(GDTrace.CSV_SCALARS[-7:], cp_sums)},
         risk_steps=risk_steps[: steps_done + 1],
         rel_steps=rel_steps[: steps_done + 1],
         eff_steps=eff_steps[: steps_done + 1],
+        **_checkpoint_columns(ts, w, proj_s, risk_steps, rel_steps, eff_steps),
     )
 
 

@@ -1,4 +1,4 @@
-"""End-to-end orchestration: decompose, solve both subproblems, run descent."""
+"""Orchestration: decompose, then solve both subproblems."""
 
 from dataclasses import dataclass
 
@@ -6,9 +6,8 @@ import numpy as np
 
 from .dataset import MarginMatrix
 from .decompose import Decomposition, ValidationReport, partition, validate
-from .gd import GDTrace, run
-from .margin import MarginSolution, solve_dual
-from .strongconvex import ScOptimum, estimate_lambda, solve_vbar
+from .margin import DEFAULT_GAP_TOL, MarginSolution, solve_dual
+from .strongconvex import GRAD_TOL, ScOptimum, estimate_lambda, solve_vbar
 
 
 @dataclass(eq=False)
@@ -54,8 +53,8 @@ class Structure:
 def analyze(
     matrix: MarginMatrix,
     loss: str,
-    margin_tol: float = 1e-8,
-    scvx_tol: float = 1e-10,
+    margin_tol: float = DEFAULT_GAP_TOL,
+    scvx_tol: float = GRAD_TOL,
 ) -> Structure:
     """Partition the rows, solve the max-margin dual over the complement,
     check the split against that direction, and minimize the restricted risk
@@ -78,25 +77,3 @@ def analyze(
         inf_risk=sc_opt.risk_inf,
         validation=report,
     )
-
-
-def run_pipeline(
-    matrix: MarginMatrix,
-    loss: str,
-    schedule: str,
-    T: int,
-    checkpoints_per_decade: int = 20,
-    margin_tol: float = 1e-8,
-    scvx_tol: float = 1e-10,
-) -> tuple[Structure, GDTrace]:
-    structure = analyze(matrix, loss, margin_tol=margin_tol, scvx_tol=scvx_tol)
-    trace = run(
-        matrix,
-        loss,
-        schedule,
-        T,
-        checkpoints_per_decade=checkpoints_per_decade,
-        sep_rows=structure.dec.sep_rows,
-        basis_s=structure.dec.basis_s,
-    )
-    return structure, trace

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import NumericalError
-from .gd import LOSS_CODES
+from .gd import _loss_code
 from .linalg import Basis, minimize_risk
 
 GRAD_TOL = 1e-10
@@ -63,7 +63,7 @@ def solve_vbar(
     """Minimize the restricted risk over S by Newton's method
     (linalg.minimize_risk, a batch of one with an infinite radius); stops
     when the gradient norm reaches tol."""
-    code = LOSS_CODES[loss]
+    code = _loss_code(loss)
     a_s = np.asarray(a_s, dtype=float)
     d = basis_s.dim
     if a_s.shape[0] == 0:
@@ -121,7 +121,7 @@ def estimate_lambda(a_s: np.ndarray, basis_s: Basis, loss: str, opt: ScOptimum, 
     at the optimum and where seeded random directions leave the set
     (_boundary_steps), from one stacked product and one batched eigvalsh.
     The sampled minimum is an upper estimate of the true modulus."""
-    code = LOSS_CODES[loss]
+    code = _loss_code(loss)
     a_s = np.asarray(a_s, dtype=float)
     if a_s.shape[0] == 0 or basis_s.rank == 0:
         return np.inf

@@ -14,7 +14,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import ValidationError
-from .gd import GDTrace, ball_series
+from .gd import BALL_TOL, GDTrace, _loss_code, ball_series
+from .linalg import _norms
 from .pipeline import Structure
 
 NUMERIC_ATOL = 1e-9
@@ -38,6 +39,12 @@ CHECK_NAMES = (
 LOG_APPROX_EPS_GRID = (1.0, 0.5, 0.1, 0.01)
 LOG_APPROX_ULPS = 8  # steps inside the boundary of {loss <= eps}, at most
 NORM_BOUNDS_MIN_T = 10
+# fenchel_young applies from excess risk FY_EPS / n on; gen_iter applies from
+# excess min(GEN_EPS / n, curvature (1 - GEN_CONTRACTION) / 2) on, at the
+# contraction rate GEN_CONTRACTION (1 - GEN_EPS) margin per unit of descent
+FY_EPS = 1.0
+GEN_EPS = 0.3
+GEN_CONTRACTION = 0.9
 
 
 @dataclass(eq=False)
@@ -150,12 +157,12 @@ def check_log_risk_telescope(trace: GDTrace) -> CheckResult:
     return _from_slacks("log_risk_telescope", bound - lhs, lhs, trace.ts)
 
 
-def check_norm_bounds(trace: GDTrace, structure: Structure, min_t: int = NORM_BOUNDS_MIN_T) -> CheckResult:
+def check_norm_bounds(trace: GDTrace, structure: Structure) -> CheckResult:
     if structure.n_sep == 0:
         return _na("norm_bounds", "no separable block")
-    sel = trace.ts >= min_t
+    sel = trace.ts >= NORM_BOUNDS_MIN_T
     if not np.any(sel):
-        return _na("norm_bounds", f"no checkpoints at t >= {min_t}")
+        return _na("norm_bounds", f"no checkpoints at t >= {NORM_BOUNDS_MIN_T}")
     ts = trace.ts[sel].astype(float)
     nw = trace.norm_w[sel]
     rr = trace.sup_proj_s[sel]
@@ -179,20 +186,13 @@ def check_perceptron_norm(trace: GDTrace) -> CheckResult:
     return _from_slacks("perceptron_norm", slack, trace.proj_perp_norm, trace.ts)
 
 
-def _proj_s(structure: Structure, vecs: np.ndarray) -> np.ndarray:
-    cols = structure.dec.basis_s.columns
-    if cols.shape[1] == 0:
-        return np.zeros_like(vecs)
-    return (vecs @ cols) @ cols.T
-
-
 def check_param_s(trace: GDTrace, structure: Structure, wbar: np.ndarray) -> CheckResult:
     if structure.dec.rank_s == 0:
         return _na("param_s", "span of the remainder is trivial")
     lam = structure.curvature
     bound = (2.0 / lam) * np.minimum(1.0, thm_risk_bound(structure, trace.ts, trace.sum_eta))
     err_w = np.linalg.norm(trace.proj_s - structure.offset, axis=1) ** 2
-    err_b = np.linalg.norm(_proj_s(structure, wbar) - structure.offset, axis=1) ** 2
+    err_b = np.linalg.norm(structure.dec.basis_s.project(wbar) - structure.offset, axis=1) ** 2
     slack = np.minimum(bound - err_w, bound - err_b)
     quantity = np.maximum(err_w, err_b)
     return _from_slacks(
@@ -265,18 +265,14 @@ def check_direction(
     return result, trend
 
 
-def check_fenchel_young(
-    trace: GDTrace, structure: Structure, wbar: np.ndarray, eps: float = 1.0
-) -> CheckResult:
+def check_fenchel_young(trace: GDTrace, structure: Structure, wbar: np.ndarray) -> CheckResult:
     if structure.n_sep == 0:
         return _na("fenchel_young", "no separable block")
-    if not 0 < eps <= 1:
-        raise ValidationError("eps must lie in (0, 1]")
     excess = trace.risk - structure.inf_risk
-    qual = excess <= eps / structure.n
+    qual = excess <= FY_EPS / structure.n
     if not np.any(qual):
-        note = f"no checkpoint with excess risk <= {eps / structure.n:.3e}"
-        t_star = _estimate_first_qualifying(trace, excess, eps / structure.n)
+        note = f"no checkpoint with excess risk <= {FY_EPS / structure.n:.3e}"
+        t_star = _estimate_first_qualifying(trace, excess, FY_EPS / structure.n)
         if t_star is not None:
             note += f"; extrapolated first qualifying t ~ {t_star:.2e}"
         return _na("fenchel_young", note)
@@ -296,7 +292,7 @@ def check_fenchel_young(
             continue
         lhs = (vecs[keep] @ structure.direction) / norms[keep]
         ex = np.maximum(excess[qual][keep], 1e-300)
-        cross = np.linalg.norm(_proj_s(structure, vecs[keep]), axis=1)
+        cross = np.linalg.norm(structure.dec.basis_s.project(vecs[keep]), axis=1)
         rhs = (-np.log(ex) - np.log(2.0) - g_star - cross) / (gamma * norms[keep])
         slacks.append(lhs - rhs)
         locs.append(trace.ts[qual][keep])
@@ -357,20 +353,12 @@ def check_log_approx(eps_grid=LOG_APPROX_EPS_GRID) -> CheckResult:
 def check_perp_descent(trace: GDTrace, structure: Structure) -> CheckResult:
     if structure.n_sep == 0:
         return _na("perp_descent", "no separable block")
-    gamma = structure.gamma
-    direction = structure.direction
-    a_c = structure.sep_block()
-    margins = a_c @ direction
-    code = _kernels.LOGISTIC if trace.loss == "logistic" else _kernels.EXPONENTIAL
-    ts = trace.ts.astype(float)
-    radii = np.log(ts) / gamma
-    lhs = np.empty(trace.k)
-    rc_u = np.empty(trace.k)
-    perp = trace.w - trace.proj_s
-    for k in range(trace.k):
-        u = direction * radii[k]
-        lhs[k] = np.linalg.norm(perp[k] - u) ** 2
-        rc_u[k] = float(np.sum(_kernels.loss_values(margins * radii[k], code))) / structure.n
+    # the comparison point u = direction ln(t) / margin at every checkpoint
+    radii = np.log(trace.ts.astype(float)) / structure.gamma
+    margins = structure.sep_block() @ structure.direction
+    lhs = _norms(trace.w - trace.proj_s - radii[:, None] * structure.direction) ** 2
+    losses = _kernels.loss_values(radii[:, None] * margins, _loss_code(trace.loss))
+    rc_u = np.sum(losses, axis=1) / structure.n
     rhs = (
         radii**2
         + 2.0
@@ -381,17 +369,13 @@ def check_perp_descent(trace: GDTrace, structure: Structure) -> CheckResult:
     return _from_slacks("perp_descent", rhs - lhs, lhs, trace.ts)
 
 
-def check_gen_iter(
-    trace: GDTrace, structure: Structure, eps: float = 0.3, contraction_r: float = 0.9
-) -> CheckResult:
+def check_gen_iter(trace: GDTrace, structure: Structure) -> CheckResult:
     if structure.n_sep == 0:
         return _na("gen_iter", "no separable block")
     if structure.dec.rank_s == 0:
         return _na("gen_iter", "span of the remainder is trivial")
-    if not (0 < eps < 1 and 0 < contraction_r < 1):
-        raise ValidationError("eps and contraction_r must lie in (0, 1)")
     lam = structure.curvature
-    threshold = min(eps / structure.n, lam * (1.0 - contraction_r) / 2.0)
+    threshold = min(GEN_EPS / structure.n, lam * (1.0 - GEN_CONTRACTION) / 2.0)
     excess = trace.risk_steps - structure.inf_risk
     qualifying = np.nonzero(excess[:-1] <= threshold)[0]
     if qualifying.size == 0:
@@ -405,7 +389,7 @@ def check_gen_iter(
     eff = trace.eff_steps[j0:-1]
     rel = trace.rel_steps[j0:-1]
     factor = np.exp(
-        -contraction_r * (1.0 - eps) * structure.gamma * rel * eff * (1.0 - eff / 2.0)
+        -GEN_CONTRACTION * (1.0 - GEN_EPS) * structure.gamma * rel * eff * (1.0 - eff / 2.0)
     )
     slack = ex[:-1] * factor - ex[1:]
     return _from_slacks(
@@ -467,14 +451,7 @@ def standard_trends(trace: GDTrace, structure: Structure) -> list:
     return trends
 
 
-def run_checks(
-    trace: GDTrace,
-    structure: Structure,
-    eps_fy: float = 1.0,
-    eps_gen: float = 0.3,
-    r_gen: float = 0.9,
-    ball_tol: float = 1e-10,
-) -> tuple[list, list]:
+def run_checks(trace: GDTrace, structure: Structure, ball_tol: float = BALL_TOL) -> tuple[list, list]:
     """All registered checks against one trace, plus trend fits."""
     wbar = ball_series(structure.matrix, trace.loss, trace, tol=ball_tol)
     results = [
@@ -487,10 +464,10 @@ def run_checks(
     ]
     dir_result, dir_trend = check_direction(trace, structure, wbar)
     results.append(dir_result)
-    results.append(check_fenchel_young(trace, structure, wbar, eps=eps_fy))
+    results.append(check_fenchel_young(trace, structure, wbar))
     results.append(check_log_approx())
     results.append(check_perp_descent(trace, structure))
-    results.append(check_gen_iter(trace, structure, eps=eps_gen, contraction_r=r_gen))
+    results.append(check_gen_iter(trace, structure))
     trends = standard_trends(trace, structure)
     if dir_trend:
         trends.append(dir_trend)

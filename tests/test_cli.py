@@ -102,10 +102,12 @@ def test_verify_exit_matches_report_and(canonical_csv, tmp_path):
 def test_verify_detects_corrupted_trace(canonical_csv, tmp_path, capsys):
     run_out = tmp_path / "r"
     assert main(["run", "--input", str(canonical_csv), "--schedule", "inv_sqrt", "--steps", "500", "--out", str(run_out)]) == 0
-    # inject a risk increase into the stored per-step series
+    # inject a risk increase into the stored per-step series, at a step that
+    # no checkpoint records (step 50 is one, and trace.json's copy of its risk
+    # would then disagree: test_verify_rejects_trace_copies_that_disagree)
     steps = np.load(run_out / "steps.npz")
     risk = steps["risk_steps"].copy()
-    risk[50] *= 1.05
+    risk[51] *= 1.05
     np.savez_compressed(run_out / "steps.npz", risk_steps=risk, rel_steps=steps["rel_steps"], eff_steps=steps["eff_steps"])
     out = tmp_path / "v"
     code = main(
@@ -117,6 +119,44 @@ def test_verify_detects_corrupted_trace(canonical_csv, tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "smoothness" in err
+
+
+def _scale_trace_json(run_out, factors):
+    path = run_out / "trace.json"
+    data = json.loads(path.read_text())
+    for rec in data["checkpoints"]:
+        for name, factor in factors.items():
+            rec[name] *= factor
+    path.write_text(json.dumps(data))
+
+
+def _scale_step_50(run_out):
+    steps = dict(np.load(run_out / "steps.npz"))
+    steps["risk_steps"][50] *= 1.05
+    np.savez(run_out / "steps.npz", **steps)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda out: _scale_trace_json(out, {"risk": 10.0, "sum_tele": 0.5}), _scale_step_50],
+    ids=["trace_json", "steps_at_a_checkpoint"],
+)
+def test_verify_rejects_trace_copies_that_disagree(edit, tmp_path, capsys):
+    # the checkpoint risk and the descent sums follow from steps.npz; a
+    # trace.json that disagrees with it is an input error, whichever file
+    # was edited
+    flags = ["--synth-kind", "mixed", "--seed", "1", "--loss", "logistic", "--schedule", "inv_sqrt"]
+    run_out = tmp_path / "r"
+    assert main(["run", *flags, "--steps", "3000", "--out", str(run_out)]) == 0
+    assert main(["verify", *flags, "--steps", "3000", "--out", str(tmp_path / "direct")]) == 0
+    replay = ["verify", *flags, "--trace-dir", str(run_out)]
+    assert main([*replay, "--out", str(tmp_path / "replay")]) == 0
+    report = (tmp_path / "replay" / "report.json").read_bytes()
+    assert report == (tmp_path / "direct" / "report.json").read_bytes()
+    edit(run_out)
+    capsys.readouterr()
+    assert main([*replay, "--out", str(tmp_path / "edited")]) == 2
+    assert "does not match" in capsys.readouterr().err
 
 
 @pytest.fixture

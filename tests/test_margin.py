@@ -133,6 +133,11 @@ def test_analyze_solves_the_margin_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_analyze_rejects_unknown_loss():
+    with pytest.raises(ValidationError, match="unknown loss"):
+        analyze(to_margin_matrix(synth("mixed", 10, 5)), "hinge")
+
+
 class TestPrimalMargin:
     def test_aligned(self):
         assert primal_margin(np.array([[-1.0, 0.0]]), np.array([1.0, 0.0])) == 1.0

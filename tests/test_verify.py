@@ -3,14 +3,15 @@ import math
 import gd_oracle
 import numpy as np
 import pytest
+from hull_oracle import block_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from optray import _kernels
-from optray.dataset import MarginMatrix, synth, to_margin_matrix
+from optray.dataset import SYNTH_KINDS, MarginMatrix, synth, to_margin_matrix
 from optray.errors import ValidationError
-from optray.gd import ball_series, run
-from optray.pipeline import run_pipeline
+from optray.gd import LOSS_CODES, SCHED_CODES, ball_series, run
+from optray.pipeline import analyze
 from optray.verify import (
     CHECK_NAMES,
     LOG_APPROX_EPS_GRID,
@@ -36,7 +37,9 @@ def mat(rows):
 
 def pipeline_for(rows_or_mat, loss, schedule, T):
     m = rows_or_mat if isinstance(rows_or_mat, MarginMatrix) else mat(rows_or_mat)
-    return run_pipeline(m, loss, schedule, T)
+    structure = analyze(m, loss)
+    trace = run(m, loss, schedule, T, sep_rows=structure.dec.sep_rows, basis_s=structure.dec.basis_s)
+    return structure, trace
 
 
 class TestRiskBound:
@@ -273,7 +276,7 @@ class TestFenchelYoung:
         structure, trace = pipeline_for(
             to_margin_matrix(synth("touching", 10, 1)), "logistic", "inv_sqrt", 100
         )
-        res = check_fenchel_young(trace, structure, trace.w.copy(), eps=0.001)
+        res = check_fenchel_young(trace, structure, trace.w.copy())
         assert not res.applicable
         assert "qualifying" in res.note
 
@@ -300,6 +303,60 @@ class TestPerpDescent:
         assert res.applicable and res.holds
 
 
+def perp_descent_slacks(trace, structure):
+    """check_perp_descent's bound minus its quantity, one checkpoint at a time."""
+    direction = structure.direction
+    margins = structure.sep_block() @ direction
+    code = LOSS_CODES[trace.loss]
+    radii = np.log(trace.ts.astype(float)) / structure.gamma
+    lhs = np.empty(trace.k)
+    rc_u = np.empty(trace.k)
+    perp = trace.w - trace.proj_s
+    for k in range(trace.k):
+        u = direction * radii[k]
+        lhs[k] = np.linalg.norm(perp[k] - u) ** 2
+        rc_u[k] = float(np.sum(_kernels.loss_values(margins * radii[k], code))) / structure.n
+    rhs = (
+        radii**2
+        + 2.0
+        + 2.0 * rc_u * trace.sum_eta
+        - 2.0 * trace.sum_eta_sep
+        + 2.0 * trace.sum_cross
+    )
+    return rhs - lhs
+
+
+@st.composite
+def descent_inputs(draw):
+    """A synthetic dataset or block rows with a separable block, a loss, a
+    schedule and T <= 2000."""
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from(SYNTH_KINDS))
+        m = to_margin_matrix(synth(kind, draw(st.integers(2, 10)), draw(st.integers(0, 2**16))))
+    else:
+        d = draw(st.integers(1, 5))
+        rank = draw(st.integers(0, d - 1))
+        n_sep, n_sc = draw(st.integers(1, 10)), draw(st.integers(2, 10))
+        m = mat(block_rows(d, rank, n_sep, n_sc, draw(st.integers(0, 2**16))))
+    loss = draw(st.sampled_from(tuple(LOSS_CODES)))
+    return m, loss, draw(st.sampled_from(tuple(SCHED_CODES))), draw(st.integers(1, 2000))
+
+
+class TestPerpDescentVectorized:
+    @settings(max_examples=60, deadline=None)
+    @given(descent_inputs())
+    def test_matches_per_checkpoint_formula(self, problem):
+        structure, trace = pipeline_for(*problem)
+        res = check_perp_descent(trace, structure)
+        if structure.n_sep == 0:
+            assert not res.applicable
+            return
+        slack = perp_descent_slacks(trace, structure)
+        k = int(np.argmin(slack))
+        assert np.array_equal(res.worst_slack, slack[k], equal_nan=True)
+        assert res.location == trace.ts[k]
+
+
 class TestGenIter:
     def test_canonical_mixed_qualifies(self):
         # the decaying schedule reaches the qualification threshold late,
@@ -320,15 +377,14 @@ class TestGenIter:
         structure, trace = pipeline_for(
             [[-1.0, 0.0], [0.0, -1.0], [0.0, 1.0]], "logistic", "inv_sqrt", 20
         )
-        res = check_gen_iter(trace, structure, eps=1e-6)
+        res = check_gen_iter(trace, structure)
         assert not res.applicable
         assert "never qualified" in res.note
 
 
 class TestReport:
     def canonical_report(self):
-        m = mat([[-1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
-        structure, trace = run_pipeline(m, "logistic", "inv_sqrt", 5000)
+        structure, trace = pipeline_for([[-1.0, 0.0], [0.0, -1.0], [0.0, 1.0]], "logistic", "inv_sqrt", 5000)
         results, trends = run_checks(trace, structure)
         meta = report_meta(trace, structure, digest="x", tolerances={"margin": 1e-8})
         return build_report(results, trends, meta)
