@@ -130,18 +130,31 @@ def _scale_trace_json(run_out, factors):
     path.write_text(json.dumps(data))
 
 
-def _scale_step_50(run_out):
+def _edit_steps(run_out, edit):
     steps = dict(np.load(run_out / "steps.npz"))
-    steps["risk_steps"][50] *= 1.05
+    edit(steps)
     np.savez(run_out / "steps.npz", **steps)
 
 
+def _scale_step_50(steps):
+    steps["risk_steps"][50] *= 1.05
+
+
+def _truncate(steps):
+    for name in steps:
+        steps[name] = steps[name][:100]
+
+
 @pytest.mark.parametrize(
-    "edit",
-    [lambda out: _scale_trace_json(out, {"risk": 10.0, "sum_tele": 0.5}), _scale_step_50],
-    ids=["trace_json", "steps_at_a_checkpoint"],
+    "edit, message",
+    [
+        (lambda out: _scale_trace_json(out, {"risk": 10.0, "sum_tele": 0.5}), "does not match"),
+        (lambda out: _edit_steps(out, _scale_step_50), "does not match"),
+        (lambda out: _edit_steps(out, _truncate), "outside the steps"),
+    ],
+    ids=["trace_json", "steps_at_a_checkpoint", "steps_truncated"],
 )
-def test_verify_rejects_trace_copies_that_disagree(edit, tmp_path, capsys):
+def test_verify_rejects_trace_copies_that_disagree(edit, message, tmp_path, capsys):
     # the checkpoint risk and the descent sums follow from steps.npz; a
     # trace.json that disagrees with it is an input error, whichever file
     # was edited
@@ -156,7 +169,7 @@ def test_verify_rejects_trace_copies_that_disagree(edit, tmp_path, capsys):
     edit(run_out)
     capsys.readouterr()
     assert main([*replay, "--out", str(tmp_path / "edited")]) == 2
-    assert "does not match" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.fixture

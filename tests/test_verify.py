@@ -281,28 +281,6 @@ class TestFenchelYoung:
         assert "qualifying" in res.note
 
 
-class TestPerpDescent:
-    def test_single_row_reduces_to_plain_bound(self):
-        structure, trace = pipeline_for([[-1.0]], "exponential", "constant_one", 1000)
-        res = check_perp_descent(trace, structure)
-        assert res.applicable and res.holds
-
-    def test_first_checkpoint_hand_bound(self):
-        structure, trace = pipeline_for([[-1.0]], "exponential", "constant_one", 1)
-        # at t=1 the comparison point is 0, so the bound reads
-        # |w_1|^2 <= 2 + 2*R_c(0)*eta_0 - 2*eta_0*R_c(w_0) = 2
-        res = check_perp_descent(trace, structure)
-        assert res.holds
-        assert res.worst_slack == pytest.approx(2.0 - 1.0, abs=1e-12)
-
-    def test_canonical_mixed(self):
-        structure, trace = pipeline_for(
-            [[-1.0, 0.0], [0.0, -1.0], [0.0, 1.0]], "logistic", "inv_sqrt", 10_000
-        )
-        res = check_perp_descent(trace, structure)
-        assert res.applicable and res.holds
-
-
 def perp_descent_slacks(trace, structure):
     """check_perp_descent's bound minus its quantity, one checkpoint at a time."""
     direction = structure.direction
@@ -328,8 +306,8 @@ def perp_descent_slacks(trace, structure):
 
 @st.composite
 def descent_inputs(draw):
-    """A synthetic dataset or block rows with a separable block, a loss, a
-    schedule and T <= 2000."""
+    """A synthetic dataset (an overlap set may have no separable block) or
+    block rows with a separable block, a loss, a schedule and T <= 2000."""
     if draw(st.booleans()):
         kind = draw(st.sampled_from(SYNTH_KINDS))
         m = to_margin_matrix(synth(kind, draw(st.integers(2, 10)), draw(st.integers(0, 2**16))))
@@ -342,7 +320,27 @@ def descent_inputs(draw):
     return m, loss, draw(st.sampled_from(tuple(SCHED_CODES))), draw(st.integers(1, 2000))
 
 
-class TestPerpDescentVectorized:
+class TestPerpDescent:
+    def test_single_row_reduces_to_plain_bound(self):
+        structure, trace = pipeline_for([[-1.0]], "exponential", "constant_one", 1000)
+        res = check_perp_descent(trace, structure)
+        assert res.applicable and res.holds
+
+    def test_first_checkpoint_hand_bound(self):
+        structure, trace = pipeline_for([[-1.0]], "exponential", "constant_one", 1)
+        # at t=1 the comparison point is 0, so the bound reads
+        # |w_1|^2 <= 2 + 2*R_c(0)*eta_0 - 2*eta_0*R_c(w_0) = 2
+        res = check_perp_descent(trace, structure)
+        assert res.holds
+        assert res.worst_slack == pytest.approx(2.0 - 1.0, abs=1e-12)
+
+    def test_canonical_mixed(self):
+        structure, trace = pipeline_for(
+            [[-1.0, 0.0], [0.0, -1.0], [0.0, 1.0]], "logistic", "inv_sqrt", 10_000
+        )
+        res = check_perp_descent(trace, structure)
+        assert res.applicable and res.holds
+
     @settings(max_examples=60, deadline=None)
     @given(descent_inputs())
     def test_matches_per_checkpoint_formula(self, problem):
