@@ -22,7 +22,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .gd import BALL_TOL, GDTrace, run
+from .gd import BALL_TOL, LOSS_CODES, SCHED_CODES, GDTrace, run
 from .margin import DEFAULT_GAP_TOL
 from .pipeline import analyze
 from .strongconvex import GRAD_TOL
@@ -58,6 +58,17 @@ def _outdir(args) -> Path:
     return out
 
 
+def _analyze(args, make_out: bool = False):
+    """Load the dataset and analyze it; returns (dataset, structure).  make_out
+    makes the output directory after loading, so an input error makes none
+    and a numeric abort in the analysis leaves it."""
+    ds = _load_dataset(args)
+    matrix = to_margin_matrix(ds)
+    if make_out:
+        _outdir(args)
+    return ds, analyze(matrix, args.loss, margin_tol=args.tol_margin, scvx_tol=args.tol_scvx)
+
+
 def cmd_synth(args) -> int:
     ds = synth(args.kind, args.n_per_class, args.seed)
     save_csv(ds, args.out)
@@ -73,11 +84,8 @@ def _self_check_failed(structure) -> bool:
 
 
 def cmd_decompose(args) -> int:
-    ds = _load_dataset(args)
-    matrix = to_margin_matrix(ds)
-    # made before the analysis, so a numeric abort leaves the directory too
-    out = _outdir(args)
-    structure = analyze(matrix, args.loss, margin_tol=args.tol_margin, scvx_tol=args.tol_scvx)
+    _, structure = _analyze(args, make_out=True)
+    out = Path(args.out)
     with open(out / "decomposition.json", "w") as fh:
         json.dump(structure.dec.to_dict(), fh, indent=1)
     if structure.margin_sol is not None:
@@ -95,11 +103,11 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _run_trace(args, matrix, structure) -> GDTrace:
+def _run_trace(args, structure) -> GDTrace:
     if args.steps is None:
         raise ValidationError("provide --steps or --trace-dir")
     return run(
-        matrix,
+        structure.matrix,
         args.loss,
         args.schedule,
         args.steps,
@@ -110,12 +118,10 @@ def _run_trace(args, matrix, structure) -> GDTrace:
 
 
 def cmd_run(args) -> int:
-    ds = _load_dataset(args)
-    matrix = to_margin_matrix(ds)
-    structure = analyze(matrix, args.loss, margin_tol=args.tol_margin, scvx_tol=args.tol_scvx)
+    ds, structure = _analyze(args)
     if _self_check_failed(structure):
         return EXIT_NUMERIC
-    trace = _run_trace(args, matrix, structure)
+    trace = _run_trace(args, structure)
     trace.digest = ds.digest()
     out = _outdir(args)
     trace.to_csv(out / "trace.csv")
@@ -144,9 +150,7 @@ def _check_trace_inputs(trace: GDTrace, digest: str, loss: str, structure) -> No
 
 
 def cmd_verify(args) -> int:
-    ds = _load_dataset(args)
-    matrix = to_margin_matrix(ds)
-    structure = analyze(matrix, args.loss, margin_tol=args.tol_margin, scvx_tol=args.tol_scvx)
+    ds, structure = _analyze(args)
     if _self_check_failed(structure):
         return EXIT_NUMERIC
     if args.trace_dir:
@@ -154,7 +158,7 @@ def cmd_verify(args) -> int:
         trace = GDTrace.from_files(tdir / "trace.json", tdir / "steps.npz")
         _check_trace_inputs(trace, ds.digest(), args.loss, structure)
     else:
-        trace = _run_trace(args, matrix, structure)
+        trace = _run_trace(args, structure)
     results, trends = verify_mod.run_checks(trace, structure, ball_tol=args.tol_ball)
     tolerances = {
         "margin": args.tol_margin,
@@ -218,12 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         pp = sub.add_parser(name)
         _add_input_flags(pp)
-        pp.add_argument("--loss", choices=("logistic", "exponential"), default="logistic")
+        pp.add_argument("--loss", choices=tuple(LOSS_CODES), default="logistic")
         pp.add_argument("--tol-margin", type=float, default=DEFAULT_GAP_TOL)
         pp.add_argument("--tol-scvx", type=float, default=GRAD_TOL)
         pp.add_argument("--out", required=True)
         if needs_sched:
-            pp.add_argument("--schedule", choices=("constant_one", "inv_sqrt"), default="inv_sqrt")
+            pp.add_argument("--schedule", choices=tuple(SCHED_CODES), default="inv_sqrt")
             # verify reads the step count from --trace-dir when given
             pp.add_argument("--steps", type=int, required=name == "run")
             pp.add_argument("--checkpoints-per-decade", type=int, default=20)

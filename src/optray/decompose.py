@@ -195,21 +195,16 @@ def partition(A: MarginMatrix) -> Decomposition:
     on row order.  The remainder keeps the weights of the last solve (or of
     the per-row tests, when they decide) as its Stiemke weights.
     """
-    d = A.d
     inside, weights = _remainder(A.rows)
     sep_rows, sc_rows = np.flatnonzero(~inside), np.flatnonzero(inside)
-    basis_s = orthonormal_basis(A.rows[sc_rows] if sc_rows.size else np.zeros((0, d)))
+    basis_s = orthonormal_basis(A.rows[sc_rows])
     basis_perp = complement(basis_s)
-    if sep_rows.size:
-        a_perp = basis_perp.project(A.rows[sep_rows])
-    else:
-        a_perp = np.zeros((0, d))
     return Decomposition(
         sep_rows=sep_rows,
         sc_rows=sc_rows,
         basis_s=basis_s,
         basis_perp=basis_perp,
-        a_perp=np.ascontiguousarray(a_perp),
+        a_perp=np.ascontiguousarray(basis_perp.project(A.rows[sep_rows])),
         sc_weights=weights[sc_rows],
     )
 

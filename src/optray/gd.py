@@ -257,8 +257,6 @@ def run(
     """
     rows = _rows(A)
     n, d = rows.shape
-    if T < 1:
-        raise ValidationError("T must be >= 1")
     loss_code, sched_code = _loss_code(loss), _sched_code(schedule)
     if sep_rows is None:
         sep_idx = np.arange(n, dtype=np.int64)

@@ -57,32 +57,25 @@ def orthonormal_basis(vectors: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -
     """Orthonormal basis of span(vectors), vectors given as rows of an (m, d) array.
 
     Directions whose singular value is <= rank_tol times the largest one are
-    dropped.  An empty (0, d) input yields the rank-0 basis.
+    dropped.  An empty (0, d) or a zero input yields the rank-0 basis.
     """
     if rank_tol <= 0:
         raise ValueError("rank_tol must be positive")
     m_rows = np.asarray(vectors, dtype=float)
     if m_rows.ndim != 2:
         raise ValueError("vectors must be a 2-D array with one vector per row")
-    d = m_rows.shape[1]
-    if m_rows.shape[0] == 0:
-        return Basis(np.zeros((d, 0)))
     _, svals, vt = np.linalg.svd(m_rows, full_matrices=False)
     if svals.size == 0 or svals[0] <= 0.0:
-        return Basis(np.zeros((d, 0)))
+        return Basis(np.zeros((m_rows.shape[1], 0)))
     keep = svals > rank_tol * svals[0]
     return Basis(_canonical_signs(vt[keep].T))
 
 
 def complement(basis: Basis) -> Basis:
-    """Orthonormal basis of the orthogonal complement."""
-    d, r = basis.columns.shape
-    if r == 0:
-        return Basis(np.eye(d))
-    if r >= d:
-        return Basis(np.zeros((d, 0)))
+    """Orthonormal basis of the orthogonal complement: the last d - r right
+    singular vectors of the basis rows (all of I_d for r = 0, none for r = d)."""
     _, _, vt = np.linalg.svd(basis.columns.T, full_matrices=True)
-    return Basis(_canonical_signs(vt[r:].T))
+    return Basis(_canonical_signs(vt[basis.rank :].T))
 
 
 def nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -96,12 +89,14 @@ def nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     until a weight reaches zero and drop that column.  It stops once no
     column has w_j > NNLS_TOL |E_j| |f - E x|, when only rounding drives a
     cycle (the entering column gets no weight, or the squared residual
-    shrinks by no more than NNLS_TOL |E (z - x)| |f - E x|), or when a weight
-    would pass the float range.  Every step works on the columns scaled to
-    unit norm: the entering column is the one of largest w_j / |E_j|, and the
-    least-squares solve, refined once, does not let lstsq's rank cutoff drop
-    a column many orders of magnitude shorter than the others.  Zero columns
-    never enter.  Returns (x, r), r = f - E x.
+    shrinks by no more than NNLS_TOL |E (z - x)| |f - E x|).  An entering
+    column whose weight would pass the float range is set aside and the
+    column of next largest gradient tried, as Lawson and Hanson do; the
+    columns set aside may enter again once x changes.  Every step works on
+    the columns scaled to unit norm: the entering column is the one of
+    largest w_j / |E_j|, and the least-squares solve, refined once, does not
+    let lstsq's rank cutoff drop a column many orders of magnitude shorter
+    than the others.  Zero columns never enter.  Returns (x, r), r = f - E x.
     """
     E = np.asarray(E, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -110,11 +105,11 @@ def nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = E.shape[1]
     norms = np.hypot.reduce(E, axis=0)  # no underflow for tiny columns
     unit = np.divide(E, norms, out=np.zeros_like(E), where=norms > 0.0)
-    x, passive = np.zeros(m), np.zeros(m, dtype=bool)
+    x, passive, aside = np.zeros(m), np.zeros(m, dtype=bool), np.zeros(m, dtype=bool)
     r, rr = f, float(f @ f)
     while not passive.all():
         g = unit.T @ r  # w_j / |E_j|
-        entering = ~passive & (g > NNLS_TOL * np.sqrt(rr))
+        entering = ~passive & ~aside & (g > NNLS_TOL * np.sqrt(rr))
         if not entering.any():
             break
         j = int(np.argmax(np.where(entering, g, -np.inf)))
@@ -127,7 +122,7 @@ def nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             s = np.linalg.lstsq(U, f, rcond=None)[0]
             s += np.linalg.lstsq(U, f - U @ s, rcond=None)[0]  # one refinement step
             if np.any(np.abs(s) / np.finfo(float).max > norms[cols]):
-                p[j] = False  # a weight past the float range: the cycle cannot be taken
+                aside[j] = True  # a weight past the float range: try the next column
                 break
             z[cols] = s / norms[cols]
             neg = cols[z[cols] <= 0.0]
@@ -141,6 +136,8 @@ def nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             y[neg[k]] = 0.0
             p &= y > 0.0
             y[~p] = 0.0
+        if aside[j]:
+            continue
         if not p[j]:
             break
         # |r|^2 - |r_new|^2 from the step itself: subtracting the two squares
@@ -150,6 +147,7 @@ def nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             break
         r = f - E @ z
         x, passive, rr = z, p, float(r @ r)
+        aside[:] = False
     return x, r
 
 
@@ -228,7 +226,7 @@ def minimize_risk(
     (that of R itself when mu = 0).  No two nearly equal risk values are ever
     compared, and a Newton step does not change when R is rescaled, so tiny
     risks need no special handling.  radius = inf gives the unconstrained
-    problem.
+    problem on the same path: its mu is 0 and its iterate is never rescaled.
 
     The iteration runs in an orthonormal basis of the row space of M, where
     R is strictly convex and which holds every minimizer of least norm; w0
@@ -266,21 +264,17 @@ def minimize_risk(
     slots, error = np.arange(radius.shape[0]), None
     if not slots.size:
         return out, iters
-    # an infinite radius never binds: its residual is |g|, its mu 0, and its
-    # iterate is never rescaled, so a batch of them skips that work
-    bounded = bool(np.isfinite(radius).any())
     for it in range(NEWTON_MAX_ITERS):
         z = np.matvec(M, w)
         der = _kernels.loss_derivs(z, loss_code)
         g = np.matvec(MT, der) / n_total
+        # |g| itself inside the ball, where w - (w - g) could round g away
         res = _norms(g)
-        if bounded:
-            # |g| itself inside the ball, where w - (w - g) could round g away
-            p = w - g
-            cn = _norms(p)
-            onto = cn > radius
-            if np.count_nonzero(onto):
-                res[onto] = _norms(w[onto] - p[onto] * (radius[onto] / cn[onto])[:, None])
+        p = w - g
+        cn = _norms(p)
+        onto = cn > radius
+        if np.count_nonzero(onto):
+            res[onto] = _norms(w[onto] - p[onto] * (radius[onto] / cn[onto])[:, None])
         floor = floor_scale * _norms(w)
         leave, failed = res <= tol, floor > tol
         if np.count_nonzero(leave) or np.count_nonzero(failed):
@@ -309,7 +303,7 @@ def minimize_risk(
         lam = np.maximum(lam, eps * lam[:, -1:])
         QT = Q.transpose(0, 2, 1)
         c, gam = np.matvec(QT, w), np.matvec(QT, g)
-        mu = _ball_multipliers(lam, lam * c - gam, radius) if bounded else np.zeros(slots.size)
+        mu = _ball_multipliers(lam, lam * c - gam, radius)
         # the step s = -(H + mu I)^-1 (g + mu w), in the eigenbasis
         mus = mu[:, None]
         shifted = lam + mus
@@ -332,13 +326,12 @@ def minimize_risk(
             if slots.size == 0:
                 break
         w = w + alpha[:, None] * s
-        if bounded:
-            nw = _norms(w)
-            # mu > 0 puts the model's answer on the sphere, where R falls
-            # outward; a shortened step along the chord would end inside it
-            onto = (nw > radius) | (mu > 0.0)
-            if np.count_nonzero(onto):
-                w[onto] *= (radius[onto] / nw[onto])[:, None]
+        nw = _norms(w)
+        # mu > 0 puts the model's answer on the sphere, where R falls
+        # outward; a shortened step along the chord would end inside it
+        onto = (nw > radius) | (mu > 0.0)
+        if np.count_nonzero(onto):
+            w[onto] *= (radius[onto] / nw[onto])[:, None]
     else:
         error = ConvergenceError(
             f"risk minimization did not reach tol {tol:.1e} in {NEWTON_MAX_ITERS} iterations",

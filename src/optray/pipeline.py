@@ -19,7 +19,6 @@ class Structure:
     dec: Decomposition
     margin_sol: MarginSolution | None
     sc_opt: ScOptimum
-    inf_risk: float
     validation: ValidationReport
 
     @property
@@ -45,6 +44,10 @@ class Structure:
     @property
     def curvature(self) -> float:
         return self.sc_opt.curvature
+
+    @property
+    def inf_risk(self) -> float:
+        return self.sc_opt.risk_inf
 
     def sep_block(self) -> np.ndarray:
         return self.matrix.rows[self.dec.sep_rows]
@@ -74,6 +77,5 @@ def analyze(
         dec=dec,
         margin_sol=margin_sol,
         sc_opt=sc_opt,
-        inf_risk=sc_opt.risk_inf,
         validation=report,
     )

@@ -40,17 +40,9 @@ class ScOptimum:
         }
 
 
-def _restricted(a_s: np.ndarray, basis_s: Basis, n_total: int, code: int):
-    """Value/gradient of c -> sum_i loss((A_S B c)_i) / n_total."""
-    M = np.ascontiguousarray(a_s @ basis_s.columns)
-
-    def value(c):
-        return float(np.sum(_kernels.loss_values(M @ c, code)) / n_total)
-
-    def gradient(c):
-        return (M.T @ np.asarray(_kernels.loss_derivs(M @ c, code))) / n_total
-
-    return M, value, gradient
+def _restricted(a_s: np.ndarray, basis_s: Basis) -> np.ndarray:
+    """A_S B, the rows of the restricted risk c -> sum_i loss((A_S B c)_i) / n_total."""
+    return np.ascontiguousarray(np.asarray(a_s, dtype=float) @ basis_s.columns)
 
 
 def solve_vbar(
@@ -62,24 +54,18 @@ def solve_vbar(
 ) -> ScOptimum:
     """Minimize the restricted risk over S by Newton's method
     (linalg.minimize_risk, a batch of one with an infinite radius); stops
-    when the gradient norm reaches tol."""
+    when the gradient norm reaches tol; the origin when A_S B is empty."""
     code = _loss_code(loss)
-    a_s = np.asarray(a_s, dtype=float)
-    d = basis_s.dim
-    if a_s.shape[0] == 0:
-        return ScOptimum(offset=np.zeros(d), risk_inf=0.0, curvature=np.inf, grad_norm=0.0)
-    if basis_s.rank == 0:
-        # rows exist but span nothing (all-zero rows): optimum is the origin
-        value_at_zero = float(np.sum(_kernels.loss_values(np.zeros(a_s.shape[0]), code)) / n_total)
-        return ScOptimum(offset=np.zeros(d), risk_inf=value_at_zero, curvature=np.inf, grad_norm=0.0)
-
-    M, value, gradient = _restricted(a_s, basis_s, n_total, code)
-    (c,), _ = minimize_risk(M, code, n_total, [np.inf], np.zeros((1, basis_s.rank)), tol)
+    M = _restricted(a_s, basis_s)
+    c = np.zeros(basis_s.rank)
+    if M.size:
+        (c,), _ = minimize_risk(M, code, n_total, [np.inf], c[None], tol)
+    z = M @ c
     return ScOptimum(
         offset=basis_s.columns @ c,
-        risk_inf=value(c),
+        risk_inf=float(np.sum(_kernels.loss_values(z, code)) / n_total),
         curvature=np.inf,
-        grad_norm=float(np.linalg.norm(gradient(c))),
+        grad_norm=float(np.linalg.norm(M.T @ np.asarray(_kernels.loss_derivs(z, code)) / n_total)),
     )
 
 
@@ -122,13 +108,12 @@ def estimate_lambda(a_s: np.ndarray, basis_s: Basis, loss: str, opt: ScOptimum, 
     (_boundary_steps), from one stacked product and one batched eigvalsh.
     The sampled minimum is an upper estimate of the true modulus."""
     code = _loss_code(loss)
-    a_s = np.asarray(a_s, dtype=float)
-    if a_s.shape[0] == 0 or basis_s.rank == 0:
+    M = _restricted(a_s, basis_s)
+    if M.size == 0:
         return np.inf
-    M, value, _ = _restricted(a_s, basis_s, n_total, code)
     c_star = basis_s.columns.T @ opt.offset
     points = c_star[None, :]
-    if value(c_star) < 1.0 - 1e-12:
+    if np.sum(_kernels.loss_values(M @ c_star, code)) / n_total < 1.0 - 1e-12:
         D = np.random.default_rng(LAMBDA_SEED).standard_normal((LAMBDA_DIRECTIONS, basis_s.rank))
         norms = np.linalg.norm(D, axis=1)
         D = D[norms > 0.0] / norms[norms > 0.0, None]

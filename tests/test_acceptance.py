@@ -33,6 +33,8 @@ MATRIX_SEEDS = (1, 2, 3)
 LOSSES = ("logistic", "exponential")
 SCHEDULES = ("constant_one", "inv_sqrt")
 
+pytestmark = pytest.mark.slow
+
 CANONICAL_TWO_AXIS = np.array([[-1.0, 0.0], [0.0, -1.0]])
 CANONICAL_MIXED = np.array([[-1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
 

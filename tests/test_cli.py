@@ -234,6 +234,28 @@ def test_failed_self_check_aborts(command, failing_self_check, canonical_csv, tm
     assert not out.exists()
 
 
+def test_decompose_exits(failing_self_check, canonical_csv, tmp_path, capsys):
+    # decompose writes its files before the self-check, so a failed check
+    # still leaves them; an input error comes before the output directory
+    out = tmp_path / "o"
+    assert main(["decompose", "--input", str(canonical_csv), "--out", str(out)]) == 3
+    assert "decomposition self-check FAILED" in capsys.readouterr().err
+    assert (out / "decomposition.json").is_file()
+    missing = tmp_path / "missing"
+    assert main(["decompose", "--out", str(missing)]) == 2
+    assert not missing.exists()
+
+
+def test_decompose_subnormal_row(tmp_path, capsys):
+    # rows 2 and 3 are opposite, so no row is separable; a cone test that
+    # stops on the subnormal row calls row 2 separable, and the margin solve
+    # then finds no margin (exit 3)
+    path, out = tmp_path / "sub.csv", tmp_path / "o"
+    path.write_text("f1,label\n1e-313,1\n-1.0,1\n0.1,1\n")
+    assert main(["decompose", "--input", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("sep=0 sc=3 rank_s=1\n")
+
+
 def test_decompose_passes_self_check_on_former_lp_fault_instance(tmp_path):
     # d = 6, 50 separable rows and a remainder of rank 3: the simplex behind the
     # former certificate check returned an infeasible point here, and decompose

@@ -157,6 +157,11 @@ class TestRun:
         with pytest.raises(NumericalError):
             run(np.array([[-1.0], [30.0]]), "exponential", "constant_one", 50)
 
+    @pytest.mark.parametrize("T", [0, -3])
+    def test_fewer_than_one_step_rejected(self, T):
+        with pytest.raises(ValidationError, match="T must be >= 1"):
+            run(np.array([[-1.0]]), "logistic", "constant_one", T)
+
     def test_overflow_before_first_checkpoint_raises(self):
         from optray.errors import NumericalError
 

@@ -86,6 +86,16 @@ class TestProject:
             if b.rank and bp.rank:
                 np.testing.assert_allclose(b.columns.T @ bp.columns, 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_complement_of_rank_zero_and_full_rank(self, d):
+        # the SVD of the (0, d) basis rows returns I_d; that of a full-rank
+        # basis leaves no right singular vector past its rank
+        np.testing.assert_array_equal(complement(Basis(np.zeros((d, 0)))).columns, np.eye(d))
+        rng = np.random.default_rng(d)
+        full = orthonormal_basis(rng.standard_normal((d, d)))
+        assert full.rank == d
+        assert complement(full).columns.shape == (d, 0)
+
 
 class TestNnls:
     def test_target_inside_the_cone(self):
@@ -124,6 +134,14 @@ class TestNnls:
         E = np.array([[1.0, -1.0], [1e-12, 0.0]])
         x, r = nnls(E, np.array([0.0, 1.0]))
         np.testing.assert_allclose(x, [1e12, 1e12], rtol=1e-12)
+        assert float(np.linalg.norm(r)) <= 1e-15
+
+    def test_column_that_cannot_take_its_weight_is_set_aside(self):
+        # the first column has the largest gradient, but its weight would be
+        # 9e312, past the float range; the answer puts weight 9 on the third
+        x, r = nnls(np.array([[-1e-313, 1.0, -0.1]]), np.array([-0.9]))
+        assert np.all(np.isfinite(x)) and x.min() >= 0.0
+        np.testing.assert_allclose(x, [0.0, 0.0, 9.0], rtol=1e-15)
         assert float(np.linalg.norm(r)) <= 1e-15
 
     @settings(max_examples=300, deadline=None)

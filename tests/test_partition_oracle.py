@@ -6,7 +6,7 @@ import pytest
 from hull_oracle import block_rows, margin_direction
 
 from optray.dataset import MarginMatrix
-from optray.decompose import partition, validate
+from optray.decompose import partition, row_feasible, validate
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 scipy_sparse = pytest.importorskip("scipy.sparse")
@@ -65,3 +65,16 @@ def test_partition_matches_highs_oracle_on_block_instances(d):
         if dec.sep_rows.tolist() != oracle or dec.rank_s != r or not validate(dec, A, margin_direction(dec)).ok:
             wrong.append((r, s))
     assert not wrong, f"d = {d}: partition differs from the oracle at (rank, seed) {wrong}"
+
+
+def test_subnormal_row_against_highs_oracle():
+    # rows 1 and 2 are opposite, so no row is separable; the cone test of
+    # row 1 enters the subnormal row first, whose weight would pass the
+    # float range, and must go on to row 2
+    rows = np.array([[-1e-313], [1.0], [-0.1]])
+    A = MarginMatrix(rows)
+    assert oracle_split(rows) == []
+    assert [row_feasible(A, i) for i in range(3)] == [False, False, False]
+    dec = partition(A)
+    assert dec.sep_rows.tolist() == [] and dec.rank_s == 1
+    assert validate(dec, A, None).ok

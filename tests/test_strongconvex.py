@@ -218,7 +218,7 @@ class TestBatchedSampler:
         a_s, basis, loss, opt, n = problem
         assume(basis.rank > 0)
         code = LOSS_CODES[loss]
-        M = _restricted(a_s, basis, n, code)[0]
+        M = _restricted(a_s, basis)
         c_star = basis.columns.T @ opt.offset
         assume(_level(M, code, n, c_star[None, :])[0] < 1.0 - 1e-12)
         D = np.random.default_rng(seed).standard_normal((8, basis.rank))

@@ -356,6 +356,7 @@ class TestPerpDescent:
 
 
 class TestGenIter:
+    @pytest.mark.slow
     def test_canonical_mixed_qualifies(self):
         # the decaying schedule reaches the qualification threshold late,
         # so this instance needs a long horizon
