@@ -32,40 +32,6 @@ _EXP_CAP = 700.0  # exp overflows float64 just above this
 _CHUNK = 256  # descent steps per fold of the loop's bookkeeping
 
 
-# The formulas below write into out, an array of z's shape, so that their
-# callers can reuse buffers.
-
-
-def _exp_capped(z, out):
-    # e^z, and +inf past _EXP_CAP
-    e = np.minimum(z, _EXP_CAP, out=out)
-    np.exp(e, e)
-    np.putmask(e, z > _EXP_CAP, np.inf)
-    return e
-
-
-def _exp_neg_abs(z, out):
-    # t = e^-|z|, the one exp both logistic formulas below take
-    t = np.abs(z, out)
-    np.negative(t, t)
-    return np.exp(t, t)
-
-
-def _logistic_value(z, t, out):
-    # ln(1+e^z) = max(z,0) + log1p(t), exact deep into both tails; out may be t
-    v = np.log1p(t, out)
-    v += np.maximum(z, 0.0)
-    return v
-
-
-def _logistic_deriv(z, t, out):
-    # sigmoid(z) = 1/(1+t) for z >= 0 and t/(1+t) below; the numerator is the
-    # larger of t <= 1 and H(z); out may be t
-    num = np.maximum(t, np.heaviside(z, 1.0))
-    u = np.add(t, 1.0, out)
-    return np.divide(num, u, u)
-
-
 def loss_values(z, code):
     """Elementwise loss: ln(1+e^z) for code 0, e^z for code 1.
 
@@ -73,21 +39,18 @@ def loss_values(z, code):
     tails; the exponential branch returns +inf past the float64 range.
     """
     z = np.asarray(z, dtype=float)
-    out = np.empty(z.shape)
     if code == EXPONENTIAL:
-        return _exp_capped(z, out)
-    _exp_neg_abs(z, out)
-    return _logistic_value(z, out, out)
+        return np.where(z > _EXP_CAP, np.inf, np.exp(np.minimum(z, _EXP_CAP)))
+    return np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)
 
 
 def loss_derivs(z, code):
     """Elementwise loss derivative: sigmoid(z) or e^z."""
-    z = np.asarray(z, dtype=float)
-    out = np.empty(z.shape)
     if code == EXPONENTIAL:
-        return _exp_capped(z, out)
-    _exp_neg_abs(z, out)
-    return _logistic_deriv(z, out, out)
+        return loss_values(z, code)
+    # sigmoid(z) = 1/(1+t) for z >= 0 and t/(1+t) below, t = e^-|z|
+    t = np.exp(-np.abs(z))
+    return np.maximum(t, np.heaviside(z, 1.0)) / (t + 1.0)
 
 
 def loss_curvs(z, code):

@@ -22,10 +22,8 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .gd import BALL_TOL, LOSS_CODES, SCHED_CODES, GDTrace, run
-from .margin import DEFAULT_GAP_TOL
+from .gd import LOSS_CODES, SCHED_CODES, GDTrace, risk, run
 from .pipeline import analyze
-from .strongconvex import GRAD_TOL
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -66,7 +64,7 @@ def _analyze(args, make_out: bool = False):
     matrix = to_margin_matrix(ds)
     if make_out:
         _outdir(args)
-    return ds, analyze(matrix, args.loss, margin_tol=args.tol_margin, scvx_tol=args.tol_scvx)
+    return ds, analyze(matrix, args.loss)
 
 
 def cmd_synth(args) -> int:
@@ -135,7 +133,10 @@ def cmd_run(args) -> int:
 
 
 def _check_trace_inputs(trace: GDTrace, digest: str, loss: str, structure) -> None:
-    """Reject a saved trace that was recorded on other data or another loss."""
+    """Reject a saved trace that was recorded on other data or another loss,
+    or whose risk at w_0 = 0 or at a checkpoint iterate differs from this
+    data's by more than n eps R: the descent loop adds the same n positive
+    loss terms as gd.risk in another order, which moves the sum by less."""
     found = {
         "dataset digest": (trace.digest, digest),
         "loss": (trace.loss, loss),
@@ -146,6 +147,13 @@ def _check_trace_inputs(trace: GDTrace, digest: str, loss: str, structure) -> No
         if recorded != expected:
             raise ValidationError(
                 f"trace was recorded with {name} {recorded!r}, this run has {expected!r}"
+            )
+    ts = [0, *trace.ts.tolist()]
+    for t, w, recorded in zip(ts, [np.zeros(trace.d), *trace.w], trace.risk_steps[ts]):
+        actual = risk(structure.matrix, loss, w)
+        if not abs(recorded - actual) <= structure.n * np.finfo(float).eps * actual:
+            raise ValidationError(
+                f"trace risk {recorded:.17g} at step {t} differs from this data's {actual:.17g}"
             )
 
 
@@ -159,15 +167,8 @@ def cmd_verify(args) -> int:
         _check_trace_inputs(trace, ds.digest(), args.loss, structure)
     else:
         trace = _run_trace(args, structure)
-    results, trends = verify_mod.run_checks(trace, structure, ball_tol=args.tol_ball)
-    tolerances = {
-        "margin": args.tol_margin,
-        "scvx": args.tol_scvx,
-        "ball": args.tol_ball,
-        "numeric_atol": verify_mod.NUMERIC_ATOL,
-        "numeric_rtol": verify_mod.NUMERIC_RTOL,
-    }
-    meta = verify_mod.report_meta(trace, structure, ds.digest(), tolerances)
+    results, trends = verify_mod.run_checks(trace, structure)
+    meta = verify_mod.report_meta(trace, structure, ds.digest())
     report = verify_mod.build_report(results, trends, meta)
     out = _outdir(args)
     report.to_json(out / "report.json")
@@ -223,8 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
         pp = sub.add_parser(name)
         _add_input_flags(pp)
         pp.add_argument("--loss", choices=tuple(LOSS_CODES), default="logistic")
-        pp.add_argument("--tol-margin", type=float, default=DEFAULT_GAP_TOL)
-        pp.add_argument("--tol-scvx", type=float, default=GRAD_TOL)
         pp.add_argument("--out", required=True)
         if needs_sched:
             pp.add_argument("--schedule", choices=tuple(SCHED_CODES), default="inv_sqrt")
@@ -233,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
             pp.add_argument("--checkpoints-per-decade", type=int, default=20)
         if name == "verify":
             pp.add_argument("--trace-dir", help="reuse a saved trace instead of re-running")
-            pp.add_argument("--tol-ball", type=float, default=BALL_TOL)
         pp.set_defaults(fn=fn)
 
     pr = sub.add_parser("report", help="pretty-print a report.json")

@@ -20,7 +20,6 @@ LOSS_CODES = {"logistic": _kernels.LOGISTIC, "exponential": _kernels.EXPONENTIAL
 SCHED_CODES = {"constant_one": _kernels.CONSTANT_ONE, "inv_sqrt": _kernels.INV_SQRT}
 
 DEFAULT_PER_DECADE = 20
-BALL_TOL = 1e-10
 
 
 def _rows(A) -> np.ndarray:
@@ -300,15 +299,9 @@ def run(
     )
 
 
-def constrained_opt(
-    A,
-    loss: str,
-    radius,
-    tol: float = BALL_TOL,
-    w0: np.ndarray | None = None,
-) -> np.ndarray:
+def constrained_opt(A, loss: str, radius, w0: np.ndarray | None = None) -> np.ndarray:
     """Minimizer of the risk over the Euclidean ball of the given radius,
-    from w0 (the origin by default).
+    from w0 (the origin by default), to linalg.RESIDUAL_TOL.
 
     radius may also be a 1-D array of radii, solved in one batched
     linalg.minimize_risk call; w0 then holds one start per radius, and the
@@ -320,14 +313,14 @@ def constrained_opt(
         raise ValidationError("radius must be >= 0")
     n, d = rows.shape
     starts = np.zeros(radii.shape + (d,)) if w0 is None else np.asarray(w0, dtype=float)
-    w, _ = minimize_risk(rows, _loss_code(loss), n, radii.reshape(-1), starts.reshape(-1, d), tol)
+    w, _ = minimize_risk(rows, _loss_code(loss), n, radii.reshape(-1), starts.reshape(-1, d))
     return w.reshape(starts.shape)
 
 
-def ball_series(A, loss: str, trace: GDTrace, tol: float = BALL_TOL) -> np.ndarray:
+def ball_series(A, loss: str, trace: GDTrace) -> np.ndarray:
     """Ball-constrained minimizers at every checkpoint radius |w_t|, from one
     batched constrained_opt call.  The solve at checkpoint k starts from the
     iterate w_t itself, which lies on that sphere, so no radius depends on
     another, and each answer has the bits of constrained_opt at its radius
     alone from w_t."""
-    return constrained_opt(A, loss, trace.norm_w, tol=tol, w0=trace.w)
+    return constrained_opt(A, loss, trace.norm_w, w0=trace.w)

@@ -14,6 +14,8 @@ DEFAULT_RANK_TOL = 1e-10
 # stopping rule of nnls: no column's gradient exceeds this times its norm times
 # the residual's
 NNLS_TOL = 1e-15
+# stopping rule of minimize_risk: the unit-step natural residual reaches this
+RESIDUAL_TOL = 1e-10
 # Newton iterations of minimize_risk before it gives up
 NEWTON_MAX_ITERS = 200
 # trial points of one line search before it gives up
@@ -211,7 +213,7 @@ def minimize_risk(
     n_total: int,
     radii: np.ndarray,
     w0: np.ndarray,
-    tol: float,
+    tol: float = RESIDUAL_TOL,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Minimizers of R(w) = sum_i loss((M w)_i) / n_total over the balls
     |w| <= radii[k], from the starts w0[k] (K, d), in one batched solve.
@@ -294,9 +296,8 @@ def minimize_risk(
             keep = ~leave
             if not np.count_nonzero(keep):
                 break
-            slots, radius, w, z, der, g = (x[keep] for x in (slots, radius, w, z, der, g))
-        # the loss's second derivative from its first: e^z, or p (1 - p)
-        curv = der if loss_code == _kernels.EXPONENTIAL else der * (1.0 - der)
+            slots, radius, w, z, g = (x[keep] for x in (slots, radius, w, z, g))
+        curv = _kernels.loss_curvs(z, loss_code)
         lam, Q = np.linalg.eigh(np.matmul(MT * curv[:, None, :], M) / n_total)
         # curvature below what eigh resolves is raised to that resolution: the
         # shortest step the data allows along such a direction

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConvergenceError, NotSeparableError, ValidationError
 from .linalg import nnls
 
-DEFAULT_GAP_TOL = 1e-8
+GAP_TOL = 1e-8
 
 
 @dataclass(eq=False)
@@ -51,8 +51,8 @@ def primal_margin(a_perp: np.ndarray, u: np.ndarray) -> float:
     return float(-np.max(a_perp @ u))
 
 
-def solve_dual(a_perp: np.ndarray, tol: float = DEFAULT_GAP_TOL) -> MarginSolution:
-    """Solve the dual margin problem and certify it to duality gap <= tol.
+def solve_dual(a_perp: np.ndarray) -> MarginSolution:
+    """Solve the dual margin problem and certify it to duality gap <= GAP_TOL.
 
     One NNLS solve over the columns [A_perp^T; 1^T] with target e_{d+1}.
     The margin is taken on the dual side, |A_perp^T q|, which is more
@@ -72,12 +72,12 @@ def solve_dual(a_perp: np.ndarray, tol: float = DEFAULT_GAP_TOL) -> MarginSoluti
     support = int(np.count_nonzero(q))
     v = Ap.T @ q
     margin = float(np.linalg.norm(v))
-    if margin <= tol:
+    if margin <= GAP_TOL:
         raise NotSeparableError(f"margin {margin:.3e} is at tolerance level; rows not separable")
     gap = margin - float(np.min(Ap @ v)) / margin
-    if gap > tol:
+    if gap > GAP_TOL:
         raise ConvergenceError(
-            f"duality gap {gap:.3e} > tol {tol:.3e} with {support} rows in the support",
+            f"duality gap {gap:.3e} > tol {GAP_TOL:.3e} with {support} rows in the support",
             best=gap,
             iterations=support,
         )

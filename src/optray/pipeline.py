@@ -6,8 +6,8 @@ import numpy as np
 
 from .dataset import MarginMatrix
 from .decompose import Decomposition, ValidationReport, partition, validate
-from .margin import DEFAULT_GAP_TOL, MarginSolution, solve_dual
-from .strongconvex import GRAD_TOL, ScOptimum, estimate_lambda, solve_vbar
+from .margin import MarginSolution, solve_dual
+from .strongconvex import ScOptimum, estimate_lambda, solve_vbar
 
 
 @dataclass(eq=False)
@@ -53,21 +53,14 @@ class Structure:
         return self.matrix.rows[self.dec.sep_rows]
 
 
-def analyze(
-    matrix: MarginMatrix,
-    loss: str,
-    margin_tol: float = DEFAULT_GAP_TOL,
-    scvx_tol: float = GRAD_TOL,
-) -> Structure:
+def analyze(matrix: MarginMatrix, loss: str) -> Structure:
     """Partition the rows, solve the max-margin dual over the complement,
     check the split against that direction, and minimize the restricted risk
     over the span of the remainder."""
     dec = partition(matrix)
-    margin_sol = solve_dual(dec.a_perp, tol=margin_tol) if dec.n_sep > 0 else None
+    margin_sol = solve_dual(dec.a_perp) if dec.n_sep > 0 else None
     report = validate(dec, matrix, None if margin_sol is None else margin_sol.direction)
-    sc_opt = solve_vbar(
-        matrix.rows[dec.sc_rows], dec.basis_s, loss, n_total=matrix.n, tol=scvx_tol
-    )
+    sc_opt = solve_vbar(matrix.rows[dec.sc_rows], dec.basis_s, loss, n_total=matrix.n)
     sc_opt.curvature = estimate_lambda(
         matrix.rows[dec.sc_rows], dec.basis_s, loss, sc_opt, n_total=matrix.n
     )

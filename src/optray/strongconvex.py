@@ -11,7 +11,6 @@ from .errors import NumericalError
 from .gd import _loss_code
 from .linalg import Basis, minimize_risk
 
-GRAD_TOL = 1e-10
 LAMBDA_DIRECTIONS = 32
 LAMBDA_SEED = 7
 
@@ -45,21 +44,16 @@ def _restricted(a_s: np.ndarray, basis_s: Basis) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(a_s, dtype=float) @ basis_s.columns)
 
 
-def solve_vbar(
-    a_s: np.ndarray,
-    basis_s: Basis,
-    loss: str,
-    n_total: int,
-    tol: float = GRAD_TOL,
-) -> ScOptimum:
+def solve_vbar(a_s: np.ndarray, basis_s: Basis, loss: str, n_total: int) -> ScOptimum:
     """Minimize the restricted risk over S by Newton's method
     (linalg.minimize_risk, a batch of one with an infinite radius); stops
-    when the gradient norm reaches tol; the origin when A_S B is empty."""
+    when the gradient norm reaches linalg.RESIDUAL_TOL; the origin when
+    A_S B is empty."""
     code = _loss_code(loss)
     M = _restricted(a_s, basis_s)
     c = np.zeros(basis_s.rank)
     if M.size:
-        (c,), _ = minimize_risk(M, code, n_total, [np.inf], c[None], tol)
+        (c,), _ = minimize_risk(M, code, n_total, [np.inf], c[None])
     z = M @ c
     return ScOptimum(
         offset=basis_s.columns @ c,

@@ -14,8 +14,9 @@ import numpy as np
 
 from . import _kernels
 from .errors import ValidationError
-from .gd import BALL_TOL, GDTrace, _loss_code, ball_series
-from .linalg import _norms
+from .gd import GDTrace, _loss_code, ball_series
+from .linalg import RESIDUAL_TOL, _norms
+from .margin import GAP_TOL
 from .pipeline import Structure
 
 NUMERIC_ATOL = 1e-9
@@ -450,9 +451,9 @@ def standard_trends(trace: GDTrace, structure: Structure) -> list:
     return trends
 
 
-def run_checks(trace: GDTrace, structure: Structure, ball_tol: float = BALL_TOL) -> tuple[list, list]:
+def run_checks(trace: GDTrace, structure: Structure) -> tuple[list, list]:
     """All registered checks against one trace, plus trend fits."""
-    wbar = ball_series(structure.matrix, trace.loss, trace, tol=ball_tol)
+    wbar = ball_series(structure.matrix, trace.loss, trace)
     results = [
         check_risk_bound(trace, structure),
         check_smoothness(trace),
@@ -489,7 +490,7 @@ def build_report(results: list, trends: list, meta: dict) -> VerificationReport:
     return VerificationReport(meta=meta, checks=ordered, trends=list(trends))
 
 
-def report_meta(trace: GDTrace, structure: Structure, digest: str, tolerances: dict) -> dict:
+def report_meta(trace: GDTrace, structure: Structure, digest: str) -> dict:
     return {
         "digest": digest,
         "loss": trace.loss,
@@ -503,5 +504,11 @@ def report_meta(trace: GDTrace, structure: Structure, digest: str, tolerances: d
         "offset_norm": float(np.linalg.norm(structure.offset)),
         "inf_risk": structure.inf_risk,
         "curvature_est": None if not np.isfinite(structure.curvature) else structure.curvature,
-        "tolerances": tolerances,
+        "tolerances": {
+            "margin": GAP_TOL,
+            "scvx": RESIDUAL_TOL,
+            "ball": RESIDUAL_TOL,
+            "numeric_atol": NUMERIC_ATOL,
+            "numeric_rtol": NUMERIC_RTOL,
+        },
     }

@@ -135,7 +135,7 @@ def test_criterion_2_margin_duality():
         rows = rng.standard_normal((n, d)) * 0.2
         rows -= np.maximum(rows @ u_star + rng.uniform(0.1, 0.5, n), 0)[:, None] * u_star
         rows /= max(1.0, np.linalg.norm(rows, axis=1).max())
-        s = solve_dual(rows, tol=1e-8)
+        s = solve_dual(rows)
         assert s.gap <= 1e-8
         assert np.all(rows @ s.direction <= -s.margin + 1e-8)
     _pass(2, "canonical margins exact to 1e-6; random instances reach gap <= 1e-8")

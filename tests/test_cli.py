@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,10 +11,12 @@ from hull_oracle import block_rows, margin_direction
 
 import optray
 import optray.pipeline
+from optray._kernels import descent_sums
 from optray.cli import main
 from optray.dataset import Dataset, load_csv, save_csv, to_margin_matrix
 from optray.decompose import ValidationReport, partition, validate
 from optray.errors import LPError
+from optray.gd import SCHED_CODES, GDTrace, _checkpoint_columns
 
 
 @pytest.fixture
@@ -145,19 +148,36 @@ def _truncate(steps):
         steps[name] = steps[name][:100]
 
 
+def _halve_risk(run_out):
+    # halve the risk and the effective step in steps.npz and rederive every
+    # column that from_files compares: the two files agree, but not with the
+    # data (the risk at step 0 reads ln 2 / 2)
+    trace = GDTrace.from_files(run_out / "trace.json", run_out / "steps.npz")
+    series = dict(
+        risk_steps=trace.risk_steps / 2, rel_steps=trace.rel_steps, eff_steps=trace.eff_steps / 2
+    )
+    cols = _checkpoint_columns(trace.ts, trace.w, trace.proj_s, **series)
+    sums = descent_sums(series["eff_steps"], trace.rel_steps, SCHED_CODES[trace.schedule], trace.ts)
+    cols.update(zip(("sum_eta", "sum_eff_grad", "sum_tele"), sums))
+    halved = dataclasses.replace(trace, **series, **cols)
+    halved.to_json(run_out / "trace.json")
+    halved.save_steps(run_out / "steps.npz")
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
         (lambda out: _scale_trace_json(out, {"risk": 10.0, "sum_tele": 0.5}), "does not match"),
         (lambda out: _edit_steps(out, _scale_step_50), "does not match"),
         (lambda out: _edit_steps(out, _truncate), "outside the steps"),
+        (_halve_risk, "differs from this data's"),
     ],
-    ids=["trace_json", "steps_at_a_checkpoint", "steps_truncated"],
+    ids=["trace_json", "steps_at_a_checkpoint", "steps_truncated", "risk_halved_in_both"],
 )
 def test_verify_rejects_trace_copies_that_disagree(edit, message, tmp_path, capsys):
     # the checkpoint risk and the descent sums follow from steps.npz; a
     # trace.json that disagrees with it is an input error, whichever file
-    # was edited
+    # was edited, and so is a risk that disagrees with the data
     flags = ["--synth-kind", "mixed", "--seed", "1", "--loss", "logistic", "--schedule", "inv_sqrt"]
     run_out = tmp_path / "r"
     assert main(["run", *flags, "--steps", "3000", "--out", str(run_out)]) == 0

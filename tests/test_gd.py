@@ -17,7 +17,6 @@ from optray.dataset import MarginMatrix, synth, to_margin_matrix
 from optray.decompose import partition
 from optray.errors import ConvergenceError, ValidationError
 from optray.gd import (
-    BALL_TOL,
     LOSS_CODES,
     GDTrace,
     ball_series,
@@ -27,7 +26,7 @@ from optray.gd import (
     risk,
     run,
 )
-from optray.linalg import minimize_risk
+from optray.linalg import RESIDUAL_TOL, minimize_risk
 from optray.verify import check_smoothness
 
 LN2 = np.log(2.0)
@@ -450,13 +449,13 @@ class TestBatchedAgainstFrozenSolver:
         rows, loss = problem[:2]
         trace = run(rows, loss, schedule, T)
         batched = ball_series(rows, loss, trace)
-        warm = ball_oracle.ball_series(rows, LOSS_CODES[loss], trace.norm_w, BALL_TOL)
+        warm = ball_oracle.ball_series(rows, LOSS_CODES[loss], trace.norm_w, RESIDUAL_TOL)
         for radius, wb, wo in zip(trace.norm_w, batched, warm):
             res_b, g_b, p_b = _kkt_residual(rows, loss, wb, radius)
             res_o, g_o, p_o = _kkt_residual(rows, loss, wo, radius)
             for w, res in ((wb, res_b), (wo, res_o)):
                 assert np.linalg.norm(w) <= radius * (1 + 1e-12)
-                assert res <= BALL_TOL
+                assert res <= RESIDUAL_TOL
             r_b, r_o = risk(rows, loss, wb), risk(rows, loss, wo)
             assert r_b <= r_o + res_b * (np.linalg.norm(g_b) + np.linalg.norm(p_b - wo)) + 1e-12
             assert r_o <= r_b + res_o * (np.linalg.norm(g_o) + np.linalg.norm(p_o - wb)) + 1e-12

@@ -93,6 +93,10 @@ class TestLossFunctions:
             ref_der = gd_oracle.loss_derivs(z, code)
         np.testing.assert_array_equal(K.loss_values(z, code), ref_val, strict=True)
         np.testing.assert_array_equal(K.loss_derivs(z, code), ref_der, strict=True)
+        # the curvature minimize_risk and estimate_lambda read: p (1 - p) of the
+        # logistic derivative p, and e^z itself
+        ref_curv = ref_der * (1.0 - ref_der) if code == K.LOGISTIC else ref_der
+        np.testing.assert_array_equal(K.loss_curvs(z, code), ref_curv, strict=True)
         # the split form the descent loop uses: the derivative per step, the
         # value at the fold; the loop keeps no step with an exponential margin
         # past the cap

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 import optray.margin
 from optray.dataset import synth, to_margin_matrix
 from optray.errors import NotSeparableError, ValidationError
-from optray.margin import DEFAULT_GAP_TOL, primal_margin, solve_dual
+from optray.margin import GAP_TOL, primal_margin, solve_dual
 from optray.pipeline import analyze
 
 SQRT2 = np.sqrt(2.0)
@@ -48,7 +48,7 @@ class TestSolveDual:
             rows = rng.standard_normal((n, d)) * 0.2
             rows -= np.maximum(rows @ u_star + rng.uniform(0.1, 0.5, n), 0)[:, None] * u_star
             rows /= max(1.0, np.linalg.norm(rows, axis=1).max())
-            sol = solve_dual(rows, tol=1e-8)
+            sol = solve_dual(rows)
             assert sol.gap <= 1e-8
             assert np.all(rows @ sol.direction <= -sol.margin + 1e-8)
 
@@ -111,7 +111,7 @@ class TestSolveDual:
         try:
             sol = solve_dual(P)
         except NotSeparableError:
-            assert best <= DEFAULT_GAP_TOL + 1e-12
+            assert best <= GAP_TOL + 1e-12
             return
         q = sol.dual_weights
         assert q.min() >= 0.0

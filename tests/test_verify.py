@@ -11,10 +11,14 @@ from optray import _kernels
 from optray.dataset import SYNTH_KINDS, MarginMatrix, synth, to_margin_matrix
 from optray.errors import ValidationError
 from optray.gd import LOSS_CODES, SCHED_CODES, ball_series, run
+from optray.linalg import RESIDUAL_TOL
+from optray.margin import GAP_TOL
 from optray.pipeline import analyze
 from optray.verify import (
     CHECK_NAMES,
     LOG_APPROX_EPS_GRID,
+    NUMERIC_ATOL,
+    NUMERIC_RTOL,
     CheckResult,
     build_report,
     check_direction,
@@ -385,7 +389,7 @@ class TestReport:
     def canonical_report(self):
         structure, trace = pipeline_for([[-1.0, 0.0], [0.0, -1.0], [0.0, 1.0]], "logistic", "inv_sqrt", 5000)
         results, trends = run_checks(trace, structure)
-        meta = report_meta(trace, structure, digest="x", tolerances={"margin": 1e-8})
+        meta = report_meta(trace, structure, digest="x")
         return build_report(results, trends, meta)
 
     def test_all_applicable_hold_on_canonical(self):
@@ -415,3 +419,11 @@ class TestReport:
         data = json.loads((tmp_path / "report.json").read_text())
         assert [c["name"] for c in data["checks"]] == [c.name for c in rep.checks]
         assert data["meta"]["loss"] == "logistic"
+        # the solvers' stop rules and the checks' slack, in the report's order
+        assert list(data["meta"]["tolerances"].items()) == [
+            ("margin", GAP_TOL),
+            ("scvx", RESIDUAL_TOL),
+            ("ball", RESIDUAL_TOL),
+            ("numeric_atol", NUMERIC_ATOL),
+            ("numeric_rtol", NUMERIC_RTOL),
+        ]
