@@ -8,7 +8,7 @@ from .linalg import Basis, complement, orthonormal_basis
 from .margin import MarginSolution, primal_margin, solve_dual
 from .pipeline import Structure, analyze
 from .strongconvex import ScOptimum, estimate_lambda, solve_vbar
-from .verify import CheckResult, VerificationReport, build_report, run_checks
+from .verify import CheckResult, VerificationReport, run_checks
 
 __version__ = "0.1.0"
 
@@ -25,7 +25,6 @@ __all__ = [
     "VerificationReport",
     "analyze",
     "ball_series",
-    "build_report",
     "complement",
     "constrained_opt",
     "estimate_lambda",

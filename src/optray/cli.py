@@ -167,9 +167,8 @@ def cmd_verify(args) -> int:
         _check_trace_inputs(trace, ds.digest(), args.loss, structure)
     else:
         trace = _run_trace(args, structure)
-    results, trends = verify_mod.run_checks(trace, structure)
     meta = verify_mod.report_meta(trace, structure, ds.digest())
-    report = verify_mod.build_report(results, trends, meta)
+    report = verify_mod.VerificationReport(meta, *verify_mod.run_checks(trace, structure))
     out = _outdir(args)
     report.to_json(out / "report.json")
     for c in report.checks:

@@ -123,6 +123,8 @@ class GDTrace:
         "sum_cross",
         "sup_proj_s",
     )
+    # d columns each, after the scalars
+    CSV_VECTORS = ("w", "proj_s", "dir")
 
     @property
     def k(self) -> int:
@@ -130,7 +132,7 @@ class GDTrace:
 
     def csv_header(self) -> list:
         cols = ["t"] + list(self.CSV_SCALARS)
-        for name in ("w", "proj_s", "dir"):
+        for name in self.CSV_VECTORS:
             cols += [f"{name}_{i + 1}" for i in range(self.d)]
         return cols
 
@@ -141,7 +143,7 @@ class GDTrace:
             for k in range(self.k):
                 vals = [str(int(self.ts[k]))]
                 vals += [f"{getattr(self, name)[k]:.17g}" for name in self.CSV_SCALARS]
-                for name in ("w", "proj_s", "dir"):
+                for name in self.CSV_VECTORS:
                     vals += [f"{v:.17g}" for v in getattr(self, name)[k]]
                 fh.write(",".join(vals) + "\n")
 
@@ -162,7 +164,7 @@ class GDTrace:
         for k in range(self.k):
             rec = {"t": int(self.ts[k])}
             rec.update({name: float(getattr(self, name)[k]) for name in self.CSV_SCALARS})
-            for name in ("w", "proj_s", "dir"):
+            for name in self.CSV_VECTORS:
                 rec[name] = getattr(self, name)[k].tolist()
             records.append(rec)
         with open(path, "w") as fh:
@@ -194,7 +196,7 @@ class GDTrace:
         if not (ts.size and np.all((ts >= 1) & (ts < series["risk_steps"].size))):
             raise ValidationError(f"{json_path} has checkpoints outside the steps of {steps_path}")
         cols = {name: np.array([r[name] for r in recs], dtype=float) for name in cls.CSV_SCALARS}
-        for name in ("w", "proj_s", "dir"):
+        for name in cls.CSV_VECTORS:
             cols[name] = np.array([r[name] for r in recs], dtype=float).reshape(ts.size, meta["d"])
         derived = _checkpoint_columns(ts, cols["w"], cols["proj_s"], **series)
         sums = _kernels.descent_sums(

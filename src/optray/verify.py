@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import ValidationError
 from .gd import GDTrace, _loss_code, ball_series
 from .linalg import RESIDUAL_TOL, _norms
 from .margin import GAP_TOL
@@ -21,21 +20,6 @@ from .pipeline import Structure
 
 NUMERIC_ATOL = 1e-9
 NUMERIC_RTOL = 1e-12
-
-# registry order is the report order
-CHECK_NAMES = (
-    "risk_bound",
-    "smoothness",
-    "log_risk_telescope",
-    "norm_bounds",
-    "perceptron_norm",
-    "param_s",
-    "direction",
-    "fenchel_young",
-    "log_approx",
-    "perp_descent",
-    "gen_iter",
-)
 
 LOG_APPROX_EPS_GRID = (1.0, 0.5, 0.1, 0.01)
 LOG_APPROX_ULPS = 8  # steps inside the boundary of {loss <= eps}, at most
@@ -109,15 +93,11 @@ class VerificationReport:
             json.dump(self.to_dict(), fh, indent=1)
 
 
-def _tolerances(quantity: np.ndarray) -> np.ndarray:
-    return NUMERIC_ATOL + NUMERIC_RTOL * np.abs(quantity)
-
-
 def _from_slacks(name, slack, quantity, locations, note="") -> CheckResult:
     slack = np.asarray(slack, dtype=float)
     if slack.size == 0:
         return CheckResult(name, True, np.inf, -1, note=note or "no evaluation points")
-    tol = _tolerances(np.asarray(quantity, dtype=float))
+    tol = NUMERIC_ATOL + NUMERIC_RTOL * np.abs(np.asarray(quantity, dtype=float))
     holds = bool(np.all(slack >= -tol))
     k = int(np.argmin(slack))
     return CheckResult(name, holds, float(slack[k]), int(locations[k]), note=note)
@@ -237,32 +217,19 @@ def check_direction(
         return _na("direction", "no convergence case covers this schedule/data pair"), None
     qual &= trace.norm_w > 0
     if not np.any(qual):
-        return (
-            _na("direction", f"warm start never reached ({case} case) within T"),
-            None,
-        )
+        return _na("direction", f"warm start never reached ({case} case) within T"), None
     ts = trace.ts[qual]
-    err_w = _dir_err_sq(trace.w[qual], structure.direction)
-    err_b = _dir_err_sq(wbar[qual], structure.direction)
-    # monotone decrease past the warm start, both for the iterates and the
+    # monotone decrease past the warm start: row 0 the iterates, row 1 the
     # ball-constrained optima
-    slacks = []
-    locs = []
-    quant = []
-    for err in (err_w, err_b):
-        if err.size >= 2:
-            slacks.append(err[:-1] - err[1:])
-            locs.append(ts[1:])
-            quant.append(err[1:])
-    if slacks:
-        slack = np.concatenate(slacks)
-        loc = np.concatenate(locs)
-        quantity = np.concatenate(quant)
+    err = np.stack([_dir_err_sq(v[qual], structure.direction) for v in (trace.w, wbar)])
+    if ts.size >= 2:
+        slack = (err[:, :-1] - err[:, 1:]).ravel()
+        loc, quantity = np.tile(ts[1:], 2), err[:, 1:].ravel()
     else:
-        slack, loc, quantity = np.array([0.0]), ts[:1], err_w[:1]
+        slack, loc, quantity = np.array([0.0]), ts, err[0]
     result = _from_slacks("direction", slack, quantity, loc, note=f"{case} case")
     shape = (np.log(structure.n) + np.log(np.log(ts))) / (structure.gamma**2 * np.log(ts))
-    trend = fit_trend("direction_rate", ts, err_w, shape)
+    trend = fit_trend("direction_rate", ts, err[0], shape)
     return result, trend
 
 
@@ -281,28 +248,16 @@ def check_fenchel_young(trace: GDTrace, structure: Structure, wbar: np.ndarray) 
     ent = float(np.sum(q[q > 0] * np.log(q[q > 0])))
     # each q_i <= 1, so ent <= 0 and g_star <= ln n
     g_star = np.log(structure.n) + ent
-    gamma = structure.gamma
-    slacks = []
-    locs = []
-    quants = []
-    for vecs in (trace.w[qual], wbar[qual]):
-        norms = np.linalg.norm(vecs, axis=1)
-        keep = norms > 0
-        if not np.any(keep):
-            continue
-        lhs = (vecs[keep] @ structure.direction) / norms[keep]
-        ex = np.maximum(excess[qual][keep], 1e-300)
-        cross = np.linalg.norm(structure.dec.basis_s.project(vecs[keep]), axis=1)
-        rhs = (-np.log(ex) - np.log(2.0) - g_star - cross) / (gamma * norms[keep])
-        slacks.append(lhs - rhs)
-        locs.append(trace.ts[qual][keep])
-        quants.append(np.abs(lhs))
-    return _from_slacks(
-        "fenchel_young",
-        np.concatenate(slacks),
-        np.concatenate(quants),
-        np.concatenate(locs),
-    )
+    # the iterates, then the ball-constrained optima
+    vecs = np.concatenate([trace.w[qual], wbar[qual]])
+    norms = np.linalg.norm(vecs, axis=1)
+    keep = norms > 0
+    vecs, norms = vecs[keep], norms[keep]
+    lhs = (vecs @ structure.direction) / norms
+    ex = np.maximum(np.tile(excess[qual], 2)[keep], 1e-300)
+    cross = np.linalg.norm(structure.dec.basis_s.project(vecs), axis=1)
+    rhs = (-np.log(ex) - np.log(2.0) - g_star - cross) / (structure.gamma * norms)
+    return _from_slacks("fenchel_young", lhs - rhs, np.abs(lhs), np.tile(trace.ts[qual], 2)[keep])
 
 
 def _estimate_first_qualifying(trace: GDTrace, excess: np.ndarray, target: float):
@@ -423,37 +378,25 @@ def _window(trace: GDTrace, decades: float) -> np.ndarray:
 
 
 def standard_trends(trace: GDTrace, structure: Structure) -> list:
-    trends = []
     sel = _window(trace, 1.0)
     ts = trace.ts[sel].astype(float)
     excess = trace.risk[sel] - structure.inf_risk
-    if trace.schedule == "inv_sqrt":
-        shape = np.log(ts) ** 2 / np.sqrt(ts)
-    else:
-        shape = np.log(ts) ** 2 / ts
-    t = fit_trend("risk_rate", ts, excess, shape)
-    if t:
-        trends.append(t)
+    rate = np.sqrt(ts) if trace.schedule == "inv_sqrt" else ts
+    trends = [fit_trend("risk_rate", ts, excess, np.log(ts) ** 2 / rate)]
+    sel2 = _window(trace, 2.0)
+    ts2 = trace.ts[sel2].astype(float)
     if structure.n_sep > 0:
-        sel2 = _window(trace, 2.0)
-        ts2 = trace.ts[sel2].astype(float)
-        t = fit_trend("perp_norm_log_t", ts2, trace.proj_perp_norm[sel2], np.log(ts2))
-        if t:
-            trends.append(t)
+        trends.append(fit_trend("perp_norm_log_t", ts2, trace.proj_perp_norm[sel2], np.log(ts2)))
     if structure.dec.rank_s > 0:
-        sel2 = _window(trace, 2.0)
-        ts2 = trace.ts[sel2].astype(float)
-        t = fit_trend(
-            "proj_s_const", ts2, np.linalg.norm(trace.proj_s[sel2], axis=1), np.ones_like(ts2)
-        )
-        if t:
-            trends.append(t)
-    return trends
+        norms = np.linalg.norm(trace.proj_s[sel2], axis=1)
+        trends.append(fit_trend("proj_s_const", ts2, norms, np.ones_like(ts2)))
+    return [t for t in trends if t]
 
 
 def run_checks(trace: GDTrace, structure: Structure) -> tuple[list, list]:
-    """All registered checks against one trace, plus trend fits."""
+    """Every check against one trace, in report order, plus trend fits."""
     wbar = ball_series(structure.matrix, trace.loss, trace)
+    dir_result, dir_trend = check_direction(trace, structure, wbar)
     results = [
         check_risk_bound(trace, structure),
         check_smoothness(trace),
@@ -461,33 +404,16 @@ def run_checks(trace: GDTrace, structure: Structure) -> tuple[list, list]:
         check_norm_bounds(trace, structure),
         check_perceptron_norm(trace),
         check_param_s(trace, structure, wbar),
+        dir_result,
+        check_fenchel_young(trace, structure, wbar),
+        check_log_approx(),
+        check_perp_descent(trace, structure),
+        check_gen_iter(trace, structure),
     ]
-    dir_result, dir_trend = check_direction(trace, structure, wbar)
-    results.append(dir_result)
-    results.append(check_fenchel_young(trace, structure, wbar))
-    results.append(check_log_approx())
-    results.append(check_perp_descent(trace, structure))
-    results.append(check_gen_iter(trace, structure))
     trends = standard_trends(trace, structure)
     if dir_trend:
         trends.append(dir_trend)
     return results, trends
-
-
-def build_report(results: list, trends: list, meta: dict) -> VerificationReport:
-    """Assemble a deterministic report; every registered check appears once."""
-    if not results:
-        raise ValidationError("no checks were run")
-    by_name = {}
-    for res in results:
-        if res.name in by_name:
-            raise ValidationError(f"duplicate check {res.name}")
-        by_name[res.name] = res
-    unknown = set(by_name) - set(CHECK_NAMES)
-    if unknown:
-        raise ValidationError(f"unregistered checks: {sorted(unknown)}")
-    ordered = [by_name[name] for name in CHECK_NAMES if name in by_name]
-    return VerificationReport(meta=meta, checks=ordered, trends=list(trends))
 
 
 def report_meta(trace: GDTrace, structure: Structure, digest: str) -> dict:

@@ -351,31 +351,29 @@ def assert_loops_agree(new, old):
         assert pred[worst_at - 1] - r[worst_at] - ref_worst <= band
 
 
-def run_counting_exits(test, strategy, max_examples):
-    """Run test over max_examples draws of strategy and require that at
-    least one of them ends in overflow and one in the step assert; test
-    returns the status of the problem it checked."""
-    exits = set()
-
-    @settings(max_examples=max_examples, deadline=None)
-    @given(strategy)
-    def run(problem):
-        exits.add(test(problem))
-
-    run()
+def assert_both_exits(exits):
+    """Of the draws' exit statuses, at least one is an overflow and one a
+    step assert."""
     assert {K.STATUS_OVERFLOW, K.STATUS_STEP_ASSERT} <= exits, exits
 
 
+# each property below decorates its own inner function, so that each has its
+# own key in the hypothesis database and replays only its own failures
 class TestDescentLoop:
     def test_matches_reference_loop(self):
-        def check(problem):
+        exits = set()
+
+        @settings(max_examples=300, deadline=None)
+        @given(descent_problems())
+        def matches_reference_loop(problem):
             with np.errstate(all="ignore"):
                 old = _oracle(*problem)
             new = K.gd_loop(*problem)
             assert_loops_agree(new, old)
-            return new[0]
+            exits.add(new[0])
 
-        run_counting_exits(check, descent_problems(), 300)
+        matches_reference_loop()
+        assert_both_exits(exits)
 
 
 @pytest.mark.parametrize(
@@ -430,7 +428,15 @@ def _split(rows, loss_code, sched_code, T):
 
 class TestChunks:
     def test_outputs_do_not_depend_on_the_chunk_length(self):
-        run_counting_exits(lambda problem: assert_chunk_invariant(problem)[0], descent_problems(), 200)
+        exits = set()
+
+        @settings(max_examples=200, deadline=None)
+        @given(descent_problems())
+        def chunk_invariant(problem):
+            exits.add(assert_chunk_invariant(problem)[0])
+
+        chunk_invariant()
+        assert_both_exits(exits)
 
     @pytest.mark.parametrize(
         "rows, loss_code, status, stop",

@@ -9,18 +9,15 @@ from hypothesis import strategies as st
 
 from optray import _kernels
 from optray.dataset import SYNTH_KINDS, MarginMatrix, synth, to_margin_matrix
-from optray.errors import ValidationError
 from optray.gd import LOSS_CODES, SCHED_CODES, ball_series, run
 from optray.linalg import RESIDUAL_TOL
 from optray.margin import GAP_TOL
 from optray.pipeline import analyze
 from optray.verify import (
-    CHECK_NAMES,
     LOG_APPROX_EPS_GRID,
     NUMERIC_ATOL,
     NUMERIC_RTOL,
-    CheckResult,
-    build_report,
+    VerificationReport,
     check_direction,
     check_fenchel_young,
     check_gen_iter,
@@ -241,11 +238,14 @@ class TestDirection:
         assert trend is not None and trend.coefficient > 0
 
     def test_single_row_exact_after_one_step(self):
-        structure, trace = pipeline_for([[-1.0]], "logistic", "constant_one", 1000)
-        wbar = ball_series(structure.matrix, "logistic", trace)
-        res, _ = check_direction(trace, structure, wbar)
-        assert res.applicable and res.holds
-        np.testing.assert_allclose(trace.dir[-1], structure.direction, atol=1e-12)
+        for T in (1000, 5):
+            structure, trace = pipeline_for([[-1.0]], "logistic", "constant_one", T)
+            wbar = ball_series(structure.matrix, "logistic", trace)
+            res, _ = check_direction(trace, structure, wbar)
+            assert res.applicable and res.holds
+            np.testing.assert_allclose(trace.dir[-1], structure.direction, atol=1e-12)
+        # at T = 5 only t = 5 is past the warm start: no decrease to compare
+        assert (res.worst_slack, res.location) == (0.0, 5)
 
     def test_schedule_without_theory_is_not_applicable(self):
         structure, trace = pipeline_for(
@@ -296,7 +296,9 @@ def perp_descent_slacks(trace, structure):
     perp = trace.w - trace.proj_s
     for k in range(trace.k):
         u = direction * radii[k]
-        lhs[k] = np.linalg.norm(perp[k] - u) ** 2
+        # squared as the check squares: a numpy scalar's ** 2 calls libm pow,
+        # which rounds differently from x * x for about 1 x in 1200
+        lhs[k] = np.square(np.linalg.norm(perp[k] - u))
         rc_u[k] = float(np.sum(_kernels.loss_values(margins * radii[k], code))) / structure.n
     rhs = (
         radii**2
@@ -389,27 +391,29 @@ class TestReport:
     def canonical_report(self):
         structure, trace = pipeline_for([[-1.0, 0.0], [0.0, -1.0], [0.0, 1.0]], "logistic", "inv_sqrt", 5000)
         results, trends = run_checks(trace, structure)
-        meta = report_meta(trace, structure, digest="x")
-        return build_report(results, trends, meta)
+        return VerificationReport(report_meta(trace, structure, digest="x"), results, trends)
 
     def test_all_applicable_hold_on_canonical(self):
         rep = self.canonical_report()
         assert rep.ok, rep.failed_names()
-        assert {c.name for c in rep.checks} == set(CHECK_NAMES)
+        assert [c.name for c in rep.checks] == [
+            "risk_bound",
+            "smoothness",
+            "log_risk_telescope",
+            "norm_bounds",
+            "perceptron_norm",
+            "param_s",
+            "direction",
+            "fenchel_young",
+            "log_approx",
+            "perp_descent",
+            "gen_iter",
+        ]
 
     def test_deterministic_reports(self):
         a = self.canonical_report().to_dict()
         b = self.canonical_report().to_dict()
         assert a == b
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            build_report([], [], {})
-
-    def test_duplicate_rejected(self):
-        res = CheckResult("smoothness", True, 0.0, -1)
-        with pytest.raises(ValidationError):
-            build_report([res, res], [], {})
 
     def test_json_round_trip(self, tmp_path):
         import json

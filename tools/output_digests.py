@@ -11,7 +11,12 @@ parent with a change:
     python3 tools/output_digests.py .      SCRATCH/b > b.txt
     diff a.txt b.txt
 
-By default all three workloads run at seeds 1 and 2: 60 jobs.
+By default all three workloads run at seeds 1 and 2: 60 jobs.  Two more
+``verify`` jobs always run, on CSVs the script writes under SCRATCH, since
+no benchmark job reaches the direction check's warm start (it reads N/A
+there): two unit rows labelled +1 at 1e5 steps, where the check applies and
+compares checkpoints, and one row at 5 steps, where only the last checkpoint
+qualifies.
 """
 
 import os
@@ -29,6 +34,11 @@ import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 WORKLOADS = ("verify_grid", "long_run", "structure")
+# (name, CSV text, loss, schedule, steps) of the jobs past the warm start
+DIRECTION_JOBS = (
+    ("two-axis", "f1,f2,label\n1,0,1\n0,1,1\n", "exponential", "constant_one", 100_000),
+    ("one-row", "f1,label\n1,1\n", "logistic", "constant_one", 5),
+)
 
 
 def file_digest(path: Path) -> str:
@@ -46,13 +56,14 @@ def file_digest(path: Path) -> str:
     return h.hexdigest()
 
 
-def run_job(cli, job, outdir: Path, scratch: Path) -> list:
-    """The lines that describe one job's run."""
+def run_job(cli, argv: list, outdir: Path, scratch: Path) -> list:
+    """The lines that describe one run of the command line argv, which
+    writes to outdir."""
     shutil.rmtree(outdir, ignore_errors=True)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = cli.main(job.argv(outdir))
+            code = cli.main(argv)
         except SystemExit as exc:  # argparse rejected the arguments
             code = exc.code
     lines = [f"exit {code}"]
@@ -91,8 +102,20 @@ def main(argv=None) -> int:
             (base / "inputs").mkdir(parents=True, exist_ok=True)
             for job in inputs.build(workload, seed, base / "inputs", write_files=True):
                 print(f"== {workload} seed {seed} {job.name}")
-                for line in run_job(cli, job, base / "out" / job.name, scratch):
+                outdir = base / "out" / job.name
+                for line in run_job(cli, job.argv(outdir), outdir, scratch):
                     print(line)
+    base = scratch / "direction"
+    (base / "inputs").mkdir(parents=True, exist_ok=True)
+    for name, text, loss, schedule, steps in DIRECTION_JOBS:
+        csv = base / "inputs" / f"{name}.csv"
+        csv.write_text(text)
+        outdir = base / "out" / name
+        argv = ["verify", "--input", str(csv), "--loss", loss, "--schedule", schedule]
+        argv += ["--steps", str(steps), "--out", str(outdir)]
+        print(f"== direction {name}")
+        for line in run_job(cli, argv, outdir, scratch):
+            print(line)
     return 0
 
 
