@@ -132,10 +132,22 @@ def save_csv(ds: Dataset, path) -> None:
             writer.writerow([f"{v:.17g}" for v in x] + [int(y)])
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """|x_i| of every row of x.  np.linalg.norm squares the entries, so past
+    ~1e154 the norm overflows to inf and below ~1e-162 it can underflow to 0;
+    only those rows are recomputed, divided by their largest entry first."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(x, axis=1)
+    off = np.isinf(norms) | ((norms == 0.0) & np.any(x != 0.0, axis=1))
+    if off.any():
+        scale = np.max(np.abs(x[off]), axis=1)
+        norms[off] = scale * np.linalg.norm(x[off] / scale[:, None], axis=1)
+    return norms
+
+
 def normalize(ds: Dataset) -> Dataset:
     """Scale all features by one global factor so that max_i |x_i| <= 1."""
-    norms = np.linalg.norm(ds.features, axis=1)
-    top = norms.max()
+    top = _row_norms(ds.features).max()
     if top == 0.0:
         raise DegenerateDataError("all feature vectors are zero")
     if top <= 1.0:

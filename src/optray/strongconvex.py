@@ -13,6 +13,13 @@ from .linalg import Basis, minimize_risk
 
 LAMBDA_DIRECTIONS = 32
 LAMBDA_SEED = 7
+STEP_CAP = 2.0**59  # the farthest step a ray is followed to
+NEWTON_MAX_STEPS = 60
+NEWTON_TOL = 2.0**-50  # a few rounding errors of a step t, or of R near 1
+# offsets in ulps from a Newton root at which _level reads the risk; the
+# roots of the benchmark rays lie 2 below to 6 above the crossing
+_WINDOW = np.arange(-3, 7)
+_LEVEL_ROWS = 64
 
 
 @dataclass(eq=False)
@@ -64,43 +71,197 @@ def solve_vbar(a_s: np.ndarray, basis_s: Basis, loss: str, n_total: int) -> ScOp
 
 
 def _level(M: np.ndarray, code: int, n_total: int, points: np.ndarray) -> np.ndarray:
-    """Restricted risk sum_i loss((M c)_i) / n_total at each row c of points."""
-    return np.sum(_kernels.loss_values(points @ M.T, code), axis=1) / n_total
+    """Restricted risk sum_i loss((M c)_i) / n_total at each row c of points.
+
+    The points go through in parts of at most _LEVEL_ROWS, which keeps the
+    temporaries near those of one block of directions.  A point gets the same
+    bits whatever points come with it: numpy takes a single row through a
+    matrix-vector product, which rounds differently from the matrix product
+    of every larger part, so a lone point goes in twice and no part is one
+    row."""
+    k = points.shape[0]
+    if k == 1:
+        points = np.repeat(points, 2, axis=0)
+    parts = np.array_split(points, -(-points.shape[0] // _LEVEL_ROWS))
+    risk = np.concatenate([np.sum(_kernels.loss_values(p @ M.T, code), axis=1) for p in parts])
+    return risk[:k] / n_total
+
+
+def _start_steps(z0: np.ndarray, P: np.ndarray, code: int, n_total: int) -> np.ndarray:
+    """For each row p = M d of P, a step past which R(c* + t d) > 1, where a
+    linear minorant of the loss summed over the s rows with p_i > 0 reaches n:
+    ln(1 + e^z) > z, and e^z >= (n/s)(1 + z - ln(n/s)).  +inf where no p_i > 0."""
+    up = P > 0.0
+    s = np.count_nonzero(up, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reach = s * np.log(n_total / s) if code == _kernels.EXPONENTIAL else n_total
+        t = (reach - np.sum(z0 * up, axis=1)) / np.sum(P * up, axis=1)
+    return np.where(s > 0, t, np.inf)
+
+
+def _newton_roots(z0: np.ndarray, P: np.ndarray, code: int, n_total: int, t: np.ndarray):
+    """Roots of phi(t) = R(t) - 1 along every row p = M d of P, R(t) =
+    sum_i loss(z0_i + t p_i) / n_total, by Newton's method from the steps t,
+    all rows at once, with one value-and-slope evaluation of the block per
+    step.  For the exponential loss phi is ln R, convex too and close to
+    linear far out.  phi is convex and increasing for t > 0, so from a point
+    with phi > 0 the steps fall monotonically onto the root.  Each row keeps a
+    bracket lo < root <= hi (hi = +inf until some phi > 0) and bisects it
+    (doubles lo while hi is +inf) whenever a step would leave it or is not
+    finite.  A row stops once its step or |phi| is within NEWTON_TOL, at the
+    last trial point.  Returns the roots and the number of evaluations."""
+    roots = t.copy()
+    rows = np.arange(t.size)
+    lo, hi = np.zeros(t.size), np.full(t.size, np.inf)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for it in range(1, NEWTON_MAX_STEPS + 1):
+            val, der = _kernels.loss_values_derivs(z0 + t[:, None] * P, code)
+            risk, slope = np.sum(val, axis=1) / n_total, np.vecdot(der, P) / n_total
+            if code == _kernels.EXPONENTIAL:
+                phi, slope = np.log(risk), slope / risk
+            else:
+                phi = risk - 1.0
+            step = phi / slope
+            trial = t - step
+            np.putmask(hi, phi > 0.0, t)
+            np.putmask(lo, phi <= 0.0, t)
+            done = (np.abs(step) <= NEWTON_TOL * t) | (np.abs(phi) <= NEWTON_TOL)
+            roots[rows[done]] = trial[done]
+            if done.all():
+                return roots, it
+            keep = ~done
+            rows, P, lo, hi, trial = rows[keep], P[keep], lo[keep], hi[keep], trial[keep]
+            t = np.where(hi == np.inf, 2.0 * lo, 0.5 * (lo + hi))
+            np.putmask(t, (lo < trial) & (trial < hi), trial)
+    roots[rows] = t
+    return roots, NEWTON_MAX_STEPS
 
 
 def _boundary_steps(M: np.ndarray, code: int, n_total: int, c_star: np.ndarray, D: np.ndarray):
-    """Brackets lo <= t <= hi on the step where R(c_star + t d) crosses 1,
-    for all unit directions d (rows of D) at once, one _level call per step:
-    at most 60 doublings of hi from 1 (lo = hi = 2**60 if R stays <= 1), then
-    bisection until every bracket has collapsed (mid is lo or hi), which is
-    where 80 halvings would leave it.  Collapsed: R(lo) <= 1 < R(hi)."""
+    """Brackets lo < hi = nextafter(lo) with R(c* + lo d) <= 1 < R(c* + hi d)
+    by _level, for all unit directions d (rows of D) at once, and the number
+    of block evaluations spent; lo = hi = 2**60 where R stays <= 1 up to
+    STEP_CAP.  Where the computed level is monotone in t away from a few ulps
+    around its crossing, these are the brackets of the frozen search in
+    tests/lambda_oracle.py: up to 60 doublings, then bisection until every
+    bracket collapses.
 
-    def over(t):
-        return _level(M, code, n_total, c_star + t[:, None] * D) > 1.0
+    Newton's method (_newton_roots) on the block z0 + t P, with z0 = M c* and
+    P = D M^T, comes within a few ulps of each crossing.  One _level call then
+    reads the _WINDOW steps around every root.  Where the readings switch
+    from <= 1 to > 1 once, the switch is the bracket.  The other rows go to
+    _replay, which runs the frozen doubling and bisection against these
+    readings and reads _level only for the last midpoints, near the root."""
 
-    hi = np.ones(D.shape[0])
-    grow = np.ones(D.shape[0], dtype=bool)
+    def over(rows, ts):
+        points = c_star + (ts[:, :, None] * D[rows, None, :]).reshape(-1, D.shape[1])
+        return (_level(M, code, n_total, points) > 1.0).reshape(ts.shape)
+
+    lo = np.full(D.shape[0], 2.0**60)
+    hi = lo.copy()
+    z0, P = M @ c_star, D @ M.T
+    t = _start_steps(z0, P, code, n_total)
+    far = np.flatnonzero(t > STEP_CAP)
+    evals = 0
+    if far.size:
+        t[far] = STEP_CAP
+        t[far[~over(far, t[far, None])[:, 0]]] = np.nan
+        evals += 1
+    rows = np.flatnonzero(~np.isnan(t))
+    if rows.size == 0:
+        return lo, hi, evals
+    roots, steps = _newton_roots(z0, P[rows], code, n_total, t[rows])
+    ts = _ulps_from(roots[:, None], _WINDOW)
+    table = over(rows, ts)
+    evals += steps + 1
+    # <= 1 at the first step, and > 1 from the first step over on
+    first = np.argmax(table, axis=1)
+    once = ~table[:, 0] & (np.count_nonzero(table, axis=1) == _WINDOW.size - first)
+    hit = once.nonzero()[0]
+    hi[rows[hit]] = ts[hit, first[hit]]
+    lo[rows[hit]] = ts[hit, first[hit] - 1]
+    if hit.size < rows.size:
+        rest = (~once).nonzero()[0]
+        lo[rows[rest]], hi[rows[rest]], calls = _replay(
+            lambda sub, t: over(rows[rest[sub]], t), ts[rest], table[rest]
+        )
+        evals += calls
+    return lo, hi, evals
+
+
+def _ulps_from(t: np.ndarray, k) -> np.ndarray:
+    """The floats k units in the last place from t >= 0, not below 0."""
+    return np.maximum(t.view(np.int64) + k, 0).view(np.float64)
+
+
+def _replay(over, ts: np.ndarray, table: np.ndarray):
+    """The frozen doubling and bisection for the rows of ts at once, reading
+    over(rows, t) (R(c* + t d) > 1, one column of steps t) only near each
+    row's root.  Row i of ts holds consecutive steps, with their readings in
+    row i of table.  The zone (low, high) around them is first widened, by
+    gaps growing 4-fold, until R <= 1 at low and R > 1 at high.  Steps at or
+    below low then count as R <= 1, steps at or above high as R > 1, and over
+    is called only in between, for steps not in the table.  Returns lo, hi
+    and the number of over calls."""
+    calls = 0
+    low, high = ts[:, 0].copy(), ts[:, -1].copy()
+    widen_low, widen_high = table[:, 0].copy(), ~table[:, -1]
+    gap = 2 * ts.shape[1]
+    while True:
+        widen_low &= low > 0.0
+        widen_high &= high < 2.0**60
+        down, up = widen_low.nonzero()[0], widen_high.nonzero()[0]
+        if not (down.size or up.size):
+            break
+        low[down] = _ulps_from(low[down], -gap)
+        high[up] = _ulps_from(high[up], gap)
+        read = over(np.concatenate([down, up]), np.concatenate([low[down], high[up]])[:, None])
+        widen_low[down], widen_high[up] = read[: down.size, 0], ~read[down.size :, 0]
+        gap = min(4 * gap, 2**61)  # keeps the bits of a step past 2**60 within int64
+        calls += 1
+
+    base = ts[:, 0].view(np.int64)
+
+    def above(t, active):
+        nonlocal calls
+        out = t >= high
+        inside = active & (low < t) & (t < high)
+        col = t.view(np.int64) - base
+        known = inside & (col >= 0) & (col < ts.shape[1])
+        out[known] = table[known, col[known]]
+        need = (inside & ~known).nonzero()[0]
+        if need.size:
+            out[need] = over(need, t[need, None])[:, 0]
+            calls += 1
+        return out
+
+    hi = np.ones(ts.shape[0])
+    grow = np.ones(ts.shape[0], dtype=bool)
     for _ in range(60):
-        grow &= ~over(hi)
+        grow &= ~above(hi, grow)
         if not grow.any():
             break
         hi[grow] *= 2.0
     lo = np.where(grow, hi, 0.0)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if np.all((mid == lo) | (mid == hi)):
+        open_ = (mid != lo) & (mid != hi)
+        if not open_.any():
             break
-        up = over(mid)
-        hi, lo = np.where(up, mid, hi), np.where(up, lo, mid)
-    return lo, hi
+        up = above(mid, open_)
+        np.putmask(hi, open_ & up, mid)
+        np.putmask(lo, open_ & ~up, mid)
+    return lo, hi, calls
 
 
 def estimate_lambda(a_s: np.ndarray, basis_s: Basis, loss: str, opt: ScOptimum, n_total: int) -> float:
     """Sampled estimate of the strong-convexity modulus of the restricted risk
     over its level-1 sublevel set: the least eigenvalue of the reduced Hessian
-    at the optimum and where seeded random directions leave the set
-    (_boundary_steps), from one stacked product and one batched eigvalsh.
-    The sampled minimum is an upper estimate of the true modulus."""
+    at the optimum and at the last step inside the set along each of
+    LAMBDA_DIRECTIONS seeded unit directions (the lo of _boundary_steps, by
+    Newton's method; 2**60 along a direction where the risk stays <= 1),
+    from one stacked product and one batched eigvalsh.  The sampled minimum
+    is an upper estimate of the true modulus."""
     code = _loss_code(loss)
     M = _restricted(a_s, basis_s)
     if M.size == 0:
@@ -111,7 +272,7 @@ def estimate_lambda(a_s: np.ndarray, basis_s: Basis, loss: str, opt: ScOptimum, 
         D = np.random.default_rng(LAMBDA_SEED).standard_normal((LAMBDA_DIRECTIONS, basis_s.rank))
         norms = np.linalg.norm(D, axis=1)
         D = D[norms > 0.0] / norms[norms > 0.0, None]
-        lo, _ = _boundary_steps(M, code, n_total, c_star, D)
+        lo, _, _ = _boundary_steps(M, code, n_total, c_star, D)
         points = np.vstack([points, c_star + lo[:, None] * D])
     curv = _kernels.loss_curvs(points @ M.T, code)
     out = float(np.linalg.eigvalsh((M.T * curv[:, None, :]) @ M / n_total)[:, 0].min())

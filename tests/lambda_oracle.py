@@ -1,7 +1,11 @@
-"""Frozen reference for the curvature sampler: ``estimate_lambda`` of optray
-as it stood before the directions were batched, one direction and one risk
-evaluation at a time, kept verbatim so that tests can compare the current
-sampler with it.  Not used by the package.
+"""Frozen references for the curvature sampler, kept verbatim so that tests
+can compare the current sampler with them.  Not used by the package.
+
+``estimate_lambda`` is the sampler as it stood before the directions were
+batched, one direction and one risk evaluation at a time.  ``_level`` and
+``_boundary_steps`` are the batched bracket search as it stood before Newton's
+method replaced its bisection: up to 60 doublings, then bisection until every
+bracket collapses, with one ``_level`` call per step.
 """
 
 import numpy as np
@@ -84,3 +88,35 @@ def estimate_lambda(
     if not out > 0.0:
         raise NumericalError(f"nonpositive curvature estimate {out:.3e} on the remainder block")
     return out
+
+
+def _level(M, code, n_total, points):
+    """Restricted risk sum_i loss((M c)_i) / n_total at each row c of points."""
+    return np.sum(_kernels.loss_values(points @ M.T, code), axis=1) / n_total
+
+
+def _boundary_steps(M, code, n_total, c_star, D):
+    """Brackets lo <= t <= hi on the step where R(c_star + t d) crosses 1,
+    for all unit directions d (rows of D) at once, one _level call per step:
+    at most 60 doublings of hi from 1 (lo = hi = 2**60 if R stays <= 1), then
+    bisection until every bracket has collapsed (mid is lo or hi), which is
+    where 80 halvings would leave it.  Collapsed: R(lo) <= 1 < R(hi)."""
+
+    def over(t):
+        return _level(M, code, n_total, c_star + t[:, None] * D) > 1.0
+
+    hi = np.ones(D.shape[0])
+    grow = np.ones(D.shape[0], dtype=bool)
+    for _ in range(60):
+        grow &= ~over(hi)
+        if not grow.any():
+            break
+        hi[grow] *= 2.0
+    lo = np.where(grow, hi, 0.0)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            break
+        up = over(mid)
+        hi, lo = np.where(up, mid, hi), np.where(up, lo, mid)
+    return lo, hi

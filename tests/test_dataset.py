@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from optray.dataset import (
     Dataset,
@@ -10,7 +13,9 @@ from optray.dataset import (
     synth,
     to_margin_matrix,
 )
+from optray.decompose import partition
 from optray.errors import DegenerateDataError, ParseError, ValidationError
+from optray.margin import solve_dual
 
 
 class TestLoadCsv:
@@ -79,6 +84,39 @@ class TestNormalize:
         ds = Dataset(np.zeros((2, 2)), np.array([1, -1]))
         with pytest.raises(DegenerateDataError):
             normalize(ds)
+
+    def test_huge_features_decompose_as_unscaled(self, tmp_path):
+        # |x| ~ 1e160 squares past the float range: the norm must not be
+        # inf, which would divide every row down to 0
+        ds = synth("mixed", 10, 1)
+        out = []
+        for scale in (1.0, 1e160):
+            p = tmp_path / f"x{scale:g}.csv"
+            save_csv(Dataset(ds.features * scale, ds.labels), p)
+            A = to_margin_matrix(normalize(load_csv(p)))
+            dec = partition(A)
+            out.append((dec.n_sep, dec.basis_s.rank, solve_dual(dec.a_perp).margin))
+        (sep, rank, margin), (sep_x, rank_x, margin_x) = out
+        assert (sep_x, rank_x) == (sep, rank) == (20, 1)
+        assert margin_x == pytest.approx(margin, rel=1e-12, abs=0)
+
+    def test_tiny_features_are_not_all_zero(self):
+        # squares of 1e-170 underflow to 0; the rows are still nonzero
+        ds = Dataset(np.array([[3e-170, 4e-170], [1e-170, 0.0]]), np.array([1, -1]))
+        np.testing.assert_array_equal(normalize(ds).features, ds.features)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 3)), elements=st.floats(-1.0, 1.0)),
+        st.integers(1, 300),
+    )
+    def test_scaled_features_normalize_alike(self, x, k):
+        top = np.linalg.norm(x, axis=1).max()
+        assume(top >= 0.1)  # so that x 10^k needs scaling down
+        labels = np.ones(x.shape[0], dtype=np.int64)
+        got = normalize(Dataset(x * 10.0**k, labels)).features
+        np.testing.assert_allclose(got, x / top, rtol=1e-14, atol=1e-300)
+        assert np.linalg.norm(got, axis=1).max() <= 1.0 + 1e-15
 
     def test_margin_matrix_idempotent_after_normalize(self):
         rng = np.random.default_rng(1)

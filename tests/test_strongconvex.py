@@ -5,7 +5,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from optray.dataset import MarginMatrix
+from hull_oracle import block_rows
+
+from optray import strongconvex
+from optray.dataset import MarginMatrix, synth, to_margin_matrix
 from optray.decompose import partition
 from optray.errors import ConvergenceError, LPError, NumericalError
 from optray.gd import LOSS_CODES
@@ -223,10 +226,92 @@ class TestBatchedSampler:
         assume(_level(M, code, n, c_star[None, :])[0] < 1.0 - 1e-12)
         D = np.random.default_rng(seed).standard_normal((8, basis.rank))
         D /= np.linalg.norm(D, axis=1)[:, None]
-        lo, hi = _boundary_steps(M, code, n, c_star, D)
+        lo, hi, _ = _boundary_steps(M, code, n, c_star, D)
         collapsed = hi == np.nextafter(lo, np.inf)
-        # below f* <= 1 - 1e-12 every bracket collapses within 80 halvings,
+        # below f* <= 1 - 1e-12 every bracket collapses to adjacent floats,
         # or its direction never reached 1 and carries the 2**60 sentinel
         assert np.all(collapsed | ((lo == 2.0**60) & (hi == 2.0**60)))
         assert np.all(_level(M, code, n, c_star + lo[:, None] * D)[collapsed] <= 1.0)
         assert np.all(_level(M, code, n, c_star + hi[:, None] * D)[collapsed] > 1.0)
+
+
+def _ray_problem(problem, seed):
+    """(M, code, n, c*, D) of a remainder problem whose optimum lies below
+    level 1, with 8 seeded unit directions."""
+    a_s, basis, loss, opt, n = problem
+    assume(basis.rank > 0)
+    code = LOSS_CODES[loss]
+    M = _restricted(a_s, basis)
+    c_star = basis.columns.T @ opt.offset
+    assume(_level(M, code, n, c_star[None, :])[0] < 1.0 - 1e-12)
+    D = np.random.default_rng(seed).standard_normal((8, basis.rank))
+    D /= np.linalg.norm(D, axis=1)[:, None]
+    return M, code, n, c_star, D
+
+
+class TestNewtonBrackets:
+    @settings(max_examples=200, deadline=None)
+    @given(remainder_problems(), st.integers(0, 2**32 - 1))
+    def test_matches_frozen_bisection(self, problem, seed):
+        M, code, n, c_star, D = _ray_problem(problem, seed)
+        lo, hi, _ = _boundary_steps(M, code, n, c_star, D)
+        old_lo, old_hi = lambda_oracle._boundary_steps(M, code, n, c_star, D)
+        moved = (lo != old_lo) | (hi != old_hi)
+        if not moved.any():
+            return
+        # a bracket may move only where the computed level is not monotone:
+        # then both straddle level 1, and of their four ends, sorted, one
+        # above 1 comes before one at or below 1
+        ends = np.stack([lo, hi, old_lo, old_hi], axis=1)[moved]
+        rows = np.repeat(D[moved], 4, axis=0)
+        over = _level(M, code, n, c_star + ends.reshape(-1, 1) * rows).reshape(-1, 4) > 1.0
+        assert not over[:, [0, 2]].any() and over[:, [1, 3]].all()
+        order = np.argsort(ends, axis=1, kind="stable")
+        ranked = np.take_along_axis(over, order, axis=1)
+        assert np.all(np.any(ranked[:, :-1] & ~ranked[:, 1:], axis=1))
+
+    def test_few_evaluations_on_benchmark_shapes(self, monkeypatch):
+        # the disc and block instances of the structure benchmark, both
+        # losses; the bisection took 56-60 evaluations on each
+        counts = []
+
+        def counted(*args):
+            lo, hi, evals = _boundary_steps(*args)
+            counts.append(evals)
+            return lo, hi, evals
+
+        monkeypatch.setattr(strongconvex, "_boundary_steps", counted)
+        instances = [to_margin_matrix(synth(kind, 20, 1)) for kind in ("overlap", "mixed")]
+        for d, r, n_sep, n_sc, seed in (
+            (3, 1, 25, 15, 1), (3, 2, 50, 30, 6), (4, 3, 40, 30, 2), (4, 2, 50, 30, 5),
+            (5, 2, 35, 25, 1), (5, 4, 30, 30, 3), (5, 1, 50, 30, 4), (6, 3, 50, 30, 8),
+        ):
+            instances.append(MarginMatrix(block_rows(d, r, n_sep, n_sc, seed)))
+        for A in instances:
+            dec = partition(A)
+            a_s = A.rows[dec.sc_rows]
+            for loss in ("logistic", "exponential"):
+                opt = solve_vbar(a_s, dec.basis_s, loss, A.n)
+                estimate_lambda(a_s, dec.basis_s, loss, opt, A.n)
+        assert len(counts) == 2 * len(instances)
+        assert max(counts) <= 12
+
+    def test_direction_off_the_rows_carries_sentinel(self):
+        # M d = 0 along the second coordinate: R stays at ln 2 on that ray
+        M = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        D = np.array([[0.0, 1.0], [1.0, 0.0]])
+        c_star = np.zeros(2)
+        lo, hi, _ = _boundary_steps(M, LOSS_CODES["logistic"], 2, c_star, D)
+        assert lo[0] == hi[0] == 2.0**60
+        assert hi[1] == np.nextafter(lo[1], np.inf)
+        assert _level(M, 0, 2, c_star + lo[1] * D[1:])[0] <= 1.0 < _level(M, 0, 2, c_star + hi[1] * D[1:])[0]
+
+    def test_level_of_a_point_does_not_depend_on_its_company(self):
+        # alone, in the one part of 16 points, and in the three parts of 129
+        rng = np.random.default_rng(4)
+        M = rng.standard_normal((30, 3))
+        points = rng.standard_normal((129, 3))
+        for code in (0, 1):
+            alone = [_level(M, code, 30, points[i : i + 1])[0] for i in range(129)]
+            np.testing.assert_array_equal(_level(M, code, 30, points[:16]), alone[:16])
+            np.testing.assert_array_equal(_level(M, code, 30, points), alone)
