@@ -53,16 +53,6 @@ def loss_derivs(z, code):
     return np.maximum(t, np.heaviside(z, 1.0)) / (t + 1.0)
 
 
-def loss_values_derivs(z, code):
-    """loss_values and loss_derivs of z together, from one exponential, with
-    the bits of each."""
-    if code == EXPONENTIAL:
-        v = loss_values(z, code)
-        return v, v
-    t = np.exp(-np.abs(z))
-    return np.log1p(t) + np.maximum(z, 0.0), np.maximum(t, np.heaviside(z, 1.0)) / (t + 1.0)
-
-
 def loss_curvs(z, code):
     """Elementwise second derivative: sigmoid(z)(1-sigmoid(z)) or e^z."""
     if code == EXPONENTIAL:

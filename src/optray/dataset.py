@@ -135,24 +135,31 @@ def save_csv(ds: Dataset, path) -> None:
 def _row_norms(x: np.ndarray) -> np.ndarray:
     """|x_i| of every row of x.  np.linalg.norm squares the entries, so past
     ~1e154 the norm overflows to inf and below ~1e-162 it can underflow to 0;
-    only those rows are recomputed, divided by their largest entry first."""
+    only those rows are recomputed, divided by their largest entry first.  A
+    norm past the float range stays inf."""
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(x, axis=1)
-    off = np.isinf(norms) | ((norms == 0.0) & np.any(x != 0.0, axis=1))
-    if off.any():
-        scale = np.max(np.abs(x[off]), axis=1)
-        norms[off] = scale * np.linalg.norm(x[off] / scale[:, None], axis=1)
+        off = np.isinf(norms) | ((norms == 0.0) & np.any(x != 0.0, axis=1))
+        if off.any():
+            scale = np.max(np.abs(x[off]), axis=1)
+            norms[off] = scale * np.linalg.norm(x[off] / scale[:, None], axis=1)
     return norms
 
 
 def normalize(ds: Dataset) -> Dataset:
-    """Scale all features by one global factor so that max_i |x_i| <= 1."""
-    top = _row_norms(ds.features).max()
+    """Scale all features by one global factor so that max_i |x_i| <= 1.
+    Where the largest norm itself passes the float range, the features are
+    divided by their largest entry first."""
+    x = ds.features
+    top = _row_norms(x).max()
     if top == 0.0:
         raise DegenerateDataError("all feature vectors are zero")
     if top <= 1.0:
-        return Dataset(ds.features.copy(), ds.labels.copy())
-    return Dataset(ds.features / top, ds.labels.copy())
+        return Dataset(x.copy(), ds.labels.copy())
+    if top == np.inf:
+        x = x / np.max(np.abs(x))
+        top = _row_norms(x).max()
+    return Dataset(x / top, ds.labels.copy())
 
 
 def to_margin_matrix(ds: Dataset) -> MarginMatrix:

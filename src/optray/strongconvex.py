@@ -19,6 +19,8 @@ NEWTON_TOL = 2.0**-50  # a few rounding errors of a step t, or of R near 1
 # offsets in ulps from a Newton root at which _level reads the risk; the
 # roots of the benchmark rays lie 2 below to 6 above the crossing
 _WINDOW = np.arange(-3, 7)
+_TOP_BITS = np.float64(2.0**60).view(np.int64)  # no window reads past 2**60
+_GAP_CAP = 2**59  # keeps the bits of every window step within int64
 _LEVEL_ROWS = 64
 
 
@@ -115,7 +117,8 @@ def _newton_roots(z0: np.ndarray, P: np.ndarray, code: int, n_total: int, t: np.
     lo, hi = np.zeros(t.size), np.full(t.size, np.inf)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for it in range(1, NEWTON_MAX_STEPS + 1):
-            val, der = _kernels.loss_values_derivs(z0 + t[:, None] * P, code)
+            z = z0 + t[:, None] * P
+            val, der = _kernels.loss_values(z, code), _kernels.loss_derivs(z, code)
             risk, slope = np.sum(val, axis=1) / n_total, np.vecdot(der, P) / n_total
             if code == _kernels.EXPONENTIAL:
                 phi, slope = np.log(risk), slope / risk
@@ -141,17 +144,18 @@ def _boundary_steps(M: np.ndarray, code: int, n_total: int, c_star: np.ndarray, 
     """Brackets lo < hi = nextafter(lo) with R(c* + lo d) <= 1 < R(c* + hi d)
     by _level, for all unit directions d (rows of D) at once, and the number
     of block evaluations spent; lo = hi = 2**60 where R stays <= 1 up to
-    STEP_CAP.  Where the computed level is monotone in t away from a few ulps
-    around its crossing, these are the brackets of the frozen search in
-    tests/lambda_oracle.py: up to 60 doublings, then bisection until every
-    bracket collapses.
+    STEP_CAP.
 
     Newton's method (_newton_roots) on the block z0 + t P, with z0 = M c* and
-    P = D M^T, comes within a few ulps of each crossing.  One _level call then
-    reads the _WINDOW steps around every root.  Where the readings switch
-    from <= 1 to > 1 once, the switch is the bracket.  The other rows go to
-    _replay, which runs the frozen doubling and bisection against these
-    readings and reads _level only for the last midpoints, near the root."""
+    P = D M^T, comes within a few ulps of each crossing.  _level then reads a
+    window of _WINDOW.size steps at a gap of 1 ulp around every root, and the
+    window's first switch from <= 1 to > 1 is the bracket.  A window with no
+    such switch widens 4-fold about its root; a switch across more than one
+    ulp becomes the next window, at a gap of a ninth of it or more.  Where the
+    computed level is monotone in t, the bracket is its one switch, as the
+    former doubling and bisection (tests/lambda_oracle.py) found; where it is
+    not, any switch is a bracket, and the two searches may pick different
+    ones."""
 
     def over(rows, ts):
         points = c_star + (ts[:, :, None] * D[rows, None, :]).reshape(-1, D.shape[1])
@@ -170,88 +174,33 @@ def _boundary_steps(M: np.ndarray, code: int, n_total: int, c_star: np.ndarray, 
     rows = np.flatnonzero(~np.isnan(t))
     if rows.size == 0:
         return lo, hi, evals
-    roots, steps = _newton_roots(z0, P[rows], code, n_total, t[rows])
-    ts = _ulps_from(roots[:, None], _WINDOW)
-    table = over(rows, ts)
-    evals += steps + 1
-    # <= 1 at the first step, and > 1 from the first step over on
-    first = np.argmax(table, axis=1)
-    once = ~table[:, 0] & (np.count_nonzero(table, axis=1) == _WINDOW.size - first)
-    hit = once.nonzero()[0]
-    hi[rows[hit]] = ts[hit, first[hit]]
-    lo[rows[hit]] = ts[hit, first[hit] - 1]
-    if hit.size < rows.size:
-        rest = (~once).nonzero()[0]
-        lo[rows[rest]], hi[rows[rest]], calls = _replay(
-            lambda sub, t: over(rows[rest[sub]], t), ts[rest], table[rest]
-        )
-        evals += calls
+    roots, evals_newton = _newton_roots(z0, P[rows], code, n_total, t[rows])
+    evals += evals_newton
+    # the window of a row: the steps whose bits are base + gap k, k in
+    # _WINDOW, clipped to [0, top]
+    base = np.clip(roots.view(np.int64), 0, _TOP_BITS)
+    gap = np.ones_like(base)
+    top = np.full_like(base, _TOP_BITS)
+    while rows.size:
+        bits = np.clip(base[:, None] + gap[:, None] * _WINDOW, 0, top[:, None])
+        ts = bits.view(np.float64)
+        table = over(rows, ts)
+        evals += 1
+        switch = ~table[:, :-1] & table[:, 1:]
+        k = np.argmax(switch, axis=1)
+        each = np.arange(rows.size)
+        a, b = bits[each, k], bits[each, k + 1]
+        found = switch[each, k]
+        done = found & (b - a == 1)
+        lo[rows[done]], hi[rows[done]] = ts[done, k[done]], ts[done, k[done] + 1]
+        # a switch from a to b more than one ulp apart: the next window runs
+        # from a up to b at a gap of at least (b - a)/9; no switch: the
+        # window widens 4-fold about the same base
+        gap = np.where(found, -((a - b) // (_WINDOW.size - 1)), np.minimum(4 * gap, _GAP_CAP))
+        base = np.where(found, a - _WINDOW[0] * gap, base)
+        top = np.where(found, b, top)
+        rows, base, gap, top = rows[~done], base[~done], gap[~done], top[~done]
     return lo, hi, evals
-
-
-def _ulps_from(t: np.ndarray, k) -> np.ndarray:
-    """The floats k units in the last place from t >= 0, not below 0."""
-    return np.maximum(t.view(np.int64) + k, 0).view(np.float64)
-
-
-def _replay(over, ts: np.ndarray, table: np.ndarray):
-    """The frozen doubling and bisection for the rows of ts at once, reading
-    over(rows, t) (R(c* + t d) > 1, one column of steps t) only near each
-    row's root.  Row i of ts holds consecutive steps, with their readings in
-    row i of table.  The zone (low, high) around them is first widened, by
-    gaps growing 4-fold, until R <= 1 at low and R > 1 at high.  Steps at or
-    below low then count as R <= 1, steps at or above high as R > 1, and over
-    is called only in between, for steps not in the table.  Returns lo, hi
-    and the number of over calls."""
-    calls = 0
-    low, high = ts[:, 0].copy(), ts[:, -1].copy()
-    widen_low, widen_high = table[:, 0].copy(), ~table[:, -1]
-    gap = 2 * ts.shape[1]
-    while True:
-        widen_low &= low > 0.0
-        widen_high &= high < 2.0**60
-        down, up = widen_low.nonzero()[0], widen_high.nonzero()[0]
-        if not (down.size or up.size):
-            break
-        low[down] = _ulps_from(low[down], -gap)
-        high[up] = _ulps_from(high[up], gap)
-        read = over(np.concatenate([down, up]), np.concatenate([low[down], high[up]])[:, None])
-        widen_low[down], widen_high[up] = read[: down.size, 0], ~read[down.size :, 0]
-        gap = min(4 * gap, 2**61)  # keeps the bits of a step past 2**60 within int64
-        calls += 1
-
-    base = ts[:, 0].view(np.int64)
-
-    def above(t, active):
-        nonlocal calls
-        out = t >= high
-        inside = active & (low < t) & (t < high)
-        col = t.view(np.int64) - base
-        known = inside & (col >= 0) & (col < ts.shape[1])
-        out[known] = table[known, col[known]]
-        need = (inside & ~known).nonzero()[0]
-        if need.size:
-            out[need] = over(need, t[need, None])[:, 0]
-            calls += 1
-        return out
-
-    hi = np.ones(ts.shape[0])
-    grow = np.ones(ts.shape[0], dtype=bool)
-    for _ in range(60):
-        grow &= ~above(hi, grow)
-        if not grow.any():
-            break
-        hi[grow] *= 2.0
-    lo = np.where(grow, hi, 0.0)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        open_ = (mid != lo) & (mid != hi)
-        if not open_.any():
-            break
-        up = above(mid, open_)
-        np.putmask(hi, open_ & up, mid)
-        np.putmask(lo, open_ & ~up, mid)
-    return lo, hi, calls
 
 
 def estimate_lambda(a_s: np.ndarray, basis_s: Basis, loss: str, opt: ScOptimum, n_total: int) -> float:

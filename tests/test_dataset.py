@@ -100,6 +100,13 @@ class TestNormalize:
         assert (sep_x, rank_x) == (sep, rank) == (20, 1)
         assert margin_x == pytest.approx(margin, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("row", ([1e308] * 4, [1.5e308, 1.5e308]))
+    def test_norm_past_float_range_still_normalizes(self, row):
+        # the rescaled norm of these rows is still past the float range
+        x = np.array([row, [1e307] + [0.0] * (len(row) - 1)])
+        got = normalize(Dataset(x, np.array([1, -1]))).features
+        np.testing.assert_allclose(got, x / x[0, 0] / np.sqrt(len(row)), rtol=1e-15)
+
     def test_tiny_features_are_not_all_zero(self):
         # squares of 1e-170 underflow to 0; the rows are still nonzero
         ds = Dataset(np.array([[3e-170, 4e-170], [1e-170, 0.0]]), np.array([1, -1]))

@@ -97,10 +97,6 @@ class TestLossFunctions:
         # logistic derivative p, and e^z itself
         ref_curv = ref_der * (1.0 - ref_der) if code == K.LOGISTIC else ref_der
         np.testing.assert_array_equal(K.loss_curvs(z, code), ref_curv, strict=True)
-        # both at once, as the curvature sampler's Newton steps read them
-        val, der = K.loss_values_derivs(z, code)
-        np.testing.assert_array_equal(val, ref_val, strict=True)
-        np.testing.assert_array_equal(der, ref_der, strict=True)
         # the split form the descent loop uses: the derivative per step, the
         # value at the fold; the loop keeps no step with an exponential margin
         # past the cap

@@ -3,14 +3,14 @@
 Builds the jobs of CHECKOUT/perfbench/inputs.py (``inputs.build``, its CSV
 inputs written under SCRATCH), runs each once through ``optray.cli.main``
 from CHECKOUT/src, and prints per job its exit code, its standard output and
-error with SCRATCH stripped, and a sha256 per output file (.npz files by the
-bytes of their arrays, since the archive stores write times).  With
-``--contents`` each .json output is printed line by line instead, each line
-prefixed with the file's name, so that a diff names the values that moved.
-Comparing a parent with a change:
+error with SCRATCH stripped, and its output files: each .json file line by
+line, each line prefixed with the file's name, so that a diff names the
+values that moved, and a sha256 of every other file (.npz files by the bytes
+of their arrays, since the archive stores write times).  Comparing a parent
+with a change:
 
-    python3 tools/output_digests.py PARENT SCRATCH/a --contents > a.txt
-    python3 tools/output_digests.py .      SCRATCH/b --contents > b.txt
+    python3 tools/output_digests.py PARENT SCRATCH/a > a.txt
+    python3 tools/output_digests.py .      SCRATCH/b > b.txt
     diff a.txt b.txt
 
 By default all three workloads run at seeds 1 and 2: 60 jobs.  Two more
@@ -58,9 +58,9 @@ def file_digest(path: Path) -> str:
     return h.hexdigest()
 
 
-def run_job(cli, argv: list, outdir: Path, scratch: Path, contents: bool = False) -> list:
+def run_job(cli, argv: list, outdir: Path, scratch: Path) -> list:
     """The lines that describe one run of the command line argv, which
-    writes to outdir; with contents, the text of its .json outputs."""
+    writes to outdir."""
     shutil.rmtree(outdir, ignore_errors=True)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -74,7 +74,7 @@ def run_job(cli, argv: list, outdir: Path, scratch: Path, contents: bool = False
         lines += [f"{name}| {line}" for line in text.splitlines()]
     if outdir.is_dir():
         for path in sorted(outdir.iterdir()):
-            if contents and path.suffix == ".json":
+            if path.suffix == ".json":
                 lines.append(f"file {path.name}")
                 lines += [f"{path.name}| {line}" for line in path.read_text().splitlines()]
             else:
@@ -90,7 +90,6 @@ def main(argv=None) -> int:
     p.add_argument("scratch", help="directory for the inputs and outputs (made if missing)")
     p.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     p.add_argument("--seeds", nargs="+", type=int, default=[1, 2])
-    p.add_argument("--contents", action="store_true", help="print .json outputs instead of their sha256")
     args = p.parse_args(argv)
     checkout = Path(args.checkout).resolve()
     scratch = Path(args.scratch).resolve()
@@ -111,7 +110,7 @@ def main(argv=None) -> int:
             for job in inputs.build(workload, seed, base / "inputs", write_files=True):
                 print(f"== {workload} seed {seed} {job.name}")
                 outdir = base / "out" / job.name
-                for line in run_job(cli, job.argv(outdir), outdir, scratch, args.contents):
+                for line in run_job(cli, job.argv(outdir), outdir, scratch):
                     print(line)
     base = scratch / "direction"
     (base / "inputs").mkdir(parents=True, exist_ok=True)
@@ -122,7 +121,7 @@ def main(argv=None) -> int:
         argv = ["verify", "--input", str(csv), "--loss", loss, "--schedule", schedule]
         argv += ["--steps", str(steps), "--out", str(outdir)]
         print(f"== direction {name}")
-        for line in run_job(cli, argv, outdir, scratch, args.contents):
+        for line in run_job(cli, argv, outdir, scratch):
             print(line)
     return 0
 
