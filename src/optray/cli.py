@@ -182,44 +182,69 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def cmd_report(args) -> int:
-    with open(args.report) as fh:
-        data = json.load(fh)
+def _report_lines(data: dict) -> list:
     meta = data["meta"]
-    print(
+    lines = [
         f"dataset={meta['digest']} loss={meta['loss']} schedule={meta['schedule']} "
         f"T={meta['T']} n={meta['n']}"
-    )
+    ]
     for c in data["checks"]:
         status = "PASS" if c["holds"] else "FAIL"
         if not c.get("applicable", True):
             status = "N/A "
         note = f"  ({c['note']})" if c.get("note") else ""
-        print(f"{status} {c['name']:<20} worst_slack={_fmt(c['worst_slack'])}{note}")
+        lines.append(f"{status} {c['name']:<20} worst_slack={_fmt(c['worst_slack'])}{note}")
     for t in data.get("trends", []):
-        print(
+        lines.append(
             f"TREND {t['name']:<18} coeff={_fmt(t['coefficient'])} "
             f"exponent={_fmt(t['exponent'])} residual={_fmt(t['residual'])}"
         )
+    return lines
+
+
+def cmd_report(args) -> int:
+    # every line is formatted before the first is printed, so a malformed
+    # report prints nothing on stdout
+    try:
+        with open(args.report) as fh:
+            lines = _report_lines(json.load(fh))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ParseError(f"{args.report}: not a report.json ({type(exc).__name__}: {exc})") from None
+    print("\n".join(lines))
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="optray")
-    sub = p.add_subparsers(dest="command", required=True)
+COMMANDS = ("synth", "decompose", "run", "verify", "report")
 
-    ps = sub.add_parser("synth", help="write a synthetic dataset as CSV")
-    ps.add_argument("--kind", choices=SYNTH_KINDS, required=True)
-    ps.add_argument("--n-per-class", type=int, default=20)
-    ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--out", required=True)
-    ps.set_defaults(fn=cmd_synth)
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser.  When command names one of COMMANDS it gets only
+    that command's subparser, since a run parses one command and building
+    the other four costs more than the parse; otherwise (no arguments, -h,
+    a mistyped command) it gets all five.  Either way every usage, help and
+    error text is the same."""
+    wanted = (command,) if command in COMMANDS else COMMANDS
+    p = argparse.ArgumentParser(prog="optray")
+    # with one subparser the usage line of an error still lists all five;
+    # the full tree keeps argparse's own name for the argument, "command"
+    metavar = "{" + ",".join(COMMANDS) + "}" if len(wanted) == 1 else None
+    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
+
+    if "synth" in wanted:
+        ps = sub.add_parser("synth", help="write a synthetic dataset as CSV")
+        ps.add_argument("--kind", choices=SYNTH_KINDS, required=True)
+        ps.add_argument("--n-per-class", type=int, default=20)
+        ps.add_argument("--seed", type=int, default=0)
+        ps.add_argument("--out", required=True)
+        ps.set_defaults(fn=cmd_synth)
 
     for name, fn, needs_sched in (
         ("decompose", cmd_decompose, False),
         ("run", cmd_run, True),
         ("verify", cmd_verify, True),
     ):
+        if name not in wanted:
+            continue
         pp = sub.add_parser(name)
         _add_input_flags(pp)
         pp.add_argument("--loss", choices=tuple(LOSS_CODES), default="logistic")
@@ -233,17 +258,20 @@ def build_parser() -> argparse.ArgumentParser:
             pp.add_argument("--trace-dir", help="reuse a saved trace instead of re-running")
         pp.set_defaults(fn=fn)
 
-    pr = sub.add_parser("report", help="pretty-print a report.json")
-    pr.add_argument("--report", required=True)
-    pr.set_defaults(fn=cmd_report)
+    if "report" in wanted:
+        pr = sub.add_parser("report", help="pretty-print a report.json")
+        pr.add_argument("--report", required=True)
+        pr.set_defaults(fn=cmd_report)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, ValidationError, DegenerateDataError, FileNotFoundError) as exc:
+    except (ParseError, ValidationError, DegenerateDataError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (NumericalError, ConvergenceError, LPError) as exc:

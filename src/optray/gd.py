@@ -7,13 +7,14 @@ step) so per-step inequalities can be audited at full resolution.
 """
 
 import json
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from .dataset import MarginMatrix
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ParseError, ValidationError
 from .linalg import Basis, minimize_risk
 
 LOSS_CODES = {"logistic": _kernels.LOGISTIC, "exponential": _kernels.EXPONENTIAL}
@@ -186,21 +187,29 @@ class GDTrace:
         columns that follow from the iterates and the per-step series are
         derived as run derives them; a trace.json whose copy of one differs
         is rejected, so that every check reads the same numbers."""
-        with open(json_path) as fh:
-            data = json.load(fh)
-        meta = data["meta"]
-        recs = data["checkpoints"]
-        steps = np.load(steps_path)
-        series = {name: steps[name] for name in ("risk_steps", "rel_steps", "eff_steps")}
-        ts = np.array([r["t"] for r in recs], dtype=np.int64)
+        try:
+            with open(json_path) as fh:
+                data = json.load(fh)
+            meta = data["meta"]
+            fields = {name: meta[name] for name in ("loss", "schedule", "T", "n", "d", "status")}
+            sep_rows = np.asarray(meta["sep_rows"], dtype=np.int64)
+            recs = data["checkpoints"]
+            ts = np.array([r["t"] for r in recs], dtype=np.int64)
+            cols = {name: np.array([r[name] for r in recs], dtype=float) for name in cls.CSV_SCALARS}
+            for name in cls.CSV_VECTORS:
+                cols[name] = np.array([r[name] for r in recs], dtype=float).reshape(ts.size, meta["d"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ParseError(f"{json_path}: not a trace.json ({type(exc).__name__}: {exc})") from None
+        try:
+            steps = np.load(steps_path)
+            series = {name: steps[name] for name in ("risk_steps", "rel_steps", "eff_steps")}
+        except (ValueError, KeyError, IndexError, EOFError, zipfile.BadZipFile) as exc:
+            raise ParseError(f"{steps_path}: not a steps.npz ({type(exc).__name__}: {exc})") from None
         if not (ts.size and np.all((ts >= 1) & (ts < series["risk_steps"].size))):
             raise ValidationError(f"{json_path} has checkpoints outside the steps of {steps_path}")
-        cols = {name: np.array([r[name] for r in recs], dtype=float) for name in cls.CSV_SCALARS}
-        for name in cls.CSV_VECTORS:
-            cols[name] = np.array([r[name] for r in recs], dtype=float).reshape(ts.size, meta["d"])
         derived = _checkpoint_columns(ts, cols["w"], cols["proj_s"], **series)
         sums = _kernels.descent_sums(
-            series["eff_steps"], series["rel_steps"], _sched_code(meta["schedule"]), ts
+            series["eff_steps"], series["rel_steps"], _sched_code(fields["schedule"]), ts
         )
         derived.update(zip(("sum_eta", "sum_eff_grad", "sum_tele"), sums))
         for name, value in derived.items():
@@ -208,13 +217,8 @@ class GDTrace:
                 raise ValidationError(f"{json_path}: {name} does not match the iterates and {steps_path}")
         cols.update(derived)
         return cls(
-            loss=meta["loss"],
-            schedule=meta["schedule"],
-            T=meta["T"],
-            n=meta["n"],
-            d=meta["d"],
-            status=meta["status"],
-            sep_rows=np.asarray(meta["sep_rows"], dtype=np.int64),
+            **fields,
+            sep_rows=sep_rows,
             ts=ts,
             digest=meta.get("digest", ""),
             **series,

@@ -1,4 +1,7 @@
+import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -12,7 +15,7 @@ from hull_oracle import block_rows, margin_direction
 import optray
 import optray.pipeline
 from optray._kernels import descent_sums
-from optray.cli import main
+from optray.cli import COMMANDS, build_parser, main
 from optray.dataset import Dataset, load_csv, save_csv, to_margin_matrix
 from optray.decompose import ValidationReport, partition, validate
 from optray.errors import LPError
@@ -346,3 +349,151 @@ def test_report_pretty_print(canonical_csv, tmp_path, capsys):
     assert main(["report", "--report", str(out / "report.json")]) == 0
     printed = capsys.readouterr().out
     assert "risk_bound" in printed and "loss=logistic" in printed
+
+
+def _cut(path, size):
+    path.write_bytes(path.read_bytes()[:size])
+
+
+def _drop_key(path, *keys):
+    data = json.loads(path.read_text())
+    inner = data
+    for key in keys[:-1]:
+        inner = inner[key]
+    del inner[keys[-1]]
+    path.write_text(json.dumps(data))
+
+
+def _bad_report(edit):
+    def prepare(tmp_path):
+        out = tmp_path / "v"
+        argv = ["verify", "--synth-kind", "mixed", "--steps", "200", "--out", str(out)]
+        assert main(argv) == 0
+        edit(out / "report.json")
+        return ["report", "--report", str(out / "report.json")]
+
+    return prepare
+
+
+def _bad_trace(edit):
+    def prepare(tmp_path):
+        flags = ["--synth-kind", "mixed", "--seed", "0"]
+        run_out = tmp_path / "r"
+        assert main(["run", *flags, "--steps", "300", "--out", str(run_out)]) == 0
+        edit(run_out)
+        return ["verify", *flags, "--trace-dir", str(run_out), "--out", str(tmp_path / "v")]
+
+    return prepare
+
+
+def _bad_csv(content):
+    def prepare(tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        return ["decompose", "--input", str(path), "--out", str(tmp_path / "o")]
+
+    return prepare
+
+
+def _npy_steps(out):
+    np.save(out / "steps.npy", np.zeros(3))
+    (out / "steps.npy").replace(out / "steps.npz")
+
+
+def _out_is_file(tmp_path):
+    (tmp_path / "file").touch()
+    return ["decompose", "--synth-kind", "mixed", "--out", str(tmp_path / "file")]
+
+
+def _out_under_file(tmp_path):
+    (tmp_path / "file").touch()
+    return ["run", "--synth-kind", "mixed", "--steps", "10", "--out", str(tmp_path / "file" / "x")]
+
+
+@pytest.mark.parametrize(
+    "prepare",
+    [
+        _bad_report(lambda path: _cut(path, 300)),
+        _bad_report(lambda path: _drop_key(path, "meta")),
+        _bad_report(lambda path: path.write_text("[1]")),
+        _bad_trace(lambda out: _cut(out / "trace.json", 300)),
+        _bad_trace(lambda out: _drop_key(out / "trace.json", "meta", "schedule")),
+        _bad_trace(lambda out: (out / "steps.npz").write_text("not an archive\n")),
+        _bad_trace(lambda out: _cut(out / "steps.npz", 0)),
+        _bad_trace(lambda out: _cut(out / "steps.npz", 200)),
+        _bad_trace(_npy_steps),
+        _bad_csv(b"f1,label\n\xff,1\n"),
+        _bad_csv(b"f1,label\n" + b"1" * 200_000 + b",1\n"),
+        lambda tmp_path: ["decompose", "--input", str(tmp_path), "--out", str(tmp_path / "o")],
+        _out_is_file,
+        _out_under_file,
+    ],
+    ids=[
+        "report_truncated", "report_without_meta", "report_not_an_object",
+        "trace_json_truncated", "trace_without_schedule", "steps_not_npz", "steps_empty",
+        "steps_truncated", "steps_npy", "csv_not_utf8", "csv_field_too_long",
+        "input_is_directory", "out_is_a_file", "out_under_a_file",
+    ],
+)
+def test_malformed_input_or_path_is_input_error(prepare, tmp_path):
+    # a file that cannot be read as what it names, or an output path that
+    # cannot be a directory, exits 2 with a message and no traceback
+    argv = prepare(tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(Path(optray.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "optray.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "input error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def _parse(parser, argv):
+    """(Namespace or None, stdout, stderr, exit code) of parser.parse_args(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args, code = parser.parse_args(argv), None
+        except SystemExit as exc:
+            args, code = None, exc.code
+    return args, out.getvalue(), err.getvalue(), code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["bogus"],
+        ["report"],
+        ["run", "--input", "x"],
+        ["decompose", "-h"],
+        ["verify", "-h"],
+        ["decompose", "--out", "o", "--bogus"],
+        ["synth", "--kind", "mixed", "--n-per-class", "3", "--seed", "4", "--out", "x.csv"],
+        ["decompose", "--input", "x.csv", "--loss", "exponential", "--out", "o"],
+        ["run", "--synth-kind", "overlap", "--schedule", "constant_one", "--steps", "9", "--out", "o"],
+        ["verify", "--input", "x.csv", "--steps", "5", "--checkpoints-per-decade", "3",
+         "--trace-dir", "r", "--out", "o"],
+        ["report", "--report", "r.json"],
+    ],
+    ids=[
+        "no_arguments", "help", "bogus", "report_without_flags", "run_without_flags",
+        "decompose_help", "verify_help", "unrecognized_flag",
+        "synth", "decompose", "run", "verify", "report",
+    ],
+)
+def test_parser_of_one_command_parses_as_the_full_tree(argv, monkeypatch):
+    # main builds only the invoked command's subparser; every Namespace,
+    # help, usage and error text matches the parser that holds all five
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _parse(build_parser(), argv)
+    assert _parse(build_parser(argv[0] if argv else None), argv) == full
+
+
+def test_parser_of_one_command_holds_one_subparser():
+    (sub,) = (a for a in build_parser("decompose")._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == ["decompose"]
+    (full,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(full.choices) == list(COMMANDS)

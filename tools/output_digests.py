@@ -18,7 +18,10 @@ By default all three workloads run at seeds 1 and 2: 60 jobs.  Two more
 no benchmark job reaches the direction check's warm start (it reads N/A
 there): two unit rows labelled +1 at 1e5 steps, where the check applies and
 compares checkpoints, and one row at 5 steps, where only the last checkpoint
-qualifies.
+qualifies.  Last come the help and usage texts: exit code, standard
+output and error of ``optray -h``, of ``optray COMMAND -h`` for each of the
+five commands, of ``optray`` with no arguments, of ``optray bogus`` and of an
+unrecognized flag, formatted for 80 columns.
 """
 
 import os
@@ -26,6 +29,8 @@ import os
 # one BLAS/OpenMP thread, fixed before numpy loads, as perfbench/run.py does
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
+# argparse wraps help and usage to the terminal's width
+os.environ["COLUMNS"] = "80"
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
@@ -36,6 +41,16 @@ import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 WORKLOADS = ("verify_grid", "long_run", "structure")
+# written out, not read from optray.cli, so that older checkouts run too
+COMMANDS = ("synth", "decompose", "run", "verify", "report")
+# argument lists whose help, usage or error text is printed
+CLI_TEXTS = (
+    ["-h"],
+    *([command, "-h"] for command in COMMANDS),
+    [],
+    ["bogus"],
+    ["decompose", "--out", "o", "--bogus"],
+)
 # (name, CSV text, loss, schedule, steps) of the jobs past the warm start
 DIRECTION_JOBS = (
     ("two-axis", "f1,f2,label\n1,0,1\n0,1,1\n", "exponential", "constant_one", 100_000),
@@ -58,20 +73,26 @@ def file_digest(path: Path) -> str:
     return h.hexdigest()
 
 
-def run_job(cli, argv: list, outdir: Path, scratch: Path) -> list:
-    """The lines that describe one run of the command line argv, which
-    writes to outdir."""
-    shutil.rmtree(outdir, ignore_errors=True)
+def run_cli(cli, argv: list, outdir: Path, scratch: Path) -> list:
+    """The exit code, standard output and error of the command line argv."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
-        except SystemExit as exc:  # argparse rejected the arguments
+        except SystemExit as exc:  # argparse printed help or rejected the arguments
             code = exc.code
     lines = [f"exit {code}"]
     for name, text in (("stdout", out), ("stderr", err)):
         text = text.getvalue().replace(str(outdir), "<out>").replace(str(scratch), "<scratch>")
         lines += [f"{name}| {line}" for line in text.splitlines()]
+    return lines
+
+
+def run_job(cli, argv: list, outdir: Path, scratch: Path) -> list:
+    """The lines that describe one run of the command line argv, which
+    writes to outdir."""
+    shutil.rmtree(outdir, ignore_errors=True)
+    lines = run_cli(cli, argv, outdir, scratch)
     if outdir.is_dir():
         for path in sorted(outdir.iterdir()):
             if path.suffix == ".json":
@@ -122,6 +143,10 @@ def main(argv=None) -> int:
         argv += ["--steps", str(steps), "--out", str(outdir)]
         print(f"== direction {name}")
         for line in run_job(cli, argv, outdir, scratch):
+            print(line)
+    for argv in CLI_TEXTS:
+        print(f"== cli optray {' '.join(argv)}".rstrip())
+        for line in run_cli(cli, argv, scratch / "cli", scratch):
             print(line)
     return 0
 
