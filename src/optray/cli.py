@@ -23,6 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .gd import LOSS_CODES, SCHED_CODES, GDTrace, risk, run
+from .jsonio import write_json
 from .pipeline import analyze
 
 EXIT_OK = 0
@@ -84,14 +85,11 @@ def _self_check_failed(structure) -> bool:
 def cmd_decompose(args) -> int:
     _, structure = _analyze(args, make_out=True)
     out = Path(args.out)
-    with open(out / "decomposition.json", "w") as fh:
-        json.dump(structure.dec.to_dict(), fh, indent=1)
+    write_json(out / "decomposition.json", structure.dec.to_dict())
     if structure.margin_sol is not None:
-        with open(out / "margin.json", "w") as fh:
-            json.dump(structure.margin_sol.to_dict(), fh, indent=1)
+        write_json(out / "margin.json", structure.margin_sol.to_dict())
     if structure.dec.rank_s > 0:
-        with open(out / "scvx.json", "w") as fh:
-            json.dump(structure.sc_opt.to_dict(), fh, indent=1)
+        write_json(out / "scvx.json", structure.sc_opt.to_dict())
     vnorm = float(np.linalg.norm(structure.offset))
     print(f"sep={structure.n_sep} sc={structure.dec.sc_rows.size} rank_s={structure.dec.rank_s}")
     print(f"margin={_fmt(structure.gamma) if structure.margin_sol else 'n/a'}")
@@ -132,17 +130,22 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _check_trace_inputs(trace: GDTrace, digest: str, loss: str, structure) -> None:
-    """Reject a saved trace that was recorded on other data or another loss,
-    or whose risk at w_0 = 0 or at a checkpoint iterate differs from this
-    data's by more than n eps R: the descent loop adds the same n positive
-    loss terms as gd.risk in another order, which moves the sum by less."""
+def _check_trace_inputs(trace: GDTrace, digest: str, args, structure) -> None:
+    """Reject a saved trace that was recorded on other data, with another
+    loss or schedule (each flag's default included) or, when --steps is
+    given, another step count, or whose risk at w_0 = 0 or at a checkpoint
+    iterate differs from this data's by more than n eps R: the descent loop
+    adds the same n positive loss terms as gd.risk in another order, which
+    moves the sum by less."""
     found = {
         "dataset digest": (trace.digest, digest),
-        "loss": (trace.loss, loss),
+        "loss": (trace.loss, args.loss),
+        "schedule": (trace.schedule, args.schedule),
         "n": (trace.n, structure.n),
         "sep_rows": (trace.sep_rows.tolist(), structure.dec.sep_rows.tolist()),
     }
+    if args.steps is not None:
+        found["steps"] = (trace.T, args.steps)
     for name, (recorded, expected) in found.items():
         if recorded != expected:
             raise ValidationError(
@@ -150,7 +153,7 @@ def _check_trace_inputs(trace: GDTrace, digest: str, loss: str, structure) -> No
             )
     ts = [0, *trace.ts.tolist()]
     for t, w, recorded in zip(ts, [np.zeros(trace.d), *trace.w], trace.risk_steps[ts]):
-        actual = risk(structure.matrix, loss, w)
+        actual = risk(structure.matrix, args.loss, w)
         if not abs(recorded - actual) <= structure.n * np.finfo(float).eps * actual:
             raise ValidationError(
                 f"trace risk {recorded:.17g} at step {t} differs from this data's {actual:.17g}"
@@ -164,7 +167,7 @@ def cmd_verify(args) -> int:
     if args.trace_dir:
         tdir = Path(args.trace_dir)
         trace = GDTrace.from_files(tdir / "trace.json", tdir / "steps.npz")
-        _check_trace_inputs(trace, ds.digest(), args.loss, structure)
+        _check_trace_inputs(trace, ds.digest(), args, structure)
     else:
         trace = _run_trace(args, structure)
     meta = verify_mod.report_meta(trace, structure, ds.digest())

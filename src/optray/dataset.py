@@ -3,6 +3,7 @@
 import csv
 import hashlib
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -41,7 +42,7 @@ class Dataset:
             raise ValidationError("every feature must be finite (no nan or inf)")
         if self.labels.shape != (self.features.shape[0],):
             raise ValidationError("labels must be a vector of length n")
-        if not np.all(np.isin(self.labels, (-1, 1))):
+        if not np.all((self.labels == 1) | (self.labels == -1)):
             raise ValidationError("every label must be -1 or +1")
         self.labels = self.labels.astype(np.int64)
 
@@ -96,11 +97,14 @@ def load_csv(path) -> Dataset:
             feats, labels = _read_rows(path, csv.reader(fh))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"{path}: not a CSV text file ({exc})") from None
-    return Dataset(np.array(feats, dtype=float), np.array(labels, dtype=np.int64))
+    return Dataset(feats, labels)
 
 
 def _read_rows(path, reader) -> tuple:
-    """The feature rows and labels of a CSV reader on path."""
+    """The (m, d) features and m labels of a CSV reader on path.  Every field
+    goes through float() in one pass and the field counts and labels are
+    checked at once; only a file that fails is walked row by row, for the
+    error of its first bad row."""
     try:
         header = next(reader)
     except StopIteration:
@@ -110,25 +114,48 @@ def _read_rows(path, reader) -> tuple:
     expected = [f"f{i + 1}" for i in range(d)] + ["label"]
     if d < 1 or header != expected:
         raise ParseError(f"{path}: header must be f1,...,fd,label (got {header})")
-    feats = []
-    labels = []
-    for rownum, row in enumerate(reader, start=2):
+    rows = []
+    try:
+        rows.extend(reader)
+    except (UnicodeDecodeError, csv.Error):
+        # a bad row read before the reader failed comes first, as each row
+        # was checked before the next one was read
+        error = _first_row_error(path, rows, d)
+        if error is None:
+            raise
+        raise error from None
+    data = [row for row in rows if row]
+    if not data:
+        raise ParseError(f"{path}: no data rows")
+    if set(map(len, data)) == {d + 1}:
+        try:
+            vals = np.fromiter(
+                map(float, chain.from_iterable(data)), dtype=float, count=len(data) * (d + 1)
+            ).reshape(len(data), d + 1)
+        except ValueError:
+            pass
+        else:
+            if np.all(np.abs(vals[:, -1]) == 1.0):
+                return np.ascontiguousarray(vals[:, :-1]), vals[:, -1].astype(np.int64)
+    raise _first_row_error(path, rows, d)
+
+
+def _first_row_error(path, rows, d):
+    """The error of the first row, numbered from 2 after the header, that
+    has other than d + 1 fields, a field float() rejects, or a label other
+    than -1 or 1; blank rows are skipped.  None when every row passes."""
+    for rownum, row in enumerate(rows, start=2):
         if not row:
             continue
         if len(row) != d + 1:
-            raise ParseError(f"{path}: row {rownum}: expected {d + 1} fields, got {len(row)}")
+            return ParseError(f"{path}: row {rownum}: expected {d + 1} fields, got {len(row)}")
         try:
             vals = [float(v) for v in row]
         except ValueError as exc:
-            raise ParseError(f"{path}: row {rownum}: {exc}") from None
-        lab = vals[-1]
-        if lab not in (-1.0, 1.0):
-            raise ValidationError(f"{path}: row {rownum}: label must be -1 or 1, got {row[-1]}")
-        feats.append(vals[:-1])
-        labels.append(int(lab))
-    if not feats:
-        raise ParseError(f"{path}: no data rows")
-    return feats, labels
+            return ParseError(f"{path}: row {rownum}: {exc}")
+        if vals[-1] not in (-1.0, 1.0):
+            return ValidationError(f"{path}: row {rownum}: label must be -1 or 1, got {row[-1]}")
+    return None
 
 
 def save_csv(ds: Dataset, path) -> None:

@@ -15,6 +15,7 @@ import numpy as np
 from . import _kernels
 from .dataset import MarginMatrix
 from .errors import NumericalError, ParseError, ValidationError
+from .jsonio import write_json
 from .linalg import Basis, minimize_risk
 
 LOSS_CODES = {"logistic": _kernels.LOGISTIC, "exponential": _kernels.EXPONENTIAL}
@@ -168,8 +169,7 @@ class GDTrace:
             for name in self.CSV_VECTORS:
                 rec[name] = getattr(self, name)[k].tolist()
             records.append(rec)
-        with open(path, "w") as fh:
-            json.dump({"meta": self.meta(), "checkpoints": records}, fh, indent=1)
+        write_json(path, {"meta": self.meta(), "checkpoints": records})
 
     def save_steps(self, path) -> None:
         """The per-step series as an uncompressed .npz (24 bytes per step);

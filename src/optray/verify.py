@@ -7,13 +7,13 @@ with the checkpoint or step where it occurs.  Checks are pure functions of
 their inputs; re-running them on the same trace reproduces the report.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
 from .gd import GDTrace, _loss_code, ball_series
+from .jsonio import write_json
 from .linalg import RESIDUAL_TOL, _norms
 from .margin import GAP_TOL
 from .pipeline import Structure
@@ -89,8 +89,7 @@ class VerificationReport:
         }
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
+        write_json(path, self.to_dict())
 
 
 def _from_slacks(name, slack, quantity, locations, note="") -> CheckResult:

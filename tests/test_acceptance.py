@@ -297,6 +297,32 @@ def test_criterion_10_fenchel_young_and_log_approx(matrix_runs, long_runs):
               f"angle bounds hold ({nonvacuous} non-vacuous runs)")
 
 
+# runs of the 48-run grid on which each check applies; a change that makes
+# a check apply on more runs raises its count here
+APPLICABLE_RUNS = {
+    "risk_bound": 48,
+    "smoothness": 48,
+    "log_risk_telescope": 48,
+    "perceptron_norm": 48,
+    "log_approx": 48,
+    "norm_bounds": 36,
+    "perp_descent": 36,
+    "param_s": 24,
+    "fenchel_young": 24,
+    "direction": 0,
+    "gen_iter": 0,
+}
+
+
+def test_applicable_check_census(matrix_runs):
+    assert len(matrix_runs) == 48
+    counts = {
+        name: sum(rec["checks"][name].applicable for rec in matrix_runs)
+        for name in matrix_runs[0]["checks"]
+    }
+    assert counts == APPLICABLE_RUNS
+
+
 def test_criterion_11_negative_controls():
     m = MarginMatrix(CANONICAL_MIXED)
     structure = analyze(m, "logistic")

@@ -213,18 +213,26 @@ def test_verify_trace_needs_no_steps(exponential_trace, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flags",
+    "flags, named",
     [
-        ["--synth-kind", "mixed", "--seed", "0", "--loss", "logistic"],
-        ["--synth-kind", "separable", "--seed", "3", "--loss", "exponential"],
+        (["--synth-kind", "mixed", "--seed", "0", "--loss", "logistic"], None),
+        (["--synth-kind", "separable", "--seed", "3", "--loss", "exponential"], None),
+        (["--synth-kind", "mixed", "--seed", "0", "--loss", "exponential",
+          "--schedule", "constant_one"], "schedule 'inv_sqrt', this run has 'constant_one'"),
+        (["--synth-kind", "mixed", "--seed", "0", "--loss", "exponential",
+          "--steps", "50"], "steps 300, this run has 50"),
     ],
-    ids=["wrong_loss", "wrong_data"],
+    ids=["wrong_loss", "wrong_data", "wrong_schedule", "wrong_steps"],
 )
-def test_verify_rejects_trace_of_other_inputs(flags, exponential_trace, tmp_path, capsys):
-    argv = ["verify", *flags, "--schedule", "inv_sqrt", "--steps", "300",
+def test_verify_rejects_trace_of_other_inputs(flags, named, exponential_trace, tmp_path, capsys):
+    # flags come last, so that theirs override the trace's schedule and steps
+    argv = ["verify", "--schedule", "inv_sqrt", "--steps", "300", *flags,
             "--trace-dir", str(exponential_trace), "--out", str(tmp_path / "v")]
     assert main(argv) == 2
-    assert "trace was recorded with" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "trace was recorded with" in err
+    assert named is None or named in err
+    assert not (tmp_path / "v").exists()
 
 
 def test_verify_separable_unit_steps(tmp_path):

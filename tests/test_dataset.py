@@ -1,3 +1,4 @@
+import csv_oracle
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -67,6 +68,86 @@ class TestLoadCsv:
         np.testing.assert_allclose(back.features, ds.features, rtol=0, atol=0)
 
 
+# fields that float() reads, or rejects, as the reader meets them
+_VALID_FIELDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(["1_000", " 2.5 ", "+3", "-0", ".5", "5.", "1e-320", '"7"']),
+)
+_VALID_LABELS = st.sampled_from(["1", "-1", "1.0", "-1e0", " 1", "+1", '"-1"', "1_0e-1"])
+_FAULTS = ("count", "blank", "float", "label", "non_finite")
+
+
+@st.composite
+def csv_texts(draw):
+    """A CSV text with header f1,...,fd,label whose rows are valid, or have
+    one kind of fault each with some chance: a wrong field count, a blank or
+    spaces-only line, a field float() rejects, a label other than -1 or 1,
+    a non-finite feature; or a header other than f1,...,fd,label."""
+    d = draw(st.integers(1, 4))
+    fault = draw(st.sampled_from([None, "header", "any", *_FAULTS]))
+    header = [f"f{i + 1}" for i in range(d)] + ["label"]
+    if fault == "header":
+        header = draw(st.sampled_from([header[1:], [f" {c} " for c in header], header + ["x"]]))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = None
+        if fault not in (None, "header") and draw(st.booleans()):
+            kind = draw(st.sampled_from(_FAULTS)) if fault == "any" else fault
+        fields = [draw(_VALID_FIELDS) for _ in range(d)] + [draw(_VALID_LABELS)]
+        if kind == "count":
+            fields = fields[1:] if draw(st.booleans()) else fields + ["1"]
+        elif kind == "blank":
+            fields = [draw(st.sampled_from(["", "   "]))]
+        elif kind == "float":
+            fields[draw(st.integers(0, d))] = draw(
+                st.sampled_from(["abc", "", "1..2", "0x10", "1__0", "   ", '"1', "\x00"])
+            )
+        elif kind == "label":
+            fields[d] = draw(st.sampled_from(["0", "2", "-0", "nan", "one", "1.5"]))
+        elif kind == "non_finite":
+            fields[draw(st.integers(0, d - 1))] = draw(st.sampled_from(["nan", "-inf", "1e999"]))
+        lines.append(",".join(fields))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from([eol, ""]))
+
+
+def _outcome(load, path):
+    """The arrays load reads from path, or the class and message it raises."""
+    try:
+        ds = load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return tuple((a.dtype, a.shape, a.tobytes()) for a in (ds.features, ds.labels))
+
+
+class TestReaderMatchesRowLoop:
+    """load_csv against the row-by-row reader it replaced (tests/csv_oracle.py):
+    the same arrays bit for bit, or the same exception and message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=csv_texts())
+    def test_same_arrays_or_same_error(self, text, tmp_path_factory):
+        path = tmp_path_factory.mktemp("csv") / "in.csv"
+        path.write_bytes(text.encode())
+        assert _outcome(load_csv, path) == _outcome(csv_oracle.load_csv, path)
+
+    @pytest.mark.parametrize(
+        "tail",
+        [b"\xff\n", b"1," + b"9" * 200_000 + b"\n"],
+        ids=["undecodable_byte", "field_too_long"],
+    )
+    @pytest.mark.parametrize("bad_row", [b"", b"x,1\n"], ids=["rows_ok", "bad_row_first"])
+    def test_reader_failure_after_the_rows_read(self, tail, bad_row, tmp_path):
+        # a bad row read before the reader fails raises first; the padding
+        # puts the failure past the first chunk the file is decoded in
+        path = tmp_path / "in.csv"
+        path.write_bytes(b"f1,label\n" + bad_row + b"0.5,1\n" * 5000 + tail)
+        expected = _outcome(csv_oracle.load_csv, path)
+        assert expected[0] in (ParseError, ValidationError)
+        assert _outcome(load_csv, path) == expected
+
+
 class TestNormalize:
     def test_scales_down(self):
         ds = Dataset(np.array([[2.0, 0.0]]), np.array([1]))
@@ -134,6 +215,34 @@ class TestNormalize:
             np.testing.assert_array_equal(
                 to_margin_matrix(once).rows, to_margin_matrix(twice).rows
             )
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        np.array([1, -1]),
+        np.array([1.0, -1.0]),
+        np.array([1.0, -1.0], dtype=np.float32),
+        np.array([True, True]),
+        np.array([1, -1], dtype=np.int8),
+        np.array([1, 1], dtype=np.uint8),
+        np.array([1, None], dtype=object),
+        np.array([1, 0]),
+        np.array([1.0, np.nan]),
+        np.array([1, 255], dtype=np.uint8),
+        np.array([False, True]),
+        np.array(["1", "-1"]),
+    ],
+    ids=lambda a: f"{a.dtype}-{a.tolist()}",
+)
+def test_dataset_accepts_the_labels_np_isin_accepts(labels):
+    # the label test compares with 1 and -1 directly; its accept set is isin's
+    features = np.zeros((2, 1))
+    if np.all(np.isin(labels, (-1, 1))):
+        np.testing.assert_array_equal(Dataset(features, labels).labels, labels.astype(np.int64))
+    else:
+        with pytest.raises(ValidationError, match="every label"):
+            Dataset(features, labels)
 
 
 class TestMarginMatrix:
