@@ -82,9 +82,11 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
     T : number of steps.
     cps : sorted int64 checkpoint times in [1, T].
 
-    Returns per-step scalar series (risk, |grad|/risk, eta*risk for
-    j = 0..T, zero past steps_done) and per-checkpoint snapshots (iterate
-    and running sums over j < t, zero past steps_done).
+    Returns (status, steps_done, risk_steps, rel_steps, eff_steps, cp_w,
+    cp_sums): the per-step series (risk, |grad|/risk, eta*risk for j = 0..T),
+    the iterate at each checkpoint and, as the rows of the (4, K) cp_sums,
+    the running sums over j < t perceptron, sum_eta_sep, sum_cross and
+    sup_proj_s; all zero past steps_done.
 
     A step makes two products and the loss derivative between them.  The
     first is ext @ w.  For the logistic loss ext stacks the basis of S and
@@ -155,7 +157,7 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
       terms: its running sum crosses zero, and this form rounds several
       times less than a sum of loss'(z_i) (A_i . P_S w) over the rows.
     sum_eta, sum_eff_grad and sum_tele are cumulative sums of the stored
-    series, taken after the loop by descent_sums.
+    series, which descent_sums takes from the trace.
     """
     n, d = A.shape
     r = bs_cols.shape[1]
@@ -211,7 +213,7 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
     rel_steps = np.zeros(T + 1)
     eff_steps = np.zeros(T + 1)
     cp_w = np.zeros((K, d))
-    cp_sums = np.zeros((7, K))  # in the order of the return tuple
+    cp_sums = np.zeros((4, K))  # the rows of folds
 
     k = 0
     steps_done = T
@@ -298,15 +300,12 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
             kv = bisect.bisect_left(cps, j0 + c, k0, k)
             cp_w[kv:k] = 0.0
             k = kv
-            cp_sums[[0, 4, 5, 6], k0:k] = folds[:, np.array(cps[k0:k], dtype=np.intp) - j0]
+            cp_sums[:, k0:k] = folds[:, np.array(cps[k0:k], dtype=np.intp) - j0]
             folds[:, 0] = folds[:, c]
             if status != STATUS_OK:
                 break
 
-        if k:
-            cp_sums[1:4, :k] = descent_sums(eff_steps, rel_steps, sched_code, cps[:k])
-
-    return (status, steps_done, risk_steps, rel_steps, eff_steps, cp_w, *cp_sums)
+    return status, steps_done, risk_steps, rel_steps, eff_steps, cp_w, cp_sums
 
 
 def descent_sums(eff_steps, rel_steps, sched_code, ts):

@@ -22,7 +22,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .gd import LOSS_CODES, SCHED_CODES, GDTrace, risk, run
+from .gd import LOSS_CODES, SCHED_CODES, GDTrace, checkpoint_times, risk, run
 from .jsonio import write_json
 from .pipeline import analyze
 
@@ -132,11 +132,11 @@ def cmd_run(args) -> int:
 
 def _check_trace_inputs(trace: GDTrace, digest: str, args, structure) -> None:
     """Reject a saved trace that was recorded on other data, with another
-    loss or schedule (each flag's default included) or, when --steps is
-    given, another step count, or whose risk at w_0 = 0 or at a checkpoint
-    iterate differs from this data's by more than n eps R: the descent loop
-    adds the same n positive loss terms as gd.risk in another order, which
-    moves the sum by less."""
+    loss, schedule or checkpoints per decade (each flag's default included)
+    or, when --steps is given, another step count, or whose risk at w_0 = 0
+    or at a checkpoint iterate differs from this data's by more than n eps R:
+    the descent loop adds the same n positive loss terms as gd.risk in
+    another order, which moves the sum by less."""
     found = {
         "dataset digest": (trace.digest, digest),
         "loss": (trace.loss, args.loss),
@@ -151,6 +151,14 @@ def _check_trace_inputs(trace: GDTrace, digest: str, args, structure) -> None:
             raise ValidationError(
                 f"trace was recorded with {name} {recorded!r}, this run has {expected!r}"
             )
+    # the checkpoints of T steps, up to the last step the trace holds
+    want = checkpoint_times(trace.T, args.checkpoints_per_decade)
+    want = want[want < trace.risk_steps.size]
+    if not np.array_equal(trace.ts, want):
+        raise ValidationError(
+            f"trace was recorded with {trace.k} checkpoints, this run's "
+            f"--checkpoints-per-decade {args.checkpoints_per_decade} gives {want.size}"
+        )
     ts = [0, *trace.ts.tolist()]
     for t, w, recorded in zip(ts, [np.zeros(trace.d), *trace.w], trace.risk_steps[ts]):
         actual = risk(structure.matrix, args.loss, w)

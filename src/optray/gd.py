@@ -6,9 +6,11 @@ the full per-step scalar series (risk, gradient-to-risk ratio, effective
 step) so per-step inequalities can be audited at full resolution.
 """
 
+import dataclasses
 import json
+import operator
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,6 +81,8 @@ class GDTrace:
     (sum_*, perceptron_sum, sup_proj_s) cover steps j < t.  The per-step
     series risk_steps/rel_steps/eff_steps run over j = 0..T.  digest is the
     content hash of the dataset the trace was recorded on ("" if unknown).
+    The fields after digest are derived, here alone, from the iterates,
+    their projections onto S, the per-step series and the schedule.
     """
 
     loss: str
@@ -90,18 +94,8 @@ class GDTrace:
     sep_rows: np.ndarray
     ts: np.ndarray
     w: np.ndarray
-    risk: np.ndarray
-    grad_norm: np.ndarray
-    rel_grad: np.ndarray
-    eff_step: np.ndarray
-    norm_w: np.ndarray
     proj_s: np.ndarray
-    proj_perp_norm: np.ndarray
-    dir: np.ndarray
     perceptron_sum: np.ndarray
-    sum_eta: np.ndarray
-    sum_eff_grad: np.ndarray
-    sum_tele: np.ndarray
     sum_eta_sep: np.ndarray
     sum_cross: np.ndarray
     sup_proj_s: np.ndarray
@@ -109,6 +103,16 @@ class GDTrace:
     rel_steps: np.ndarray
     eff_steps: np.ndarray
     digest: str = ""
+    risk: np.ndarray = field(init=False)
+    grad_norm: np.ndarray = field(init=False)
+    rel_grad: np.ndarray = field(init=False)
+    eff_step: np.ndarray = field(init=False)
+    norm_w: np.ndarray = field(init=False)
+    proj_perp_norm: np.ndarray = field(init=False)
+    dir: np.ndarray = field(init=False)
+    sum_eta: np.ndarray = field(init=False)
+    sum_eff_grad: np.ndarray = field(init=False)
+    sum_tele: np.ndarray = field(init=False)
 
     CSV_SCALARS = (
         "risk",
@@ -127,6 +131,19 @@ class GDTrace:
     )
     # d columns each, after the scalars
     CSV_VECTORS = ("w", "proj_s", "dir")
+
+    def __post_init__(self):
+        ts, w = self.ts, self.w
+        self.risk, self.rel_grad = self.risk_steps[ts], self.rel_steps[ts]
+        self.grad_norm = self.rel_grad * self.risk
+        self.eff_step = self.eff_steps[ts]
+        self.norm_w = np.linalg.norm(w, axis=1)
+        self.proj_perp_norm = np.linalg.norm(w - self.proj_s, axis=1)
+        safe = np.where(self.norm_w == 0.0, 1.0, self.norm_w)
+        self.dir = np.where(self.norm_w[:, None] > 0.0, w / safe[:, None], 0.0)
+        self.sum_eta, self.sum_eff_grad, self.sum_tele = _kernels.descent_sums(
+            self.eff_steps, self.rel_steps, _sched_code(self.schedule), ts
+        )
 
     @property
     def k(self) -> int:
@@ -183,15 +200,16 @@ class GDTrace:
 
     @classmethod
     def from_files(cls, json_path, steps_path) -> "GDTrace":
-        """Read a trace that to_json and save_steps wrote.  The checkpoint
-        columns that follow from the iterates and the per-step series are
-        derived as run derives them; a trace.json whose copy of one differs
-        is rejected, so that every check reads the same numbers."""
+        """Read a trace that to_json and save_steps wrote.  The derived
+        columns are derived again; a trace.json whose copy of one differs,
+        or whose series, status, T and checkpoints contradict each other, is
+        rejected, so that every check reads the same numbers."""
         try:
             with open(json_path) as fh:
                 data = json.load(fh)
             meta = data["meta"]
             fields = {name: meta[name] for name in ("loss", "schedule", "T", "n", "d", "status")}
+            fields["T"] = operator.index(fields["T"])
             sep_rows = np.asarray(meta["sep_rows"], dtype=np.int64)
             recs = data["checkpoints"]
             ts = np.array([r["t"] for r in recs], dtype=np.int64)
@@ -205,42 +223,38 @@ class GDTrace:
             series = {name: steps[name] for name in ("risk_steps", "rel_steps", "eff_steps")}
         except (ValueError, KeyError, IndexError, EOFError, zipfile.BadZipFile) as exc:
             raise ParseError(f"{steps_path}: not a steps.npz ({type(exc).__name__}: {exc})") from None
-        if not (ts.size and np.all((ts >= 1) & (ts < series["risk_steps"].size))):
-            raise ValidationError(f"{json_path} has checkpoints outside the steps of {steps_path}")
-        derived = _checkpoint_columns(ts, cols["w"], cols["proj_s"], **series)
-        sums = _kernels.descent_sums(
-            series["eff_steps"], series["rel_steps"], _sched_code(fields["schedule"]), ts
-        )
-        derived.update(zip(("sum_eta", "sum_eff_grad", "sum_tele"), sums))
-        for name, value in derived.items():
-            if not np.array_equal(value, cols[name], equal_nan=True):
-                raise ValidationError(f"{json_path}: {name} does not match the iterates and {steps_path}")
-        cols.update(derived)
-        return cls(
+        _check_extent(json_path, steps_path, fields["status"], fields["T"], ts, series)
+        derived = [f.name for f in dataclasses.fields(cls) if not f.init]
+        trace = cls(
             **fields,
             sep_rows=sep_rows,
             ts=ts,
             digest=meta.get("digest", ""),
             **series,
-            **cols,
+            **{name: value for name, value in cols.items() if name not in derived},
         )
+        for name in derived:
+            if not np.array_equal(getattr(trace, name), cols[name], equal_nan=True):
+                raise ValidationError(f"{json_path}: {name} does not match the iterates and {steps_path}")
+        return trace
 
 
-def _checkpoint_columns(ts, w, proj_s, risk_steps, rel_steps, eff_steps) -> dict:
-    """The checkpoint columns that follow from the iterates w, their
-    projections onto S and the per-step series."""
-    risk, rel = risk_steps[ts], rel_steps[ts]
-    norm_w = np.linalg.norm(w, axis=1)
-    safe = np.where(norm_w == 0.0, 1.0, norm_w)
-    return {
-        "risk": risk,
-        "grad_norm": rel * risk,
-        "rel_grad": rel,
-        "eff_step": eff_steps[ts],
-        "norm_w": norm_w,
-        "proj_perp_norm": np.linalg.norm(w - proj_s, axis=1),
-        "dir": np.where(norm_w[:, None] > 0.0, w / safe[:, None], 0.0),
-    }
+def _check_extent(json_path, steps_path, status, T, ts, series) -> None:
+    """A run's series and checkpoints end at T, or, on overflow, at the last
+    finite step before it; every checkpoint is a step of the series."""
+    shapes = {a.shape for a in series.values()}
+    if len(shapes) != 1 or len(shapes.pop()) != 1:
+        raise ValidationError(f"{steps_path}: the three series are not 1-D arrays of one length")
+    L = series["risk_steps"].size
+    if status not in ("ok", "overflow"):
+        raise ValidationError(f"{json_path}: status {status!r} is neither 'ok' nor 'overflow'")
+    if not (ts.size and np.all((ts >= 1) & (ts < L))):
+        raise ValidationError(f"{json_path} has checkpoints outside the steps of {steps_path}")
+    if (L != T + 1 or ts[-1] != T) if status == "ok" else L > T:
+        raise ValidationError(
+            f"{json_path}: status {status!r} and T {T} contradict {L} steps "
+            f"and a last checkpoint at {ts[-1]}"
+        )
 
 
 def run(
@@ -271,8 +285,7 @@ def run(
         basis_s = Basis(np.zeros((d, 0)))
     ts = checkpoint_times(T, checkpoints_per_decade)
 
-    # the running sums come in the order of the last seven CSV columns
-    status, steps_done, risk_steps, rel_steps, eff_steps, cp_w, *cp_sums = _kernels.gd_loop(
+    status, steps_done, risk_steps, rel_steps, eff_steps, cp_w, cp_sums = _kernels.gd_loop(
         rows, sep_idx, basis_s.columns, loss_code, sched_code, int(T), ts
     )
 
@@ -285,7 +298,6 @@ def run(
     if ts.size == 0:
         raise NumericalError("risk overflowed before the first checkpoint")
     w = cp_w[keep]
-    proj_s = basis_s.project(w)
     return GDTrace(
         loss=loss,
         schedule=schedule,
@@ -296,12 +308,11 @@ def run(
         sep_rows=sep_idx,
         ts=ts,
         w=w,
-        proj_s=proj_s,
-        **{name: s[keep] for name, s in zip(GDTrace.CSV_SCALARS[-7:], cp_sums)},
+        proj_s=basis_s.project(w),
+        **dict(zip(("perceptron_sum", "sum_eta_sep", "sum_cross", "sup_proj_s"), cp_sums[:, keep])),
         risk_steps=risk_steps[: steps_done + 1],
         rel_steps=rel_steps[: steps_done + 1],
         eff_steps=eff_steps[: steps_done + 1],
-        **_checkpoint_columns(ts, w, proj_s, risk_steps, rel_steps, eff_steps),
     )
 
 

@@ -14,12 +14,11 @@ from hull_oracle import block_rows, margin_direction
 
 import optray
 import optray.pipeline
-from optray._kernels import descent_sums
 from optray.cli import COMMANDS, build_parser, main
 from optray.dataset import Dataset, load_csv, save_csv, to_margin_matrix
 from optray.decompose import ValidationReport, partition, validate
 from optray.errors import LPError
-from optray.gd import SCHED_CODES, GDTrace, _checkpoint_columns
+from optray.gd import GDTrace
 
 
 @pytest.fixture
@@ -127,13 +126,38 @@ def test_verify_detects_corrupted_trace(canonical_csv, tmp_path, capsys):
     assert "smoothness" in err
 
 
-def _scale_trace_json(run_out, factors):
-    path = run_out / "trace.json"
-    data = json.loads(path.read_text())
-    for rec in data["checkpoints"]:
-        for name, factor in factors.items():
-            rec[name] *= factor
-    path.write_text(json.dumps(data))
+DERIVED = (
+    "risk",
+    "grad_norm",
+    "rel_grad",
+    "eff_step",
+    "norm_w",
+    "proj_perp_norm",
+    "dir",
+    "sum_eta",
+    "sum_eff_grad",
+    "sum_tele",
+)
+
+
+def test_derived_columns_are_the_trace_fields_not_passed_in():
+    assert tuple(f.name for f in dataclasses.fields(GDTrace) if not f.init) == DERIVED
+
+
+def _move_derived(name):
+    # the column at the last checkpoint of trace.json, dir in its first
+    # coordinate
+    def edit(run_out):
+        path = run_out / "trace.json"
+        data = json.loads(path.read_text())
+        rec = data["checkpoints"][-1]
+        if name == "dir":
+            rec[name][0] += 1.0
+        else:
+            rec[name] += 1.0
+        path.write_text(json.dumps(data))
+
+    return edit
 
 
 def _edit_steps(run_out, edit):
@@ -151,18 +175,23 @@ def _truncate(steps):
         steps[name] = steps[name][:100]
 
 
+def _cut_rel_steps(steps):
+    steps["rel_steps"] = steps["rel_steps"][:500]
+
+
+def _edit_meta(run_out, **values):
+    path = run_out / "trace.json"
+    data = json.loads(path.read_text())
+    data["meta"].update(values)
+    path.write_text(json.dumps(data))
+
+
 def _halve_risk(run_out):
-    # halve the risk and the effective step in steps.npz and rederive every
-    # column that from_files compares: the two files agree, but not with the
-    # data (the risk at step 0 reads ln 2 / 2)
+    # halve the risk and the effective step in steps.npz; the trace derives
+    # every column that from_files compares again, so the two files agree,
+    # but not with the data (the risk at step 0 reads ln 2 / 2)
     trace = GDTrace.from_files(run_out / "trace.json", run_out / "steps.npz")
-    series = dict(
-        risk_steps=trace.risk_steps / 2, rel_steps=trace.rel_steps, eff_steps=trace.eff_steps / 2
-    )
-    cols = _checkpoint_columns(trace.ts, trace.w, trace.proj_s, **series)
-    sums = descent_sums(series["eff_steps"], trace.rel_steps, SCHED_CODES[trace.schedule], trace.ts)
-    cols.update(zip(("sum_eta", "sum_eff_grad", "sum_tele"), sums))
-    halved = dataclasses.replace(trace, **series, **cols)
+    halved = dataclasses.replace(trace, risk_steps=trace.risk_steps / 2, eff_steps=trace.eff_steps / 2)
     halved.to_json(run_out / "trace.json")
     halved.save_steps(run_out / "steps.npz")
 
@@ -170,17 +199,26 @@ def _halve_risk(run_out):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda out: _scale_trace_json(out, {"risk": 10.0, "sum_tele": 0.5}), "does not match"),
+        *((_move_derived(name), f"trace.json: {name} does not match") for name in DERIVED),
         (lambda out: _edit_steps(out, _scale_step_50), "does not match"),
         (lambda out: _edit_steps(out, _truncate), "outside the steps"),
         (_halve_risk, "differs from this data's"),
+        (lambda out: _edit_steps(out, _cut_rel_steps), "not 1-D arrays of one length"),
+        (lambda out: _edit_meta(out, T=400), "status 'ok' and T 400 contradict 3001 steps"),
+        (lambda out: _edit_meta(out, status="overflow"), "status 'overflow' and T 3000 contradict"),
+        (lambda out: _edit_meta(out, status="done"), "status 'done' is neither"),
     ],
-    ids=["trace_json", "steps_at_a_checkpoint", "steps_truncated", "risk_halved_in_both"],
+    ids=[
+        *(f"trace_json_{name}" for name in DERIVED),
+        "steps_at_a_checkpoint", "steps_truncated", "risk_halved_in_both",
+        "rel_steps_cut", "T_below_last_checkpoint", "overflow_at_T", "unknown_status",
+    ],
 )
 def test_verify_rejects_trace_copies_that_disagree(edit, message, tmp_path, capsys):
-    # the checkpoint risk and the descent sums follow from steps.npz; a
-    # trace.json that disagrees with it is an input error, whichever file
-    # was edited, and so is a risk that disagrees with the data
+    # the derived columns follow from the iterates and steps.npz; a
+    # trace.json that disagrees with them is an input error, whichever file
+    # was edited, and so are files that contradict each other and a risk
+    # that disagrees with the data
     flags = ["--synth-kind", "mixed", "--seed", "1", "--loss", "logistic", "--schedule", "inv_sqrt"]
     run_out = tmp_path / "r"
     assert main(["run", *flags, "--steps", "3000", "--out", str(run_out)]) == 0
@@ -221,8 +259,11 @@ def test_verify_trace_needs_no_steps(exponential_trace, tmp_path):
           "--schedule", "constant_one"], "schedule 'inv_sqrt', this run has 'constant_one'"),
         (["--synth-kind", "mixed", "--seed", "0", "--loss", "exponential",
           "--steps", "50"], "steps 300, this run has 50"),
+        (["--synth-kind", "mixed", "--seed", "0", "--loss", "exponential",
+          "--checkpoints-per-decade", "2"],
+         "with 40 checkpoints, this run's --checkpoints-per-decade 2 gives 6"),
     ],
-    ids=["wrong_loss", "wrong_data", "wrong_schedule", "wrong_steps"],
+    ids=["wrong_loss", "wrong_data", "wrong_schedule", "wrong_steps", "wrong_checkpoints_per_decade"],
 )
 def test_verify_rejects_trace_of_other_inputs(flags, named, exponential_trace, tmp_path, capsys):
     # flags come last, so that theirs override the trace's schedule and steps
@@ -426,6 +467,7 @@ def _out_under_file(tmp_path):
         _bad_report(lambda path: path.write_text("[1]")),
         _bad_trace(lambda out: _cut(out / "trace.json", 300)),
         _bad_trace(lambda out: _drop_key(out / "trace.json", "meta", "schedule")),
+        _bad_trace(lambda out: _edit_meta(out, T="300")),
         _bad_trace(lambda out: (out / "steps.npz").write_text("not an archive\n")),
         _bad_trace(lambda out: _cut(out / "steps.npz", 0)),
         _bad_trace(lambda out: _cut(out / "steps.npz", 200)),
@@ -438,7 +480,8 @@ def _out_under_file(tmp_path):
     ],
     ids=[
         "report_truncated", "report_without_meta", "report_not_an_object",
-        "trace_json_truncated", "trace_without_schedule", "steps_not_npz", "steps_empty",
+        "trace_json_truncated", "trace_without_schedule", "trace_T_not_an_integer",
+        "steps_not_npz", "steps_empty",
         "steps_truncated", "steps_npy", "csv_not_utf8", "csv_field_too_long",
         "input_is_directory", "out_is_a_file", "out_under_a_file",
     ],

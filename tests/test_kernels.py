@@ -19,6 +19,7 @@ from optray.gd import checkpoint_times
 from optray.verify import check_smoothness
 
 EPS = np.finfo(float).eps
+# the reference loop's running sums, in the order of its return tuple
 SUM_NAMES = (
     "perceptron",
     "sum_eta",
@@ -28,6 +29,7 @@ SUM_NAMES = (
     "sum_cross",
     "sup_proj_s",
 )
+STREAMED = ("perceptron", "sum_eta_sep", "sum_cross", "sup_proj_s")
 
 
 def _loop(rows, loss_code, T, cps, sched_code=K.CONSTANT_ONE):
@@ -204,7 +206,7 @@ def test_exponential_exit_matches_reference_loop(problem):
     with np.errstate(all="ignore"):
         old = _oracle(*args, cps)
     new = K.gd_loop(*args, cps)
-    assert_loops_agree(new, old)
+    assert_loops_agree(new, old, sched_code, cps)
     status, steps_done = new[0], new[1]
     if kind == "one_at_cap":
         # past the cap at step 1, or a finite risk of about e^700 / n
@@ -318,9 +320,11 @@ def descent_problems(draw):
     )
 
 
-def assert_loops_agree(new, old):
+def assert_loops_agree(new, old, sched_code, cps):
     """Equal exits; every series, iterate and running sum within 1e-12
-    relative and, for exact zeros, 4 eps m absolute; the worst smoothness
+    relative and, for exact zeros, 4 eps m absolute (sum_eta, sum_eff_grad
+    and sum_tele taken by descent_sums from the new series at the
+    checkpoints cps reached, as a trace takes them); the worst smoothness
     slack that check_smoothness recomputes from the new series within 4 eps m
     of the one the reference streams, at a step whose slack ties with the
     reference's worst within that band.  m is the largest risk or predicted
@@ -337,8 +341,15 @@ def assert_loops_agree(new, old):
     for name, a, b in zip(("risk", "rel", "eff"), new[2:5], old[2:5]):
         np.testing.assert_allclose(a[:done], b[:done], rtol=1e-12, atol=band, err_msg=name)
     np.testing.assert_allclose(new[5], old[5], rtol=1e-12, atol=band, err_msg="w")
-    for name, a, b in zip(SUM_NAMES, new[6:13], old[6:13]):
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=band, err_msg=name)
+    ref_sums = dict(zip(SUM_NAMES, old[6:13]))
+    for name, a in zip(STREAMED, new[6]):
+        np.testing.assert_allclose(a, ref_sums[name], rtol=1e-12, atol=band, err_msg=name)
+    ts = cps[cps < done]
+    if ts.size:
+        derived = K.descent_sums(new[4][:done], new[3][:done], sched_code, ts)
+        for name, a in zip(("sum_eta", "sum_eff_grad", "sum_tele"), derived):
+            b = ref_sums[name][: ts.size]
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=band, err_msg=name)
     series = dict(zip(("risk_steps", "rel_steps", "eff_steps"), (a[:done] for a in new[2:5])))
     smooth = check_smoothness(SimpleNamespace(**series))
     worst, worst_at = smooth.worst_slack, smooth.location
@@ -369,7 +380,7 @@ class TestDescentLoop:
             with np.errstate(all="ignore"):
                 old = _oracle(*problem)
             new = K.gd_loop(*problem)
-            assert_loops_agree(new, old)
+            assert_loops_agree(new, old, problem[4], problem[6])
             exits.add(new[0])
 
         matches_reference_loop()
@@ -397,15 +408,16 @@ def test_matches_reference_loop_at_benchmark_size(kind, loss_code, sched_code):
     old = _oracle(A, dec.sep_rows, dec.basis_s.columns, loss_code, sched_code, T, cps)
     new = K.gd_loop(A, dec.sep_rows, dec.basis_s.columns, loss_code, sched_code, T, cps)
     assert new[0] == K.STATUS_OK
-    assert_loops_agree(new, old)
+    assert_loops_agree(new, old, sched_code, cps)
 
 
 CHUNKS = (1, 2, 3, 7, K._CHUNK)
 
 
 def assert_chunk_invariant(args, chunks=CHUNKS):
-    """gd_loop gives the same 13 outputs, bit for bit, whatever the length of
-    the chunks it folds its bookkeeping over; returns them."""
+    """gd_loop gives the same exit, series, checkpoint iterates and streamed
+    sums, bit for bit, whatever the length of the chunks it folds its
+    bookkeeping over; returns them."""
     outs = []
     for chunk in chunks:
         with pytest.MonkeyPatch.context() as mp:

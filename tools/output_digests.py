@@ -13,7 +13,10 @@ with a change:
     python3 tools/output_digests.py .      SCRATCH/b > b.txt
     diff a.txt b.txt
 
-By default all three workloads run at seeds 1 and 2: 60 jobs.  Two more
+By default all three workloads run at seeds 1 and 2: 60 jobs.  After each
+``run`` job (long_run), ``verify --trace-dir`` replays the trace it saved
+and its report is printed: 4 jobs, which read the benchmark's own traces
+back through ``GDTrace.from_files``.  Two more
 ``verify`` jobs always run, on CSVs the script writes under SCRATCH, since
 no benchmark job reaches the direction check's warm start (it reads N/A
 there): two unit rows labelled +1 at 1e5 steps, where the check applies and
@@ -133,6 +136,13 @@ def main(argv=None) -> int:
                 outdir = base / "out" / job.name
                 for line in run_job(cli, job.argv(outdir), outdir, scratch):
                     print(line)
+                if job.command == "run":
+                    # replay the saved trace: GDTrace.from_files on its files
+                    print(f"== {workload} seed {seed} {job.name} replay")
+                    replay = base / "out" / f"{job.name}-replay"
+                    argv = ["verify", *job.argv(replay)[1:], "--trace-dir", str(outdir)]
+                    for line in run_job(cli, argv, replay, scratch):
+                        print(line)
     base = scratch / "direction"
     (base / "inputs").mkdir(parents=True, exist_ok=True)
     for name, text, loss, schedule, steps in DIRECTION_JOBS:
