@@ -4,7 +4,7 @@ gradient descent on logistic/exponential empirical risk."""
 from .dataset import Dataset, MarginMatrix, load_csv, normalize, save_csv, synth, to_margin_matrix
 from .decompose import Decomposition, partition, row_feasible, separable_certificate, validate
 from .gd import GDTrace, ball_series, constrained_opt, grad, risk, run
-from .linalg import Basis, complement, orthonormal_basis
+from .linalg import complement, orthonormal_basis, project
 from .margin import MarginSolution, primal_margin, solve_dual
 from .pipeline import Structure, analyze
 from .strongconvex import ScOptimum, estimate_lambda, solve_vbar
@@ -13,7 +13,6 @@ from .verify import CheckResult, VerificationReport, run_checks
 __version__ = "0.1.0"
 
 __all__ = [
-    "Basis",
     "CheckResult",
     "Dataset",
     "Decomposition",
@@ -34,6 +33,7 @@ __all__ = [
     "orthonormal_basis",
     "partition",
     "primal_margin",
+    "project",
     "risk",
     "row_feasible",
     "run",

@@ -22,7 +22,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .gd import LOSS_CODES, SCHED_CODES, GDTrace, checkpoint_times, risk, run
+from .gd import DEFAULT_PER_DECADE, LOSS_CODES, SCHED_CODES, GDTrace, checkpoint_times, risk, run
 from .jsonio import write_json
 from .pipeline import analyze
 
@@ -78,7 +78,12 @@ def cmd_synth(args) -> int:
 def _self_check_failed(structure) -> bool:
     if structure.validation.ok:
         return False
-    print("decomposition self-check FAILED", file=sys.stderr)
+    failed = (
+        f"{name} slack {_fmt(slack)}"
+        for name, (ok, slack) in structure.validation.checks.items()
+        if not ok
+    )
+    print("decomposition self-check FAILED: " + ", ".join(failed), file=sys.stderr)
     return True
 
 
@@ -264,7 +269,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             pp.add_argument("--schedule", choices=tuple(SCHED_CODES), default="inv_sqrt")
             # verify reads the step count from --trace-dir when given
             pp.add_argument("--steps", type=int, required=name == "run")
-            pp.add_argument("--checkpoints-per-decade", type=int, default=20)
+            pp.add_argument("--checkpoints-per-decade", type=int, default=DEFAULT_PER_DECADE)
         if name == "verify":
             pp.add_argument("--trace-dir", help="reuse a saved trace instead of re-running")
         pp.set_defaults(fn=fn)

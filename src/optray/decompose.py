@@ -34,7 +34,7 @@ import numpy as np
 from . import lp
 from .dataset import MarginMatrix
 from .errors import ValidationError
-from .linalg import Basis, complement, nnls, orthonormal_basis
+from .linalg import complement, nnls, orthonormal_basis, project
 
 # a row is strictly separable when a unit direction holding every other row at
 # or below zero gives it a margin above this
@@ -61,8 +61,8 @@ class Decomposition:
 
     sep_rows: np.ndarray
     sc_rows: np.ndarray
-    basis_s: Basis
-    basis_perp: Basis
+    basis_s: np.ndarray
+    basis_perp: np.ndarray
     a_perp: np.ndarray
     sc_weights: np.ndarray
 
@@ -72,14 +72,14 @@ class Decomposition:
 
     @property
     def rank_s(self) -> int:
-        return self.basis_s.rank
+        return self.basis_s.shape[1]
 
     def to_dict(self) -> dict:
         return {
             "sep_rows": self.sep_rows.tolist(),
             "sc_rows": self.sc_rows.tolist(),
-            "basis_s": self.basis_s.columns.tolist(),
-            "basis_perp": self.basis_perp.columns.tolist(),
+            "basis_s": self.basis_s.tolist(),
+            "basis_perp": self.basis_perp.tolist(),
             "a_perp": self.a_perp.tolist(),
         }
 
@@ -204,7 +204,7 @@ def partition(A: MarginMatrix) -> Decomposition:
         sc_rows=sc_rows,
         basis_s=basis_s,
         basis_perp=basis_perp,
-        a_perp=np.ascontiguousarray(basis_perp.project(A.rows[sep_rows])),
+        a_perp=np.ascontiguousarray(project(basis_perp, A.rows[sep_rows])),
         sc_weights=weights[sc_rows],
     )
 
@@ -245,8 +245,8 @@ def validate(dec: Decomposition, A: MarginMatrix, direction: np.ndarray | None) 
     else:
         checks["certificate"] = (True, 0.0)
 
-    if dec.sc_rows.size and dec.basis_perp.rank > 0:
-        leak = float(np.abs(A.rows[dec.sc_rows] @ dec.basis_perp.columns).max())
+    if dec.sc_rows.size and dec.basis_perp.shape[1] > 0:
+        leak = float(np.abs(A.rows[dec.sc_rows] @ dec.basis_perp).max())
         checks["remainder_in_span"] = (leak <= 1e-9, leak - 1e-9)
     else:
         checks["remainder_in_span"] = (True, 0.0)

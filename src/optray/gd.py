@@ -18,7 +18,7 @@ from . import _kernels
 from .dataset import MarginMatrix
 from .errors import NumericalError, ParseError, ValidationError
 from .jsonio import write_json
-from .linalg import Basis, minimize_risk
+from .linalg import minimize_risk, project
 
 LOSS_CODES = {"logistic": _kernels.LOGISTIC, "exponential": _kernels.EXPONENTIAL}
 SCHED_CODES = {"constant_one": _kernels.CONSTANT_ONE, "inv_sqrt": _kernels.INV_SQRT}
@@ -264,7 +264,7 @@ def run(
     T: int,
     checkpoints_per_decade: int = DEFAULT_PER_DECADE,
     sep_rows=None,
-    basis_s: Basis | None = None,
+    basis_s: np.ndarray | None = None,
 ) -> GDTrace:
     """Run T gradient-descent steps and return the checkpointed trace.
 
@@ -282,11 +282,11 @@ def run(
     else:
         sep_idx = np.asarray(sep_rows, dtype=np.int64)
     if basis_s is None:
-        basis_s = Basis(np.zeros((d, 0)))
+        basis_s = np.zeros((d, 0))
     ts = checkpoint_times(T, checkpoints_per_decade)
 
     status, steps_done, risk_steps, rel_steps, eff_steps, cp_w, cp_sums = _kernels.gd_loop(
-        rows, sep_idx, basis_s.columns, loss_code, sched_code, int(T), ts
+        rows, sep_idx, basis_s, loss_code, sched_code, int(T), ts
     )
 
     if status == _kernels.STATUS_STEP_ASSERT:
@@ -308,7 +308,7 @@ def run(
         sep_rows=sep_idx,
         ts=ts,
         w=w,
-        proj_s=basis_s.project(w),
+        proj_s=project(basis_s, w),
         **dict(zip(("perceptron_sum", "sum_eta_sep", "sum_cross", "sup_proj_s"), cp_sums[:, keep])),
         risk_steps=risk_steps[: steps_done + 1],
         rel_steps=rel_steps[: steps_done + 1],

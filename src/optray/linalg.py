@@ -1,9 +1,8 @@
-"""Small dense linear algebra: orthonormal bases, projections, nonnegative
-least squares (the one active-set solver: the partition's cone tests and the
+"""Small dense linear algebra: orthonormal bases (a subspace of R^d is the
+(d, r) array of its orthonormal columns), projections, nonnegative least
+squares (the one active-set solver: the partition's cone tests and the
 max-margin dual in least-distance form both reduce to it), and the
 minimizers of the empirical risk over balls."""
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,27 +21,9 @@ NEWTON_MAX_ITERS = 200
 LINE_SEARCH_STEPS = 60
 
 
-@dataclass(eq=False)
-class Basis:
-    """Orthonormal basis of a subspace of R^d, stored as (d, r) columns.
-
-    rank 0 is valid and represents the zero subspace.
-    """
-
-    columns: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.columns.shape[0]
-
-    @property
-    def rank(self) -> int:
-        return self.columns.shape[1]
-
-    def project(self, w: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of w (or rows of w) onto the subspace."""
-        w = np.asarray(w, dtype=float)
-        return (w @ self.columns) @ self.columns.T
+def project(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of w (or rows of w) onto the span of basis."""
+    return (w @ basis) @ basis.T
 
 
 def _canonical_signs(cols: np.ndarray) -> np.ndarray:
@@ -55,7 +36,7 @@ def _canonical_signs(cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def orthonormal_basis(vectors: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> Basis:
+def orthonormal_basis(vectors: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Orthonormal basis of span(vectors), vectors given as rows of an (m, d) array.
 
     Directions whose singular value is <= rank_tol times the largest one are
@@ -68,16 +49,16 @@ def orthonormal_basis(vectors: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -
         raise ValueError("vectors must be a 2-D array with one vector per row")
     _, svals, vt = np.linalg.svd(m_rows, full_matrices=False)
     if svals.size == 0 or svals[0] <= 0.0:
-        return Basis(np.zeros((m_rows.shape[1], 0)))
+        return np.zeros((m_rows.shape[1], 0))
     keep = svals > rank_tol * svals[0]
-    return Basis(_canonical_signs(vt[keep].T))
+    return _canonical_signs(vt[keep].T)
 
 
-def complement(basis: Basis) -> Basis:
+def complement(basis: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement: the last d - r right
-    singular vectors of the basis rows (all of I_d for r = 0, none for r = d)."""
-    _, _, vt = np.linalg.svd(basis.columns.T, full_matrices=True)
-    return Basis(_canonical_signs(vt[basis.rank :].T))
+    singular vectors of basis.T (all of I_d for r = 0, none for r = d)."""
+    _, _, vt = np.linalg.svd(basis.T, full_matrices=True)
+    return _canonical_signs(vt[basis.shape[1] :].T)
 
 
 def nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -252,7 +233,7 @@ def minimize_risk(
     ConvergenceError of the first one.
     """
     eps = np.finfo(float).eps
-    basis = orthonormal_basis(M, rank_tol=max(M.shape) * eps).columns
+    basis = orthonormal_basis(M, rank_tol=max(M.shape) * eps)
     M = M @ basis
     MT = M.T
     floor_scale = eps * (np.linalg.norm(M, 2) ** 2 / n_total)
@@ -329,8 +310,9 @@ def minimize_risk(
         w = w + alpha[:, None] * s
         nw = _norms(w)
         # mu > 0 puts the model's answer on the sphere, where R falls
-        # outward; a shortened step along the chord would end inside it
-        onto = (nw > radius) | (mu > 0.0)
+        # outward; a shortened step along the chord would end inside it.  An
+        # iterate exactly at the origin has no direction to rescale along
+        onto = (nw > radius) | ((mu > 0.0) & (nw > 0.0))
         if np.count_nonzero(onto):
             w[onto] *= (radius[onto] / nw[onto])[:, None]
     else:

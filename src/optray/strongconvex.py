@@ -9,7 +9,7 @@ import numpy as np
 from . import _kernels
 from .errors import NumericalError
 from .gd import _loss_code
-from .linalg import Basis, minimize_risk
+from .linalg import minimize_risk
 
 LAMBDA_DIRECTIONS = 32
 LAMBDA_SEED = 7
@@ -48,24 +48,24 @@ class ScOptimum:
         }
 
 
-def _restricted(a_s: np.ndarray, basis_s: Basis) -> np.ndarray:
+def _restricted(a_s: np.ndarray, basis_s: np.ndarray) -> np.ndarray:
     """A_S B, the rows of the restricted risk c -> sum_i loss((A_S B c)_i) / n_total."""
-    return np.ascontiguousarray(np.asarray(a_s, dtype=float) @ basis_s.columns)
+    return np.ascontiguousarray(np.asarray(a_s, dtype=float) @ basis_s)
 
 
-def solve_vbar(a_s: np.ndarray, basis_s: Basis, loss: str, n_total: int) -> ScOptimum:
+def solve_vbar(a_s: np.ndarray, basis_s: np.ndarray, loss: str, n_total: int) -> ScOptimum:
     """Minimize the restricted risk over S by Newton's method
     (linalg.minimize_risk, a batch of one with an infinite radius); stops
     when the gradient norm reaches linalg.RESIDUAL_TOL; the origin when
     A_S B is empty."""
     code = _loss_code(loss)
     M = _restricted(a_s, basis_s)
-    c = np.zeros(basis_s.rank)
+    c = np.zeros(basis_s.shape[1])
     if M.size:
         (c,), _ = minimize_risk(M, code, n_total, [np.inf], c[None])
     z = M @ c
     return ScOptimum(
-        offset=basis_s.columns @ c,
+        offset=basis_s @ c,
         risk_inf=float(np.sum(_kernels.loss_values(z, code)) / n_total),
         curvature=np.inf,
         grad_norm=float(np.linalg.norm(M.T @ np.asarray(_kernels.loss_derivs(z, code)) / n_total)),
@@ -203,7 +203,7 @@ def _boundary_steps(M: np.ndarray, code: int, n_total: int, c_star: np.ndarray, 
     return lo, hi, evals
 
 
-def estimate_lambda(a_s: np.ndarray, basis_s: Basis, loss: str, opt: ScOptimum, n_total: int) -> float:
+def estimate_lambda(a_s: np.ndarray, basis_s: np.ndarray, loss: str, opt: ScOptimum, n_total: int) -> float:
     """Sampled estimate of the strong-convexity modulus of the restricted risk
     over its level-1 sublevel set: the least eigenvalue of the reduced Hessian
     at the optimum and at the last step inside the set along each of
@@ -215,10 +215,10 @@ def estimate_lambda(a_s: np.ndarray, basis_s: Basis, loss: str, opt: ScOptimum, 
     M = _restricted(a_s, basis_s)
     if M.size == 0:
         return np.inf
-    c_star = basis_s.columns.T @ opt.offset
+    c_star = basis_s.T @ opt.offset
     points = c_star[None, :]
     if np.sum(_kernels.loss_values(M @ c_star, code)) / n_total < 1.0 - 1e-12:
-        D = np.random.default_rng(LAMBDA_SEED).standard_normal((LAMBDA_DIRECTIONS, basis_s.rank))
+        D = np.random.default_rng(LAMBDA_SEED).standard_normal((LAMBDA_DIRECTIONS, basis_s.shape[1]))
         norms = np.linalg.norm(D, axis=1)
         D = D[norms > 0.0] / norms[norms > 0.0, None]
         lo, _, _ = _boundary_steps(M, code, n_total, c_star, D)

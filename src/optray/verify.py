@@ -14,7 +14,7 @@ import numpy as np
 from . import _kernels
 from .gd import GDTrace, _loss_code, ball_series
 from .jsonio import write_json
-from .linalg import RESIDUAL_TOL, _norms
+from .linalg import RESIDUAL_TOL, _norms, project
 from .margin import GAP_TOL
 from .pipeline import Structure
 
@@ -172,7 +172,7 @@ def check_param_s(trace: GDTrace, structure: Structure, wbar: np.ndarray) -> Che
     lam = structure.curvature
     bound = (2.0 / lam) * np.minimum(1.0, thm_risk_bound(structure, trace.ts, trace.sum_eta))
     err_w = np.linalg.norm(trace.proj_s - structure.offset, axis=1) ** 2
-    err_b = np.linalg.norm(structure.dec.basis_s.project(wbar) - structure.offset, axis=1) ** 2
+    err_b = np.linalg.norm(project(structure.dec.basis_s, wbar) - structure.offset, axis=1) ** 2
     slack = np.minimum(bound - err_w, bound - err_b)
     quantity = np.maximum(err_w, err_b)
     return _from_slacks(
@@ -254,7 +254,7 @@ def check_fenchel_young(trace: GDTrace, structure: Structure, wbar: np.ndarray) 
     vecs, norms = vecs[keep], norms[keep]
     lhs = (vecs @ structure.direction) / norms
     ex = np.maximum(np.tile(excess[qual], 2)[keep], 1e-300)
-    cross = np.linalg.norm(structure.dec.basis_s.project(vecs), axis=1)
+    cross = np.linalg.norm(project(structure.dec.basis_s, vecs), axis=1)
     rhs = (-np.log(ex) - np.log(2.0) - g_star - cross) / (structure.gamma * norms)
     return _from_slacks("fenchel_young", lhs - rhs, np.abs(lhs), np.tile(trace.ts[qual], 2)[keep])
 

@@ -38,7 +38,7 @@ class _RowSpace:
 def _row_space(M: np.ndarray) -> _RowSpace:
     """Factor M once for any number of minimize_risk calls on it."""
     eps = np.finfo(float).eps
-    basis = orthonormal_basis(M, rank_tol=max(M.shape) * eps).columns
+    basis = orthonormal_basis(M, rank_tol=max(M.shape) * eps)
     coords = M @ basis
     return _RowSpace(basis, coords, np.linalg.norm(coords, 2))
 

@@ -21,7 +21,7 @@ LAMBDA_SEED = 7
 
 def _restricted(a_s, basis_s, n_total, code):
     """Value/gradient of c -> sum_i loss((A_S B c)_i) / n_total."""
-    M = np.ascontiguousarray(a_s @ basis_s.columns)
+    M = np.ascontiguousarray(a_s @ basis_s)
 
     def value(c):
         return float(np.sum(_kernels.loss_values(M @ c, code)) / n_total)
@@ -51,20 +51,20 @@ def estimate_lambda(
     """
     code = LOSS_CODES[loss]
     a_s = np.asarray(a_s, dtype=float)
-    if a_s.shape[0] == 0 or basis_s.rank == 0:
+    if a_s.shape[0] == 0 or basis_s.shape[1] == 0:
         return np.inf
     M, value, _ = _restricted(a_s, basis_s, n_total, code)
 
     def min_eig(c):
         return float(np.linalg.eigvalsh(risk_hessian(M, code, n_total, c))[0])
 
-    c_star = basis_s.columns.T @ opt.offset
+    c_star = basis_s.T @ opt.offset
     samples = [min_eig(c_star)]
     f_star = value(c_star)
     if f_star < 1.0 - 1e-12:
         rng = np.random.default_rng(seed)
         for _ in range(n_directions):
-            direction = rng.standard_normal(basis_s.rank)
+            direction = rng.standard_normal(basis_s.shape[1])
             nd = np.linalg.norm(direction)
             if nd == 0.0:
                 continue

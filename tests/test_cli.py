@@ -302,7 +302,7 @@ def test_failed_self_check_aborts(command, failing_self_check, canonical_csv, tm
     out = tmp_path / "o"
     code = main([command, "--input", str(canonical_csv), "--steps", "200", "--out", str(out)])
     assert code == 3
-    assert "decomposition self-check FAILED" in capsys.readouterr().err
+    assert "decomposition self-check FAILED: certificate slack 1\n" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -311,7 +311,7 @@ def test_decompose_exits(failing_self_check, canonical_csv, tmp_path, capsys):
     # still leaves them; an input error comes before the output directory
     out = tmp_path / "o"
     assert main(["decompose", "--input", str(canonical_csv), "--out", str(out)]) == 3
-    assert "decomposition self-check FAILED" in capsys.readouterr().err
+    assert "decomposition self-check FAILED: certificate slack 1\n" in capsys.readouterr().err
     assert (out / "decomposition.json").is_file()
     missing = tmp_path / "missing"
     assert main(["decompose", "--out", str(missing)]) == 2

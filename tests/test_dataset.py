@@ -176,7 +176,7 @@ class TestNormalize:
             save_csv(Dataset(ds.features * scale, ds.labels), p)
             A = to_margin_matrix(normalize(load_csv(p)))
             dec = partition(A)
-            out.append((dec.n_sep, dec.basis_s.rank, solve_dual(dec.a_perp).margin))
+            out.append((dec.n_sep, dec.basis_s.shape[1], solve_dual(dec.a_perp).margin))
         (sep, rank, margin), (sep_x, rank_x, margin_x) = out
         assert (sep_x, rank_x) == (sep, rank) == (20, 1)
         assert margin_x == pytest.approx(margin, rel=1e-12, abs=0)

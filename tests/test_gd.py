@@ -146,7 +146,7 @@ class TestRun:
         perp = tr.w - tr.proj_s
         np.testing.assert_allclose(np.linalg.norm(perp, axis=1), tr.proj_perp_norm)
         np.testing.assert_allclose(
-            tr.proj_s, (tr.w @ dec.basis_s.columns) @ dec.basis_s.columns.T, atol=1e-12
+            tr.proj_s, (tr.w @ dec.basis_s) @ dec.basis_s.T, atol=1e-12
         )
 
     def test_denormalized_rows_rejected_by_step_assert(self):
@@ -351,6 +351,14 @@ class TestMinimizeRisk:
         with pytest.raises(ConvergenceError, match="rounding floor") as info:
             minimize_risk(M, 0, M.shape[0], [np.inf], np.zeros((1, 3)), 1e-10)
         assert 0 <= info.value.iterations <= 10
+
+    @pytest.mark.filterwarnings("error")
+    def test_step_onto_the_origin_is_not_rescaled(self):
+        # the first Newton step from 1e-9 lands exactly on w = 0 with mu > 0;
+        # rescaling it onto the sphere divided by |w| = 0
+        M = np.array([[0.0], [0.421590866599183], [0.26163499088971803], [0.0], [0.0]])
+        w, _ = minimize_risk(M, 0, 5, np.array([1e-9]), np.array([[1e-9]]))
+        np.testing.assert_array_equal(w, [[-1e-9]])
 
     @settings(max_examples=200, deadline=None)
     @given(ball_problems())

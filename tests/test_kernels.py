@@ -201,7 +201,7 @@ def test_exponential_exit_matches_reference_loop(problem):
     # reaches e^700; the reference loop tests every step
     kind, rows, sched_code, T = problem
     dec = partition(MarginMatrix(rows / float(np.linalg.norm(rows, axis=1).max())))
-    args = (rows, dec.sep_rows, dec.basis_s.columns, K.EXPONENTIAL, sched_code, T)
+    args = (rows, dec.sep_rows, dec.basis_s, K.EXPONENTIAL, sched_code, T)
     cps = checkpoint_times(T, 5)
     with np.errstate(all="ignore"):
         old = _oracle(*args, cps)
@@ -290,7 +290,7 @@ def descent_problems(draw):
         T = draw(st.integers(stop, 400))
         dec = partition(MarginMatrix(rows / float(np.linalg.norm(rows, axis=1).max())))
         cps = checkpoint_times(T, draw(st.integers(1, 20)))
-        return rows, dec.sep_rows, dec.basis_s.columns, K.EXPONENTIAL, sched_code, T, cps
+        return rows, dec.sep_rows, dec.basis_s, K.EXPONENTIAL, sched_code, T, cps
     d = draw(st.integers(1, 4))
     n_pairs = draw(st.integers(0, 3))
     n_free = draw(st.integers(0 if n_pairs else 1, 12 - 2 * n_pairs))
@@ -312,7 +312,7 @@ def descent_problems(draw):
     return (
         scale * rows,
         dec.sep_rows,
-        dec.basis_s.columns,
+        dec.basis_s,
         draw(st.sampled_from((K.LOGISTIC, K.EXPONENTIAL))),
         draw(st.sampled_from((K.CONSTANT_ONE, K.INV_SQRT))),
         T,
@@ -405,8 +405,8 @@ def test_matches_reference_loop_at_benchmark_size(kind, loss_code, sched_code):
     dec = partition(MarginMatrix(A))
     T = 20_000
     cps = checkpoint_times(T, 20)
-    old = _oracle(A, dec.sep_rows, dec.basis_s.columns, loss_code, sched_code, T, cps)
-    new = K.gd_loop(A, dec.sep_rows, dec.basis_s.columns, loss_code, sched_code, T, cps)
+    old = _oracle(A, dec.sep_rows, dec.basis_s, loss_code, sched_code, T, cps)
+    new = K.gd_loop(A, dec.sep_rows, dec.basis_s, loss_code, sched_code, T, cps)
     assert new[0] == K.STATUS_OK
     assert_loops_agree(new, old, sched_code, cps)
 
@@ -435,7 +435,7 @@ def _split(rows, loss_code, sched_code, T):
     rows = np.array(rows, dtype=float)
     dec = partition(MarginMatrix(rows / float(np.linalg.norm(rows, axis=1).max())))
     cps = checkpoint_times(T, 5)
-    return (rows, dec.sep_rows, dec.basis_s.columns, loss_code, sched_code, T, cps)
+    return (rows, dec.sep_rows, dec.basis_s, loss_code, sched_code, T, cps)
 
 
 class TestChunks:

@@ -71,7 +71,7 @@ class TestSolveDual:
         dec = partition(A)
         sol = solve_dual(dec.a_perp)
         assert abs(np.linalg.norm(sol.direction) - 1.0) <= 1e-9
-        assert np.abs(dec.basis_s.columns.T @ sol.direction).max() <= 1e-9
+        assert np.abs(dec.basis_s.T @ sol.direction).max() <= 1e-9
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):

@@ -65,7 +65,7 @@ class TestSolveVbar:
         base = risk(rows, "logistic", opt.offset)
         assert base == pytest.approx(opt.risk_inf, abs=1e-12)
         for _ in range(100):
-            v = basis.columns @ rng.standard_normal(basis.rank)
+            v = basis @ rng.standard_normal(basis.shape[1])
             assert base <= risk(rows, "logistic", v) + 1e-12
 
 
@@ -208,7 +208,7 @@ class TestBatchedSampler:
         # set |H| <= |M|_2^2 c / n, with c = 1/4 for the logistic loss and
         # c = n for the exponential (there every e^{z_i} <= n R <= n)
         c = 0.25 if loss == "logistic" else n
-        floor = EPS * np.linalg.norm(a_s @ basis.columns, 2) ** 2 * c / n
+        floor = EPS * np.linalg.norm(a_s @ basis, 2) ** 2 * c / n
         if (old is None) != (new is None):
             # the sign of an estimate within the rounding floor of 0 is noise
             assert (new if old is None else old) <= 4 * floor
@@ -219,12 +219,12 @@ class TestBatchedSampler:
     @given(remainder_problems(), st.integers(0, 2**32 - 1))
     def test_collapsed_brackets_straddle_level_one(self, problem, seed):
         a_s, basis, loss, opt, n = problem
-        assume(basis.rank > 0)
+        assume(basis.shape[1] > 0)
         code = LOSS_CODES[loss]
         M = _restricted(a_s, basis)
-        c_star = basis.columns.T @ opt.offset
+        c_star = basis.T @ opt.offset
         assume(_level(M, code, n, c_star[None, :])[0] < 1.0 - 1e-12)
-        D = np.random.default_rng(seed).standard_normal((8, basis.rank))
+        D = np.random.default_rng(seed).standard_normal((8, basis.shape[1]))
         D /= np.linalg.norm(D, axis=1)[:, None]
         lo, hi, _ = _boundary_steps(M, code, n, c_star, D)
         collapsed = hi == np.nextafter(lo, np.inf)
@@ -239,12 +239,12 @@ def _ray_problem(problem, seed):
     """(M, code, n, c*, D) of a remainder problem whose optimum lies below
     level 1, with 8 seeded unit directions."""
     a_s, basis, loss, opt, n = problem
-    assume(basis.rank > 0)
+    assume(basis.shape[1] > 0)
     code = LOSS_CODES[loss]
     M = _restricted(a_s, basis)
-    c_star = basis.columns.T @ opt.offset
+    c_star = basis.T @ opt.offset
     assume(_level(M, code, n, c_star[None, :])[0] < 1.0 - 1e-12)
-    D = np.random.default_rng(seed).standard_normal((8, basis.rank))
+    D = np.random.default_rng(seed).standard_normal((8, basis.shape[1]))
     D /= np.linalg.norm(D, axis=1)[:, None]
     return M, code, n, c_star, D
 

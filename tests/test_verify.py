@@ -82,7 +82,7 @@ class TestSmoothness:
             to_margin_matrix(synth("touching", 8, 2)), "logistic", "constant_one", 2000
         )
         A, sep = structure.matrix.rows, structure.dec.sep_rows
-        B = structure.dec.basis_s.columns
+        B = structure.dec.basis_s
         ref = gd_oracle.gd_loop(
             A,
             np.ascontiguousarray(A.T),
