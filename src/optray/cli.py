@@ -90,11 +90,11 @@ def _self_check_failed(structure) -> bool:
 def cmd_decompose(args) -> int:
     _, structure = _analyze(args, make_out=True)
     out = Path(args.out)
-    write_json(out / "decomposition.json", structure.dec.to_dict())
+    write_json(out / "decomposition.json", structure.dec)
     if structure.margin_sol is not None:
-        write_json(out / "margin.json", structure.margin_sol.to_dict())
+        write_json(out / "margin.json", structure.margin_sol)
     if structure.dec.rank_s > 0:
-        write_json(out / "scvx.json", structure.sc_opt.to_dict())
+        write_json(out / "scvx.json", structure.sc_opt)
     vnorm = float(np.linalg.norm(structure.offset))
     print(f"sep={structure.n_sep} sc={structure.dec.sc_rows.size} rank_s={structure.dec.rank_s}")
     print(f"margin={_fmt(structure.gamma) if structure.margin_sol else 'n/a'}")

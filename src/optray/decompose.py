@@ -27,7 +27,7 @@ remainder row is separable.
 `separable_certificate` and its boxed LP (lp.py) are not used by either.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,14 +57,14 @@ class Certificate:
 class Decomposition:
     """Index partition (sep_rows, sc_rows), bases of S and its complement, the
     separable rows projected onto the complement, and positive weights under
-    which the remainder rows sum to zero (`to_dict` leaves them out)."""
+    which the remainder rows sum to zero (decomposition.json leaves them out)."""
 
     sep_rows: np.ndarray
     sc_rows: np.ndarray
     basis_s: np.ndarray
     basis_perp: np.ndarray
     a_perp: np.ndarray
-    sc_weights: np.ndarray
+    sc_weights: np.ndarray = field(metadata={"json": False})
 
     @property
     def n_sep(self) -> int:
@@ -73,15 +73,6 @@ class Decomposition:
     @property
     def rank_s(self) -> int:
         return self.basis_s.shape[1]
-
-    def to_dict(self) -> dict:
-        return {
-            "sep_rows": self.sep_rows.tolist(),
-            "sc_rows": self.sc_rows.tolist(),
-            "basis_s": self.basis_s.tolist(),
-            "basis_perp": self.basis_perp.tolist(),
-            "a_perp": self.a_perp.tolist(),
-        }
 
 
 def separable_certificate(A: MarginMatrix, active) -> Certificate:

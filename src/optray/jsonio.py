@@ -1,13 +1,20 @@
 """The JSON writer of every output file: the bytes of json.dump(obj, fh, indent=1)."""
 
+from dataclasses import fields, is_dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
+
+import numpy as np
 
 _CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 def write_json(path, obj) -> None:
     """Write obj to path as json.dump(obj, fh, indent=1) would, byte for byte.
+
+    A numpy array or scalar is written as its tolist(), and a dataclass
+    instance as the dict of its fields in declaration order, leaving out a
+    field declared with field(metadata={"json": False}).
 
     json.dump runs the pure-Python encoder once indent is set; this builds
     the text with one join per container, and a list of plain floats or
@@ -55,6 +62,13 @@ def _encode(o, level: int) -> str:
             return "{}"
         items = (_key(k) + ": " + _encode(v, level + 1) for k, v in o.items())
         return "{" + inner + ("," + inner).join(items) + "\n" + " " * level + "}"
+    if isinstance(o, (np.ndarray, np.generic)):
+        plain = o.tolist()  # a longdouble stays a numpy scalar
+        if not isinstance(plain, np.generic):
+            return _encode(plain, level)
+    if is_dataclass(o) and not isinstance(o, type):
+        kept = {f.name: getattr(o, f.name) for f in fields(o) if f.metadata.get("json", True)}
+        return _encode(kept, level)
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 

@@ -104,10 +104,11 @@ def nnls(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             U = unit[:, cols]
             s = np.linalg.lstsq(U, f, rcond=None)[0]
             s += np.linalg.lstsq(U, f - U @ s, rcond=None)[0]  # one refinement step
-            if np.any(np.abs(s) / np.finfo(float).max > norms[cols]):
+            with np.errstate(over="ignore"):
+                z[cols] = s / norms[cols]
+            if np.isinf(z[cols]).any():
                 aside[j] = True  # a weight past the float range: try the next column
                 break
-            z[cols] = s / norms[cols]
             neg = cols[z[cols] <= 0.0]
             if neg.size == 0:
                 break

@@ -32,15 +32,6 @@ class MarginSolution:
     gap: float
     iterations: int
 
-    def to_dict(self) -> dict:
-        return {
-            "margin": self.margin,
-            "direction": self.direction.tolist(),
-            "dual_weights": self.dual_weights.tolist(),
-            "gap": self.gap,
-            "iterations": self.iterations,
-        }
-
 
 def primal_margin(a_perp: np.ndarray, u: np.ndarray) -> float:
     """-max_i (A_perp u)_i for a unit vector u; at most the true margin."""

@@ -39,14 +39,6 @@ class ScOptimum:
     curvature: float
     grad_norm: float
 
-    def to_dict(self) -> dict:
-        return {
-            "offset": self.offset.tolist(),
-            "risk_inf": self.risk_inf,
-            "curvature": self.curvature,
-            "grad_norm": self.grad_norm,
-        }
-
 
 def _restricted(a_s: np.ndarray, basis_s: np.ndarray) -> np.ndarray:
     """A_S B, the rows of the restricted risk c -> sum_i loss((A_S B c)_i) / n_total."""

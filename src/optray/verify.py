@@ -41,16 +41,6 @@ class CheckResult:
     applicable: bool = True
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "holds": bool(self.holds),
-            "worst_slack": float(self.worst_slack),
-            "location": int(self.location),
-            "applicable": bool(self.applicable),
-            "note": self.note,
-        }
-
 
 @dataclass(eq=False)
 class TrendFit:
@@ -58,14 +48,6 @@ class TrendFit:
     exponent: float
     coefficient: float
     residual: float
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "exponent": float(self.exponent),
-            "coefficient": float(self.coefficient),
-            "residual": float(self.residual),
-        }
 
 
 @dataclass(eq=False)
@@ -81,15 +63,8 @@ class VerificationReport:
     def failed_names(self) -> list:
         return [c.name for c in self.checks if c.applicable and not c.holds]
 
-    def to_dict(self) -> dict:
-        return {
-            "meta": self.meta,
-            "checks": [c.to_dict() for c in self.checks],
-            "trends": [t.to_dict() for t in self.trends],
-        }
-
     def to_json(self, path) -> None:
-        write_json(path, self.to_dict())
+        write_json(path, self)
 
 
 def _from_slacks(name, slack, quantity, locations, note="") -> CheckResult:

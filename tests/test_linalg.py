@@ -144,6 +144,15 @@ class TestNnls:
         np.testing.assert_allclose(x, [0.0, 0.0, 9.0], rtol=1e-15)
         assert float(np.linalg.norm(r)) <= 1e-15
 
+    @pytest.mark.filterwarnings("error")
+    def test_weight_past_the_float_range_on_a_subnormal_column(self):
+        # 3.1e-15 / 1.5e-323 is inf, though 3.1e-15 / max(float) rounds to
+        # 1.5e-323 on the subnormal grid and so passed the range test
+        f = np.array([3.108443635824187e-15])
+        x, r = nnls(np.array([[1.5e-323]]), f)
+        np.testing.assert_array_equal(x, [0.0])
+        np.testing.assert_array_equal(r, f)
+
     @settings(max_examples=300, deadline=None)
     @given(point_sets(), st.data())
     def test_matches_scipy(self, P, data):

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 
 import optray.margin
 from optray.dataset import synth, to_margin_matrix
-from optray.errors import NotSeparableError, ValidationError
+from optray.errors import ConvergenceError, NotSeparableError, ValidationError
 from optray.margin import GAP_TOL, primal_margin, solve_dual
 from optray.pipeline import analyze
 
@@ -117,6 +117,15 @@ class TestSolveDual:
         assert q.min() >= 0.0
         assert abs(q.sum() - 1.0) <= 1e-12
         assert abs(sol.margin - best) <= 1e-12
+
+    # ROADMAP item 3: the NNLS loses a weight of about 7e-17 next to weights
+    # near 1 and stops at duality gap 1.247e-8 > GAP_TOL
+    @pytest.mark.xfail(strict=True, raises=ConvergenceError, reason="ROADMAP item 3")
+    def test_weight_lost_next_to_weights_near_one(self):
+        row = [0.0, -1.4292875667640343, 0.1796875]
+        P = np.array([row, row, [1.5, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1e-7, 0.0]])
+        sol = solve_dual(P)
+        assert abs(sol.margin - nearest_point_oracle(P)) <= 1e-12
 
 
 def test_analyze_solves_the_margin_once(monkeypatch):

@@ -410,10 +410,11 @@ class TestReport:
             "gen_iter",
         ]
 
-    def test_deterministic_reports(self):
-        a = self.canonical_report().to_dict()
-        b = self.canonical_report().to_dict()
-        assert a == b
+    def test_deterministic_reports(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        self.canonical_report().to_json(a)
+        self.canonical_report().to_json(b)
+        assert a.read_bytes() == b.read_bytes()
 
     def test_json_round_trip(self, tmp_path):
         import json
