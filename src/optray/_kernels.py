@@ -6,14 +6,19 @@ interpreter, not arithmetic.  A step makes only the calls that the next
 iterate needs: the margins product, the loss derivative and the gradient,
 into blocks allocated once, with array operands and views sliced before the
 loop (a Python-float operand costs a conversion on every call), and the
-iterate update in Python floats.  The loss values, the risk product, the
-series, the stop tests and the running sums are folded once per chunk of
-steps, in a few vectorized calls over what the chunk stored.
+iterate update in Python floats: five numpy calls per logistic step and
+three per exponential one.  After the first chunk of steps the logistic
+product reads -|z| and min(z,0) directly, from rows split by the signs of
+the margins, and a chunk in which a sign changes runs again in the general
+form.  Steps run in stretches between two checkpoints, so none tests for
+one.  The loss values, the risk product, the series, the stop tests and the
+running sums are folded once per chunk, in a few vectorized calls over what
+the chunk stored.
 """
 
 import bisect
 import math
-from itertools import repeat
+from itertools import islice
 
 import numpy as np
 
@@ -89,35 +94,53 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
     sup_proj_s; all zero past steps_done.
 
     A step makes two products and the loss derivative between them.  The
-    first is ext @ w.  For the logistic loss ext stacks the basis of S and
-    the rows A, A and -A, which gives the coordinates of P_S w and the
-    margins z twice and negated.  One np.minimum of [z, z] and [-z, 0] (n
-    trailing zeros) gives the minima [-|z|, min(z,0)], and one exp of them
-    t = e^-|z| and e^min(z,0), the numerator of the sigmoid; add (against
-    an array of ones) and divide give loss'(z) = e^min(z,0) / (1 + t).  The
-    exponential loss is its own derivative, exp of the margins, so there
-    ext stacks only the basis of S and A.  The gradient is the second
-    product, A^T loss'(z), on its own as in the reference loop, so that it
-    keeps its bits: near an interior optimum its terms cancel, and summed
-    in another order (as rows of P below) they move |grad| by ulps of the
-    terms, not of |grad|.
+    first is ext @ w, which gives the coordinates of P_S w and, for the
+    logistic loss, the minima [-|z|, min(z,0)] of the margins z; one exp of
+    them gives t = e^-|z| and e^min(z,0), the numerator of the sigmoid, and
+    add (against an array of ones) and divide give loss'(z) =
+    e^min(z,0) / (1 + t).  In the general form ext stacks the basis of S
+    and the rows A, A and -A, so the product holds the margins twice and
+    negated, and one np.minimum of [z, z] and [-z, 0] (n trailing zeros)
+    gives the minima.  After the first chunk the product takes instead the
+    split rows [B^T; -s A; 1[z<0] A; -A], each row of A scaled by the sign
+    s of its margin at the previous chunk's last step (0 counts as
+    positive), and gives the minima directly, with the same bits while no
+    sign changes: a row times -1 or 0 scales each of its products exactly,
+    and a zero row gives +-0, whose exp is e^0.  So a step drops
+    np.minimum.  A margin whose sign changed makes its -s z entry positive,
+    and a margin that reaches exactly 0 reads +-0 in both forms; so a chunk
+    in which any stored -|z| entry is > 0 runs again from its start, in the
+    general form, and the signs at its last step split the rows for the
+    next one.  The data alone chooses the form: the first chunk and the
+    chunks in which a sign changes take the general one.  The exponential
+    loss is its own derivative, exp of the margins, so there ext stacks
+    only the basis of S and A.  The gradient is the second product,
+    A^T loss'(z), on its own as in the reference loop, so that it keeps its
+    bits: near an interior optimum its terms cancel, and summed in another
+    order (as rows of P below) they move |grad| by ulps of the terms, not
+    of |grad|.
 
     Besides these, a step only updates the iterate in Python floats, one
-    coordinate at a time in a plain loop that stores each new coordinate
-    into both the list and w (a list comprehension is a function call per
-    step), and compares j with the next checkpoint, where it copies the
-    iterate.  That is six numpy calls for the logistic loss (the products,
-    np.minimum, exp, add and divide) and three for the exponential (the
-    products and exp); nothing in the next step reads the loss values or
-    the risk.  Each call but the add (into one buffer of n) writes into
-    slot i of a block allocated once for a chunk of C = _CHUNK steps, with
-    the views of every slot sliced before the loop: ext @ w into Y,
-    (C, r + 4n) for the logistic loss and (C, r + n) for the exponential;
-    the minima, their exp in place and the derivative into L, (C, 2, n)
-    (the exponential's values into (C, 1, n)); the gradient into (C, d).
-    The P product below goes into (C, 2, p), or (C, 1, p).  At n = 43,
-    r = 1 and d = 2 the logistic blocks take 0.55 MB and the exponential
-    ones 0.19 MB, whatever T is.
+    coordinate at a time in a plain loop (a list comprehension is a
+    function call per step) that reads the gradient through one flat
+    memoryview of its block, at the slot's offset, and writes w through
+    another.  The steps run in stretches between two checkpoints, and the
+    iterate is copied at each checkpoint between two stretches, so no step
+    tests for one.  That is five numpy calls for the logistic loss (the
+    products, exp, add and divide; six, with np.minimum, in the general
+    form) and three for the exponential (the products and exp), each a
+    bound method or ufunc held in a local and given its output
+    positionally (np.minimum keeps out=: numpy 2.4 deprecates a third
+    positional argument there); nothing in the next step reads the loss
+    values or the risk.  Each call but the add (into one buffer of n)
+    writes into slot i of a block allocated once for a chunk of C = _CHUNK
+    steps, with the views of every slot sliced before the loop: ext @ w
+    into Y, (C, r + 4n) for the logistic loss and (C, r + n) for the
+    exponential, where the general form's minima replace [z, z]; their exp
+    and the derivative into L, (C, 2, n) (the exponential's values into
+    (C, 1, n)); the gradient into (C, d).  The P product below goes into
+    (C, 2, p), or (C, 1, p).  At n = 43, r = 1 and d = 2 the logistic
+    blocks take 0.55 MB and the exponential ones 0.19 MB, whatever T is.
 
     After each chunk, the fold first finishes the loss terms: log1p of the
     stored t, less -max(z,0) = min(-z, 0) of the stored -z (exact), gives
@@ -164,11 +187,13 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
     cross = sep_rows.shape[0] > 0 and r > 0
     exponential = loss_code == EXPONENTIAL
     K = cps.shape[0]
-    cps = cps.tolist() + [-1]
+    cps = cps.tolist() + [T + 1]  # past the last step
     C = min(_CHUNK, T + 1)
 
-    # the logistic minima read [z, z] and [-z, 0]; the exponential reads z
+    # the general logistic product reads [z, z] and [-z, 0]; the split one,
+    # from the signs s of the margins, [-|z|, min(z,0)]; the exponential z
     ext = np.vstack([bs_cols.T, A] if exponential else [bs_cols.T, A, A, -A])
+    split = ext.copy()
     ones = np.ones(n)
     u = np.empty(n)  # 1 + t
     P = np.zeros((2 + d if cross else 2, n))
@@ -180,7 +205,7 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
     At = np.ascontiguousarray(A.T)
     basis = bs_cols.tolist()
     w = np.zeros(d)
-    w_list = w.tolist()
+    w_start = np.empty(d)
     coords_d = range(d)
 
     # slot i of each block holds step j0 + i of the chunk
@@ -189,18 +214,24 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
     L = np.empty((C, 1 if exponential else 2, n))  # loss values, derivatives
     S = np.empty((C, L.shape[1], P.shape[0]))  # L @ PT, at the fold
     G = np.empty((C, d))  # At @ der
+    # per slot: the product's head, the argument lo of exp (and, in the
+    # general form, of the minimum of lo and hi, into lo), exp's output ex,
+    # t and the derivative in it, the gradient, and the gradient's offset in
+    # the flat G
+    offsets = range(0, C * d, d)
     if exponential:
-        # its own derivative: exp of the margins z (in the place of lo), into
-        # the one row of L
-        z, der = Y[:, r:], L[:, 0]
-        slots = list(zip(Y, z, repeat(None), der, repeat(None), der, G))
+        # its own derivative: exp of the margins z (in the place of lo and
+        # hi) into the one row of L (in the place of ex, t and der)
+        z, der = list(Y[:, r:]), list(L[:, 0])
+        slots = list(zip(Y, z, z, der, der, der, G, offsets))
     else:
-        # the minima [-|z|, min(z,0)] of [z, z] and [-z, 0], and their exp
-        # [t, e^min(z,0)] in place, into the two rows of L
+        # the minima [-|z|, min(z,0)], and their exp [t, e^min(z,0)] into
+        # the two rows of L
         lo, hi = Y[:, r : r + 2 * n], Y[:, r + 2 * n :]
         heads = Y[:, : r + 3 * n]
-        slots = list(zip(heads, lo, hi, L.reshape(C, 2 * n), L[:, 0], L[:, 1], G))
+        slots = list(zip(heads, lo, hi, L.reshape(C, 2 * n), L[:, 0], L[:, 1], G, offsets))
         neg_z = Y[:, r + 2 * n : r + 3 * n]
+        minus_abs = Y[:, r : r + n]  # -|z| in the split form, unless a sign changed
     coords, vals, ders = Y[:, :r], S[:, 0], S[:, -1]
     from_one = np.arange(1.0, C + 1.0)
     etas = np.ones(C)
@@ -218,41 +249,70 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
     k = 0
     steps_done = T
     status = STATUS_OK
+    # the steps' calls, bound once
+    exp, add, divide, minimum = np.exp, np.add, np.divide, np.minimum
+    gdot = At.dot
+    gv = memoryview(G.reshape(-1))
+    wv = memoryview(w)
+    logistic = not exponential
+    signed = False  # split holds the signs of the margins; not in the first chunk
 
     # a risk sum below e_cap holds no margin past the cap (docstring)
     e_cap = float(np.exp(np.full(n, _EXP_CAP)).min())
     with np.errstate(over="ignore", invalid="ignore"):
         for j0 in range(0, T + 1, C):
             j1 = min(j0 + C, T + 1)
+            c = j1 - j0
             if sched_code == INV_SQRT:
                 np.add(from_one, j0, out=etas)  # j + 1, exact
                 np.sqrt(etas, out=etas)
                 np.divide(1.0, etas, out=etas)
                 eta_list = etas.tolist()
             k0 = k
-            for j, eta, (head, lo, hi, ex, t, der, g) in zip(range(j0, j1), eta_list, slots):
-                ext.dot(w, out=head)
-                if exponential:
-                    np.exp(lo, out=der)  # lo is z
-                else:
-                    np.minimum(lo, hi, out=ex)
-                    np.exp(ex, out=ex)
-                    np.add(t, ones, out=u)
-                    np.divide(der, u, out=der)  # e^min(z,0) / (1 + t)
-                if j == cps[k]:
-                    cp_w[k] = w_list
-                    k += 1
-                gl = At.dot(der, out=g).tolist()
-                for i in coords_d:
-                    x = w_list[i] - eta * (gl[i] / n)
-                    w_list[i] = x
-                    w[i] = x
+            w_start[:] = w
+            while True:
+                edot = (split if signed else ext).dot
+                general = logistic and not signed
+                # one stretch of steps between two checkpoints at a time, all
+                # from one iterator (a list slice per stretch raised a long
+                # run's peak RSS by 0.7 MB)
+                steps = zip(eta_list, slots)
+                a = j0
+                while a < j1:
+                    if a == cps[k]:
+                        cp_w[k] = w
+                        k += 1
+                    b = min(cps[k], j1)
+                    for eta, (head, lo, hi, ex, t, der, g, o) in islice(steps, b - a):
+                        edot(w, head)
+                        if general:
+                            minimum(lo, hi, out=lo)
+                        exp(lo, ex)
+                        if logistic:
+                            add(t, ones, u)
+                            divide(der, u, der)  # e^min(z,0) / (1 + t)
+                        gdot(der, g)
+                        for i in coords_d:
+                            wv[i] = wv[i] - eta * (gv[o + i] / n)
+                    a = b
+                if not signed or not (minus_abs[:c] > 0.0).any():
+                    break
+                # a sign changed inside the chunk: run it again in the
+                # general form
+                signed = False
+                w[:] = w_start
+                k = k0
+            if logistic:
+                # the signs of the margins at the chunk's last step
+                negative = neg_z[c - 1] > 0.0
+                np.multiply(A, np.where(negative, 1.0, -1.0)[:, None], out=split[r : r + n])
+                np.multiply(A, negative[:, None], out=split[r + n : r + 2 * n])
+                signed = True
 
             # the loss values log1p(t) - (-max(z,0)), -max(z,0) = min(-z, 0)
             # from the stored -z, and the P product of every slot: one
             # stacked matmul makes the BLAS call of a step once per slot (a
             # flat (c, n) @ (n, p) product rounds differently)
-            c = j1 - j0
             if not exponential:
                 v = L[:c, 0]
                 np.log1p(v, out=v)

@@ -1,6 +1,7 @@
 """The JSON writer of every output file: the bytes of json.dump(obj, fh, indent=1)."""
 
 from dataclasses import fields, is_dataclass
+from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
 
@@ -67,9 +68,15 @@ def _encode(o, level: int) -> str:
         if not isinstance(plain, np.generic):
             return _encode(plain, level)
     if is_dataclass(o) and not isinstance(o, type):
-        kept = {f.name: getattr(o, f.name) for f in fields(o) if f.metadata.get("json", True)}
-        return _encode(kept, level)
+        return _encode({name: getattr(o, name) for name in _kept_fields(type(o))}, level)
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+@cache
+def _kept_fields(cls) -> tuple:
+    """The names of the fields of dataclass cls that are written, in
+    declaration order; looked up once per class."""
+    return tuple(f.name for f in fields(cls) if f.metadata.get("json", True))
 
 
 def _key(k) -> str:

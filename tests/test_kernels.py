@@ -394,13 +394,15 @@ class TestDescentLoop:
         ("mixed", K.LOGISTIC, K.INV_SQRT),
         ("mixed", K.EXPONENTIAL, K.INV_SQRT),
         ("overlap", K.LOGISTIC, K.CONSTANT_ONE),
+        ("touching", K.LOGISTIC, K.CONSTANT_ONE),
     ],
 )
 def test_matches_reference_loop_at_benchmark_size(kind, loss_code, sched_code):
     # the hypothesis problems have n <= 12; BLAS may take other kernel paths
     # for the products of the 40- and 43-row long-run inputs.  Every (loss,
     # schedule) pair appears; overlap has an interior optimum, where the
-    # gradient's terms cancel
+    # gradient's terms cancel, and touching's origin row has margin exactly 0
+    # at every step, on the edge of the signs that split the logistic rows
     A = to_margin_matrix(synth(kind, 20, 1)).rows
     dec = partition(MarginMatrix(A))
     T = 20_000
@@ -486,6 +488,32 @@ class TestChunks:
         assert (out[0], out[1]) == (status, steps_done)
         for series in out[2:5]:
             assert not series[steps_done + 1 :].any()
+
+    @pytest.mark.parametrize(
+        "rows, slot",
+        [
+            # the first row's margin changes sign at step 14, 17 or 13: in
+            # chunks of 7, on the first, a middle or the last slot of a chunk
+            ([[1.0, 0.0], [0.0, 1.0], [0.0, -0.4], [-1.25, 0.5]], 0),
+            ([[1.0, 0.0], [0.0, 1.0], [0.0, -0.3], [-1.35, 0.5]], 3),
+            ([[1.0, 0.0], [0.0, 1.0], [0.0, -0.5], [-1.2, 0.5]], 6),
+        ],
+    )
+    def test_sign_change_inside_a_chunk(self, rows, slot):
+        # after the first chunk a logistic step takes -|z| and min(z,0) from
+        # rows split by the signs of the margins at the previous chunk's last
+        # step; the chunk in which a margin changes sign runs again in the
+        # general form, and must give the bits of chunk lengths under which
+        # the change falls in the first chunk (the default) or on other slots
+        T = 40
+        args = _split(rows, K.LOGISTIC, K.CONSTANT_ONE, T)
+        every_step = np.arange(1, T + 1, dtype=np.int64)
+        w = np.vstack([np.zeros(2), _oracle(*args[:6], every_step)[5]])
+        z = w @ args[0].T
+        changes = np.flatnonzero((z[1:] * z[:-1] < 0.0).any(axis=1)) + 1
+        assert changes.size == 1 and changes[0] > 7 and changes[0] % 7 == slot
+        out = assert_chunk_invariant(args)
+        assert (out[0], out[1]) == (K.STATUS_OK, T)
 
     @pytest.mark.parametrize(
         "loss_code, sched_code, T",

@@ -13,6 +13,11 @@ with a change:
     python3 tools/output_digests.py .      SCRATCH/b > b.txt
     diff a.txt b.txt
 
+The listing's first line names the BLAS that numpy links and the CPU core
+whose kernels it chose at run time ("unknown" where the library does not
+say): a product may round differently on another core, so the same bytes
+are expected only of two listings whose first lines match.
+
 By default all three workloads run at seeds 1 and 2: 60 jobs.  After each
 ``run`` job (long_run), ``verify --trace-dir`` replays the trace it saved
 and its report is printed: 4 jobs, which read the benchmark's own traces
@@ -59,6 +64,26 @@ DIRECTION_JOBS = (
     ("two-axis", "f1,f2,label\n1,0,1\n0,1,1\n", "exponential", "constant_one", 100_000),
     ("one-row", "f1,label\n1,1\n", "logistic", "constant_one", 5),
 )
+
+
+def blas_line() -> str:
+    """The BLAS build numpy links and its run-time core: the bundled
+    OpenBLAS names the core through scipy_openblas_get_corename64_."""
+    import ctypes
+
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    core = "unknown"
+    try:
+        corename = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_corename64_
+    except (OSError, AttributeError):
+        pass
+    else:
+        corename.argtypes = []
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+    return f"blas {blas.get('name', 'unknown')} {blas.get('version', '')} core {core}"
 
 
 def file_digest(path: Path) -> str:
@@ -127,6 +152,7 @@ def main(argv=None) -> int:
         if not Path(mod.__file__).resolve().is_relative_to(checkout):
             raise SystemExit(f"{mod.__name__} was imported from {mod.__file__}, not {checkout}")
 
+    print(blas_line())
     for workload in args.workloads:
         for seed in args.seeds:
             base = scratch / f"{workload}-s{seed}"
