@@ -22,47 +22,55 @@ from itertools import islice
 
 import numpy as np
 
-# loss and schedule codes
-LOGISTIC = 0
-EXPONENTIAL = 1
-CONSTANT_ONE = 0
-INV_SQRT = 1
+from .errors import ValidationError
 
-# status codes returned by gd_loop
-STATUS_OK = 0
-STATUS_OVERFLOW = 3
-STATUS_STEP_ASSERT = 4
+LOSSES = ("logistic", "exponential")
+SCHEDULES = ("constant_one", "inv_sqrt")  # eta_j = 1 or 1/sqrt(j+1)
 
 _EXP_CAP = 700.0  # exp overflows float64 just above this
 _CHUNK = 256  # descent steps per fold of the loop's bookkeeping
 
 
-def loss_values(z, code):
-    """Elementwise loss: ln(1+e^z) for code 0, e^z for code 1.
+def is_exponential(loss: str) -> bool:
+    """True for "exponential", False for "logistic"; other names raise ValidationError."""
+    if loss not in LOSSES:
+        raise ValidationError(f"unknown loss {loss!r}; choose from {LOSSES}")
+    return loss == "exponential"
+
+
+def is_inv_sqrt(schedule: str) -> bool:
+    """True for "inv_sqrt", False for "constant_one"; other names raise ValidationError."""
+    if schedule not in SCHEDULES:
+        raise ValidationError(f"unknown schedule {schedule!r}; choose from {SCHEDULES}")
+    return schedule == "inv_sqrt"
+
+
+def loss_values(z, loss):
+    """Elementwise loss: ln(1+e^z) (logistic) or e^z (exponential).
 
     The logistic branch uses max(z,0)+log1p(e^-|z|), exact deep into both
     tails; the exponential branch returns +inf past the float64 range.
     """
     z = np.asarray(z, dtype=float)
-    if code == EXPONENTIAL:
+    if is_exponential(loss):
         return np.where(z > _EXP_CAP, np.inf, np.exp(np.minimum(z, _EXP_CAP)))
     return np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0.0)
 
 
-def loss_derivs(z, code):
+def loss_derivs(z, loss):
     """Elementwise loss derivative: sigmoid(z) or e^z."""
-    if code == EXPONENTIAL:
-        return loss_values(z, code)
+    if is_exponential(loss):
+        return loss_values(z, loss)
     # sigmoid(z) = 1/(1+t) for z >= 0 and t/(1+t) below, t = e^-|z|
     t = np.exp(-np.abs(z))
     return np.maximum(t, np.heaviside(z, 1.0)) / (t + 1.0)
 
 
-def loss_curvs(z, code):
+def loss_curvs(z, loss):
     """Elementwise second derivative: sigmoid(z)(1-sigmoid(z)) or e^z."""
-    if code == EXPONENTIAL:
-        return loss_values(z, code)
-    p = loss_derivs(z, LOGISTIC)
+    if is_exponential(loss):
+        return loss_values(z, loss)
+    p = loss_derivs(z, loss)
     return p * (1.0 - p)
 
 
@@ -74,7 +82,7 @@ def _row_sums(x):
     return s
 
 
-def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
+def gd_loop(A, sep_rows, bs_cols, loss, schedule, T, cps):
     """Run gradient descent w_{j+1} = w_j - eta_j * grad(w_j) from w_0 = 0.
 
     Parameters
@@ -83,15 +91,16 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
     sep_rows : int64 indices of the separable rows (may be empty).
     bs_cols : (d, r) orthonormal basis of the span S of the remaining rows;
         r may be 0.
-    loss_code, sched_code : loss/schedule selectors.
+    loss, schedule : names from LOSSES and SCHEDULES.
     T : number of steps.
     cps : sorted int64 checkpoint times in [1, T].
 
     Returns (status, steps_done, risk_steps, rel_steps, eff_steps, cp_w,
-    cp_sums): the per-step series (risk, |grad|/risk, eta*risk for j = 0..T),
-    the iterate at each checkpoint and, as the rows of the (4, K) cp_sums,
-    the running sums over j < t perceptron, sum_eta_sep, sum_cross and
-    sup_proj_s; all zero past steps_done.
+    cp_sums): "ok", "overflow" or "step_assert", the per-step series (risk,
+    |grad|/risk, eta*risk for j = 0..T), the iterate at each checkpoint and,
+    as the rows of the (4, K) cp_sums, the running sums over j < t
+    perceptron, sum_eta_sep, sum_cross and sup_proj_s; all zero past
+    steps_done.
 
     A step makes two products and the loss derivative between them.  The
     first is ext @ w, which gives the coordinates of P_S w and, for the
@@ -160,9 +169,9 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
     - the stops, at the first step that meets one.  A risk outside
       (0, inf) (overflow of the sum, or underflow to exact zero, where the
       log-risk is undefined) or an exponential margin past the cap (700,
-      where e^z nears the float64 range) ends the run with status overflow
+      where e^z nears the float64 range) ends the run with status "overflow"
       before the step is recorded; eff > 1 + 1e-9 at j < T ends it with
-      status step assert after.  The exponential step takes exp of the
+      status "step_assert" after.  The exponential step takes exp of the
       margins uncapped, and they are read back for the cap test only at
       steps whose risk sum reaches e_cap, the loop's own exp of the cap.
       That misses nothing: exp is monotone, so a margin past the cap adds
@@ -185,7 +194,7 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
     n, d = A.shape
     r = bs_cols.shape[1]
     cross = sep_rows.shape[0] > 0 and r > 0
-    exponential = loss_code == EXPONENTIAL
+    exponential, inv_sqrt = is_exponential(loss), is_inv_sqrt(schedule)
     K = cps.shape[0]
     cps = cps.tolist() + [T + 1]  # past the last step
     C = min(_CHUNK, T + 1)
@@ -248,7 +257,7 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
 
     k = 0
     steps_done = T
-    status = STATUS_OK
+    status = "ok"
     # the steps' calls, bound once
     exp, add, divide, minimum = np.exp, np.add, np.divide, np.minimum
     gdot = At.dot
@@ -263,7 +272,7 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
         for j0 in range(0, T + 1, C):
             j1 = min(j0 + C, T + 1)
             c = j1 - j0
-            if sched_code == INV_SQRT:
+            if inv_sqrt:
                 np.add(from_one, j0, out=etas)  # j + 1, exact
                 np.sqrt(etas, out=etas)
                 np.divide(1.0, etas, out=etas)
@@ -336,7 +345,7 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
             stops = np.flatnonzero(overflow | big)
             if stops.size:
                 i = int(stops[0])
-                status = STATUS_OVERFLOW if overflow[i] else STATUS_STEP_ASSERT
+                status = "overflow" if overflow[i] else "step_assert"
                 c = i if overflow[i] else i + 1
                 steps_done = j0 + c - 1
                 risk_steps[j0 + c : j1] = 0.0
@@ -362,13 +371,13 @@ def gd_loop(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
             k = kv
             cp_sums[:, k0:k] = folds[:, np.array(cps[k0:k], dtype=np.intp) - j0]
             folds[:, 0] = folds[:, c]
-            if status != STATUS_OK:
+            if status != "ok":
                 break
 
     return status, steps_done, risk_steps, rel_steps, eff_steps, cp_w, cp_sums
 
 
-def descent_sums(eff_steps, rel_steps, sched_code, ts):
+def descent_sums(eff_steps, rel_steps, schedule, ts):
     """sum_eta, sum_eff_grad and sum_tele at each checkpoint time of ts
     (each >= 1), as the rows of a (3, K) array: cumulative sums of
     eta_j, eff_j rel_j and descent_terms over the steps j < t.  Each term is
@@ -378,7 +387,7 @@ def descent_sums(eff_steps, rel_steps, sched_code, ts):
     at = np.asarray(ts) - 1
     buf = np.ones(at.max() + 1)
     eff, rel = eff_steps[: buf.size], rel_steps[: buf.size]
-    if sched_code == INV_SQRT:
+    if is_inv_sqrt(schedule):
         np.sqrt(np.cumsum(buf, out=buf), out=buf)  # sqrt(j + 1), j + 1 exact
         np.divide(1.0, buf, out=buf)
     sum_eta = np.cumsum(buf, out=buf)[at]

@@ -12,6 +12,7 @@ import numpy as np
 
 from . import dataset as ds_mod
 from . import verify as verify_mod
+from ._kernels import LOSSES, SCHEDULES
 from .dataset import SYNTH_KINDS, load_csv, normalize, save_csv, synth, to_margin_matrix
 from .errors import (
     ConvergenceError,
@@ -22,7 +23,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .gd import DEFAULT_PER_DECADE, LOSS_CODES, SCHED_CODES, GDTrace, checkpoint_times, risk, run
+from .gd import DEFAULT_PER_DECADE, GDTrace, checkpoint_times, risk, run
 from .jsonio import write_json
 from .pipeline import analyze
 
@@ -263,10 +264,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             continue
         pp = sub.add_parser(name)
         _add_input_flags(pp)
-        pp.add_argument("--loss", choices=tuple(LOSS_CODES), default="logistic")
+        pp.add_argument("--loss", choices=LOSSES, default="logistic")
         pp.add_argument("--out", required=True)
         if needs_sched:
-            pp.add_argument("--schedule", choices=tuple(SCHED_CODES), default="inv_sqrt")
+            pp.add_argument("--schedule", choices=SCHEDULES, default="inv_sqrt")
             # verify reads the step count from --trace-dir when given
             pp.add_argument("--steps", type=int, required=name == "run")
             pp.add_argument("--checkpoints-per-decade", type=int, default=DEFAULT_PER_DECADE)

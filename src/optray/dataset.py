@@ -222,6 +222,8 @@ def synth(kind: str, n_per_class: int, seed: int) -> Dataset:
         raise ValidationError(f"unknown synth kind {kind!r}; choose from {SYNTH_KINDS}")
     if n_per_class < 1:
         raise ValidationError("n_per_class must be >= 1")
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     cx = _CENTERS[kind]
     pos = _disc_points(rng, +cx, n_per_class)

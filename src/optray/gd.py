@@ -20,9 +20,6 @@ from .errors import NumericalError, ParseError, ValidationError
 from .jsonio import write_json
 from .linalg import minimize_risk, project
 
-LOSS_CODES = {"logistic": _kernels.LOGISTIC, "exponential": _kernels.EXPONENTIAL}
-SCHED_CODES = {"constant_one": _kernels.CONSTANT_ONE, "inv_sqrt": _kernels.INV_SQRT}
-
 DEFAULT_PER_DECADE = 20
 
 
@@ -31,23 +28,11 @@ def _rows(A) -> np.ndarray:
     return np.ascontiguousarray(rows)
 
 
-def _loss_code(loss: str) -> int:
-    if loss not in LOSS_CODES:
-        raise ValidationError(f"unknown loss {loss!r}; choose from {tuple(LOSS_CODES)}")
-    return LOSS_CODES[loss]
-
-
-def _sched_code(schedule: str) -> int:
-    if schedule not in SCHED_CODES:
-        raise ValidationError(f"unknown schedule {schedule!r}; choose from {tuple(SCHED_CODES)}")
-    return SCHED_CODES[schedule]
-
-
 def risk(A, loss: str, w: np.ndarray) -> float:
     """Empirical risk (1/n) sum_i loss((A w)_i)."""
     rows = _rows(A)
     w = np.asarray(w, dtype=float)
-    vals = _kernels.loss_values(rows @ w, _loss_code(loss))
+    vals = _kernels.loss_values(rows @ w, loss)
     return float(np.sum(vals) / rows.shape[0])
 
 
@@ -55,8 +40,7 @@ def grad(A, loss: str, w: np.ndarray) -> np.ndarray:
     """Risk gradient (1/n) A^T loss'(A w)."""
     rows = _rows(A)
     w = np.asarray(w, dtype=float)
-    derivs = np.asarray(_kernels.loss_derivs(rows @ w, _loss_code(loss)))
-    return rows.T @ derivs / rows.shape[0]
+    return rows.T @ _kernels.loss_derivs(rows @ w, loss) / rows.shape[0]
 
 
 def checkpoint_times(T: int, per_decade: int = DEFAULT_PER_DECADE) -> np.ndarray:
@@ -142,7 +126,7 @@ class GDTrace:
         safe = np.where(self.norm_w == 0.0, 1.0, self.norm_w)
         self.dir = np.where(self.norm_w[:, None] > 0.0, w / safe[:, None], 0.0)
         self.sum_eta, self.sum_eff_grad, self.sum_tele = _kernels.descent_sums(
-            self.eff_steps, self.rel_steps, _sched_code(self.schedule), ts
+            self.eff_steps, self.rel_steps, self.schedule, ts
         )
 
     @property
@@ -276,7 +260,6 @@ def run(
     """
     rows = _rows(A)
     n, d = rows.shape
-    loss_code, sched_code = _loss_code(loss), _sched_code(schedule)
     if sep_rows is None:
         sep_idx = np.arange(n, dtype=np.int64)
     else:
@@ -286,10 +269,10 @@ def run(
     ts = checkpoint_times(T, checkpoints_per_decade)
 
     status, steps_done, risk_steps, rel_steps, eff_steps, cp_w, cp_sums = _kernels.gd_loop(
-        rows, sep_idx, basis_s, loss_code, sched_code, int(T), ts
+        rows, sep_idx, basis_s, loss, schedule, int(T), ts
     )
 
-    if status == _kernels.STATUS_STEP_ASSERT:
+    if status == "step_assert":
         raise NumericalError(
             "effective step exceeded 1; input rows violate the unit-norm contract"
         )
@@ -304,7 +287,7 @@ def run(
         T=int(T),
         n=n,
         d=d,
-        status="ok" if status == _kernels.STATUS_OK else "overflow",
+        status=status,
         sep_rows=sep_idx,
         ts=ts,
         w=w,
@@ -328,9 +311,10 @@ def constrained_opt(A, loss: str, radius, w0: np.ndarray | None = None) -> np.nd
     radii = np.asarray(radius, dtype=float)
     if not np.all(radii >= 0.0):
         raise ValidationError("radius must be >= 0")
+    _kernels.is_exponential(loss)  # an unknown loss raises, with no radii too
     n, d = rows.shape
     starts = np.zeros(radii.shape + (d,)) if w0 is None else np.asarray(w0, dtype=float)
-    w, _ = minimize_risk(rows, _loss_code(loss), n, radii.reshape(-1), starts.reshape(-1, d))
+    w, _ = minimize_risk(rows, loss, n, radii.reshape(-1), starts.reshape(-1, d))
     return w.reshape(starts.shape)
 
 

@@ -191,7 +191,7 @@ def _ball_multipliers(lam: np.ndarray, beta: np.ndarray, radii: np.ndarray) -> n
 
 def minimize_risk(
     M: np.ndarray,
-    loss_code: int,
+    loss: str,
     n_total: int,
     radii: np.ndarray,
     w0: np.ndarray,
@@ -250,7 +250,7 @@ def minimize_risk(
         return out, iters
     for it in range(NEWTON_MAX_ITERS):
         z = np.matvec(M, w)
-        der = _kernels.loss_derivs(z, loss_code)
+        der = _kernels.loss_derivs(z, loss)
         g = np.matvec(MT, der) / n_total
         # |g| itself inside the ball, where w - (w - g) could round g away
         res = _norms(g)
@@ -279,7 +279,7 @@ def minimize_risk(
             if not np.count_nonzero(keep):
                 break
             slots, radius, w, z, g = (x[keep] for x in (slots, radius, w, z, g))
-        curv = _kernels.loss_curvs(z, loss_code)
+        curv = _kernels.loss_curvs(z, loss)
         lam, Q = np.linalg.eigh(np.matmul(MT * curv[:, None, :], M) / n_total)
         # curvature below what eigh resolves is raised to that resolution: the
         # shortest step the data allows along such a direction
@@ -298,7 +298,7 @@ def minimize_risk(
         # otherwise swamp the slope near the boundary
         ms = np.matvec(M, s)
         alpha, stuck = _line_search(
-            z, ms, np.vecdot(w, s), np.vecdot(s, s), mu, sig, shifted, loss_code, n_total
+            z, ms, np.vecdot(w, s), np.vecdot(s, s), mu, sig, shifted, loss, n_total
         )
         if stuck.size:
             error = ConvergenceError(
@@ -326,7 +326,7 @@ def minimize_risk(
     return out, iters
 
 
-def _line_search(z, ms, ws, ss, mu, sig, shifted, loss_code, n_total):
+def _line_search(z, ms, ws, ss, mu, sig, shifted, loss, n_total):
     """Step lengths alpha along each row's Newton step s at which the slope
     of the Lagrangian, ms @ loss'(z + alpha ms) / n_total + mu (ws + alpha ss),
     is still <= 0, and the rows that find none in LINE_SEARCH_STEPS trials.
@@ -340,7 +340,7 @@ def _line_search(z, ms, ws, ss, mu, sig, shifted, loss_code, n_total):
     alpha = np.ones(z.shape[0])
     rows, a = np.arange(z.shape[0]), alpha
     for trial in range(LINE_SEARCH_STEPS):
-        lp = _kernels.loss_derivs(z + a[:, None] * ms, loss_code)
+        lp = _kernels.loss_derivs(z + a[:, None] * ms, loss)
         slope = np.vecdot(ms, lp) / n_total + mu * (ws + a * ss)
         descent = slope <= 0.0
         descent &= -np.inf < slope

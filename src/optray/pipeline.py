@@ -15,7 +15,6 @@ class Structure:
     """Everything the verification checks need besides the trace itself."""
 
     matrix: MarginMatrix
-    loss: str
     dec: Decomposition
     margin_sol: MarginSolution | None
     sc_opt: ScOptimum
@@ -66,7 +65,6 @@ def analyze(matrix: MarginMatrix, loss: str) -> Structure:
     )
     return Structure(
         matrix=matrix,
-        loss=loss,
         dec=dec,
         margin_sol=margin_sol,
         sc_opt=sc_opt,

@@ -8,7 +8,6 @@ import numpy as np
 
 from . import _kernels
 from .errors import NumericalError
-from .gd import _loss_code
 from .linalg import minimize_risk
 
 LAMBDA_DIRECTIONS = 32
@@ -50,21 +49,20 @@ def solve_vbar(a_s: np.ndarray, basis_s: np.ndarray, loss: str, n_total: int) ->
     (linalg.minimize_risk, a batch of one with an infinite radius); stops
     when the gradient norm reaches linalg.RESIDUAL_TOL; the origin when
     A_S B is empty."""
-    code = _loss_code(loss)
     M = _restricted(a_s, basis_s)
     c = np.zeros(basis_s.shape[1])
     if M.size:
-        (c,), _ = minimize_risk(M, code, n_total, [np.inf], c[None])
+        (c,), _ = minimize_risk(M, loss, n_total, [np.inf], c[None])
     z = M @ c
     return ScOptimum(
         offset=basis_s @ c,
-        risk_inf=float(np.sum(_kernels.loss_values(z, code)) / n_total),
+        risk_inf=float(np.sum(_kernels.loss_values(z, loss)) / n_total),
         curvature=np.inf,
-        grad_norm=float(np.linalg.norm(M.T @ np.asarray(_kernels.loss_derivs(z, code)) / n_total)),
+        grad_norm=float(np.linalg.norm(M.T @ _kernels.loss_derivs(z, loss) / n_total)),
     )
 
 
-def _level(M: np.ndarray, code: int, n_total: int, points: np.ndarray) -> np.ndarray:
+def _level(M: np.ndarray, loss: str, n_total: int, points: np.ndarray) -> np.ndarray:
     """Restricted risk sum_i loss((M c)_i) / n_total at each row c of points.
 
     The points go through in parts of at most _LEVEL_ROWS, which keeps the
@@ -77,23 +75,23 @@ def _level(M: np.ndarray, code: int, n_total: int, points: np.ndarray) -> np.nda
     if k == 1:
         points = np.repeat(points, 2, axis=0)
     parts = np.array_split(points, -(-points.shape[0] // _LEVEL_ROWS))
-    risk = np.concatenate([np.sum(_kernels.loss_values(p @ M.T, code), axis=1) for p in parts])
+    risk = np.concatenate([np.sum(_kernels.loss_values(p @ M.T, loss), axis=1) for p in parts])
     return risk[:k] / n_total
 
 
-def _start_steps(z0: np.ndarray, P: np.ndarray, code: int, n_total: int) -> np.ndarray:
+def _start_steps(z0: np.ndarray, P: np.ndarray, loss: str, n_total: int) -> np.ndarray:
     """For each row p = M d of P, a step past which R(c* + t d) > 1, where a
     linear minorant of the loss summed over the s rows with p_i > 0 reaches n:
     ln(1 + e^z) > z, and e^z >= (n/s)(1 + z - ln(n/s)).  +inf where no p_i > 0."""
     up = P > 0.0
     s = np.count_nonzero(up, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        reach = s * np.log(n_total / s) if code == _kernels.EXPONENTIAL else n_total
+        reach = s * np.log(n_total / s) if _kernels.is_exponential(loss) else n_total
         t = (reach - np.sum(z0 * up, axis=1)) / np.sum(P * up, axis=1)
     return np.where(s > 0, t, np.inf)
 
 
-def _newton_roots(z0: np.ndarray, P: np.ndarray, code: int, n_total: int, t: np.ndarray):
+def _newton_roots(z0: np.ndarray, P: np.ndarray, loss: str, n_total: int, t: np.ndarray):
     """Roots of phi(t) = R(t) - 1 along every row p = M d of P, R(t) =
     sum_i loss(z0_i + t p_i) / n_total, by Newton's method from the steps t,
     all rows at once, with one value-and-slope evaluation of the block per
@@ -104,15 +102,16 @@ def _newton_roots(z0: np.ndarray, P: np.ndarray, code: int, n_total: int, t: np.
     (doubles lo while hi is +inf) whenever a step would leave it or is not
     finite.  A row stops once its step or |phi| is within NEWTON_TOL, at the
     last trial point.  Returns the roots and the number of evaluations."""
+    exponential = _kernels.is_exponential(loss)
     roots = t.copy()
     rows = np.arange(t.size)
     lo, hi = np.zeros(t.size), np.full(t.size, np.inf)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for it in range(1, NEWTON_MAX_STEPS + 1):
             z = z0 + t[:, None] * P
-            val, der = _kernels.loss_values(z, code), _kernels.loss_derivs(z, code)
+            val, der = _kernels.loss_values(z, loss), _kernels.loss_derivs(z, loss)
             risk, slope = np.sum(val, axis=1) / n_total, np.vecdot(der, P) / n_total
-            if code == _kernels.EXPONENTIAL:
+            if exponential:
                 phi, slope = np.log(risk), slope / risk
             else:
                 phi = risk - 1.0
@@ -132,7 +131,7 @@ def _newton_roots(z0: np.ndarray, P: np.ndarray, code: int, n_total: int, t: np.
     return roots, NEWTON_MAX_STEPS
 
 
-def _boundary_steps(M: np.ndarray, code: int, n_total: int, c_star: np.ndarray, D: np.ndarray):
+def _boundary_steps(M: np.ndarray, loss: str, n_total: int, c_star: np.ndarray, D: np.ndarray):
     """Brackets lo < hi = nextafter(lo) with R(c* + lo d) <= 1 < R(c* + hi d)
     by _level, for all unit directions d (rows of D) at once, and the number
     of block evaluations spent; lo = hi = 2**60 where R stays <= 1 up to
@@ -151,12 +150,12 @@ def _boundary_steps(M: np.ndarray, code: int, n_total: int, c_star: np.ndarray, 
 
     def over(rows, ts):
         points = c_star + (ts[:, :, None] * D[rows, None, :]).reshape(-1, D.shape[1])
-        return (_level(M, code, n_total, points) > 1.0).reshape(ts.shape)
+        return (_level(M, loss, n_total, points) > 1.0).reshape(ts.shape)
 
     lo = np.full(D.shape[0], 2.0**60)
     hi = lo.copy()
     z0, P = M @ c_star, D @ M.T
-    t = _start_steps(z0, P, code, n_total)
+    t = _start_steps(z0, P, loss, n_total)
     far = np.flatnonzero(t > STEP_CAP)
     evals = 0
     if far.size:
@@ -166,7 +165,7 @@ def _boundary_steps(M: np.ndarray, code: int, n_total: int, c_star: np.ndarray, 
     rows = np.flatnonzero(~np.isnan(t))
     if rows.size == 0:
         return lo, hi, evals
-    roots, evals_newton = _newton_roots(z0, P[rows], code, n_total, t[rows])
+    roots, evals_newton = _newton_roots(z0, P[rows], loss, n_total, t[rows])
     evals += evals_newton
     # the window of a row: the steps whose bits are base + gap k, k in
     # _WINDOW, clipped to [0, top]
@@ -203,19 +202,19 @@ def estimate_lambda(a_s: np.ndarray, basis_s: np.ndarray, loss: str, opt: ScOpti
     Newton's method; 2**60 along a direction where the risk stays <= 1),
     from one stacked product and one batched eigvalsh.  The sampled minimum
     is an upper estimate of the true modulus."""
-    code = _loss_code(loss)
+    _kernels.is_exponential(loss)  # an unknown loss raises, on a rank-0 span too
     M = _restricted(a_s, basis_s)
     if M.size == 0:
         return np.inf
     c_star = basis_s.T @ opt.offset
     points = c_star[None, :]
-    if np.sum(_kernels.loss_values(M @ c_star, code)) / n_total < 1.0 - 1e-12:
+    if np.sum(_kernels.loss_values(M @ c_star, loss)) / n_total < 1.0 - 1e-12:
         D = np.random.default_rng(LAMBDA_SEED).standard_normal((LAMBDA_DIRECTIONS, basis_s.shape[1]))
         norms = np.linalg.norm(D, axis=1)
         D = D[norms > 0.0] / norms[norms > 0.0, None]
-        lo, _, _ = _boundary_steps(M, code, n_total, c_star, D)
+        lo, _, _ = _boundary_steps(M, loss, n_total, c_star, D)
         points = np.vstack([points, c_star + lo[:, None] * D])
-    curv = _kernels.loss_curvs(points @ M.T, code)
+    curv = _kernels.loss_curvs(points @ M.T, loss)
     out = float(np.linalg.eigvalsh((M.T * curv[:, None, :]) @ M / n_total)[:, 0].min())
     if not out > 0.0:
         raise NumericalError(f"nonpositive curvature estimate {out:.3e} on the remainder block")

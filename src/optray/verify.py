@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .gd import GDTrace, _loss_code, ball_series
+from .gd import GDTrace, ball_series
 from .jsonio import write_json
 from .linalg import RESIDUAL_TOL, _norms, project
 from .margin import GAP_TOL
@@ -246,7 +246,7 @@ def _estimate_first_qualifying(trace: GDTrace, excess: np.ndarray, target: float
     return float(np.exp((np.log(target) - intercept) / slope))
 
 
-def check_log_approx(eps_grid=LOG_APPROX_EPS_GRID) -> CheckResult:
+def check_log_approx() -> CheckResult:
     """Loss-ratio facts on the low-loss region: once loss(z) <= eps, the ratio
     loss'(z)/loss(z) is at least 1-eps, and e^z is at most twice the loss.
 
@@ -254,18 +254,19 @@ def check_log_approx(eps_grid=LOG_APPROX_EPS_GRID) -> CheckResult:
     loss, with s = e^z, loss'/loss = s / ((1+s) ln(1+s)) falls in z and
     e^z/loss = s / ln(1+s) rises, so the worst point of {loss <= eps} is its
     boundary z = ln(e^eps - 1), where the ratios are (1 - e^-eps)/eps and
-    (e^eps - 1)/eps.  The facts are evaluated there, a few ulps inside so
-    that the kernel's loss is at most eps."""
-    eps = np.asarray(eps_grid, dtype=float)
+    (e^eps - 1)/eps.  The facts are evaluated there for each eps of
+    LOG_APPROX_EPS_GRID, a few ulps inside so that the kernel's loss is at
+    most eps."""
+    eps = np.asarray(LOG_APPROX_EPS_GRID, dtype=float)
     worst = np.inf
     worst_eps = -1.0
-    for code in (_kernels.LOGISTIC, _kernels.EXPONENTIAL):
-        z = np.log(eps) if code == _kernels.EXPONENTIAL else np.log(np.expm1(eps))
+    for loss in _kernels.LOSSES:
+        z = np.log(eps) if _kernels.is_exponential(loss) else np.log(np.expm1(eps))
         for _ in range(LOG_APPROX_ULPS):
-            out = _kernels.loss_values(z, code) > eps
+            out = _kernels.loss_values(z, loss) > eps
             z[out] = np.nextafter(z[out], -np.inf)
-        lv = _kernels.loss_values(z, code)
-        lp = _kernels.loss_derivs(z, code)
+        lv = _kernels.loss_values(z, loss)
+        lp = _kernels.loss_derivs(z, loss)
         slack = np.minimum(lp / lv - (1.0 - eps), 2.0 - np.exp(z) / lv)
         # a point outside the region loss <= eps voids the facts above
         slack = np.where(lv > eps, np.minimum(slack, 1.0 - lv / eps), slack)
@@ -286,7 +287,7 @@ def check_perp_descent(trace: GDTrace, structure: Structure) -> CheckResult:
     radii = np.log(trace.ts.astype(float)) / structure.gamma
     margins = structure.sep_block() @ structure.direction
     lhs = _norms(trace.w - trace.proj_s - radii[:, None] * structure.direction) ** 2
-    losses = _kernels.loss_values(radii[:, None] * margins, _loss_code(trace.loss))
+    losses = _kernels.loss_values(radii[:, None] * margins, trace.loss)
     rc_u = np.sum(losses, axis=1) / structure.n
     rhs = (
         radii**2

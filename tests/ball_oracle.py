@@ -43,9 +43,9 @@ def _row_space(M: np.ndarray) -> _RowSpace:
     return _RowSpace(basis, coords, np.linalg.norm(coords, 2))
 
 
-def risk_hessian(M: np.ndarray, loss_code: int, n_total: int, w: np.ndarray) -> np.ndarray:
+def risk_hessian(M: np.ndarray, loss: str, n_total: int, w: np.ndarray) -> np.ndarray:
     """Hessian M^T diag(loss''(M w)) M / n_total of the empirical risk at w."""
-    curv = np.asarray(_kernels.loss_curvs(M @ w, loss_code))
+    curv = np.asarray(_kernels.loss_curvs(M @ w, loss))
     return (M.T * curv) @ M / n_total
 
 
@@ -79,7 +79,7 @@ def _ball_multiplier(lam: np.ndarray, beta: np.ndarray, radius: float) -> float:
 
 def minimize_risk(
     M: np.ndarray | _RowSpace,
-    loss_code: int,
+    loss: str,
     n_total: int,
     radius: float,
     w0: np.ndarray,
@@ -124,7 +124,7 @@ def minimize_risk(
     curvature_scale = space.norm**2 / n_total
     for it in range(NEWTON_MAX_ITERS):
         z = M @ w
-        g = M.T @ np.asarray(_kernels.loss_derivs(z, loss_code)) / n_total
+        g = M.T @ np.asarray(_kernels.loss_derivs(z, loss)) / n_total
         # |g| itself inside the ball, where w - (w - g) could round g away
         cn = np.linalg.norm(w - g)
         res = np.linalg.norm(w - (w - g) * (radius / cn)) if cn > radius else np.linalg.norm(g)
@@ -138,7 +138,7 @@ def minimize_risk(
                 best=float(res),
                 iterations=it,
             )
-        lam, Q = np.linalg.eigh(risk_hessian(M, loss_code, n_total, w))
+        lam, Q = np.linalg.eigh(risk_hessian(M, loss, n_total, w))
         # curvature below what eigh resolves is raised to that resolution: the
         # shortest step the data allows along such a direction
         lam = np.maximum(lam, eps * lam[-1])
@@ -155,7 +155,7 @@ def minimize_risk(
         slope0 = -float(sig**2 @ (lam + mu))
         alpha = 1.0
         for trial in range(LINE_SEARCH_STEPS):
-            lp = np.asarray(_kernels.loss_derivs(z + alpha * ms, loss_code))
+            lp = np.asarray(_kernels.loss_derivs(z + alpha * ms, loss))
             slope = float(ms @ lp) / n_total + mu * (ws + alpha * ss)
             if -np.inf < slope <= 0.0:
                 break
@@ -181,13 +181,13 @@ def minimize_risk(
     )
 
 
-def ball_series(rows: np.ndarray, loss_code: int, radii: np.ndarray, tol: float) -> np.ndarray:
+def ball_series(rows: np.ndarray, loss: str, radii: np.ndarray, tol: float) -> np.ndarray:
     """Ball-constrained minimizers at every radius, warm-started along the
     sequence; the rows are factored once for all radii."""
     space = _row_space(rows)
     out = np.zeros((len(radii), rows.shape[1]))
     prev = np.zeros(rows.shape[1])
     for k, radius in enumerate(radii):
-        out[k], _ = minimize_risk(space, loss_code, rows.shape[0], float(radius), prev, tol)
+        out[k], _ = minimize_risk(space, loss, rows.shape[0], float(radius), prev, tol)
         prev = out[k]
     return out

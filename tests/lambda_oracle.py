@@ -13,21 +13,20 @@ from ball_oracle import risk_hessian
 
 from optray import _kernels
 from optray.errors import NumericalError
-from optray.gd import LOSS_CODES
 
 LAMBDA_DIRECTIONS = 32
 LAMBDA_SEED = 7
 
 
-def _restricted(a_s, basis_s, n_total, code):
+def _restricted(a_s, basis_s, n_total, loss):
     """Value/gradient of c -> sum_i loss((A_S B c)_i) / n_total."""
     M = np.ascontiguousarray(a_s @ basis_s)
 
     def value(c):
-        return float(np.sum(_kernels.loss_values(M @ c, code)) / n_total)
+        return float(np.sum(_kernels.loss_values(M @ c, loss)) / n_total)
 
     def gradient(c):
-        return (M.T @ np.asarray(_kernels.loss_derivs(M @ c, code))) / n_total
+        return (M.T @ np.asarray(_kernels.loss_derivs(M @ c, loss))) / n_total
 
     return M, value, gradient
 
@@ -49,14 +48,13 @@ def estimate_lambda(
     sublevel-set boundary.  The sampled minimum is an upper estimate of the
     true modulus and is reported as such.
     """
-    code = LOSS_CODES[loss]
     a_s = np.asarray(a_s, dtype=float)
     if a_s.shape[0] == 0 or basis_s.shape[1] == 0:
         return np.inf
-    M, value, _ = _restricted(a_s, basis_s, n_total, code)
+    M, value, _ = _restricted(a_s, basis_s, n_total, loss)
 
     def min_eig(c):
-        return float(np.linalg.eigvalsh(risk_hessian(M, code, n_total, c))[0])
+        return float(np.linalg.eigvalsh(risk_hessian(M, loss, n_total, c))[0])
 
     c_star = basis_s.T @ opt.offset
     samples = [min_eig(c_star)]
@@ -90,12 +88,12 @@ def estimate_lambda(
     return out
 
 
-def _level(M, code, n_total, points):
+def _level(M, loss, n_total, points):
     """Restricted risk sum_i loss((M c)_i) / n_total at each row c of points."""
-    return np.sum(_kernels.loss_values(points @ M.T, code), axis=1) / n_total
+    return np.sum(_kernels.loss_values(points @ M.T, loss), axis=1) / n_total
 
 
-def _boundary_steps(M, code, n_total, c_star, D):
+def _boundary_steps(M, loss, n_total, c_star, D):
     """Brackets lo <= t <= hi on the step where R(c_star + t d) crosses 1,
     for all unit directions d (rows of D) at once, one _level call per step:
     at most 60 doublings of hi from 1 (lo = hi = 2**60 if R stays <= 1), then
@@ -103,7 +101,7 @@ def _boundary_steps(M, code, n_total, c_star, D):
     where 80 halvings would leave it.  Collapsed: R(lo) <= 1 < R(hi)."""
 
     def over(t):
-        return _level(M, code, n_total, c_star + t[:, None] * D) > 1.0
+        return _level(M, loss, n_total, c_star + t[:, None] * D) > 1.0
 
     hi = np.ones(D.shape[0])
     grow = np.ones(D.shape[0], dtype=bool)

@@ -366,6 +366,21 @@ def test_missing_input_flag_is_input_error(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "command",
+    [
+        ["synth", "--kind", "mixed"],
+        ["decompose", "--synth-kind", "mixed"],
+        ["run", "--synth-kind", "mixed", "--steps", "10"],
+        ["verify", "--synth-kind", "mixed", "--steps", "10"],
+    ],
+    ids=["synth", "decompose", "run", "verify"],
+)
+def test_negative_seed_is_input_error(command, tmp_path, capsys):
+    assert main([*command, "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+    assert "input error: seed must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "command", [["decompose"], ["verify", "--steps", "100"]], ids=["decompose", "verify"]
 )
 def test_non_finite_input_is_input_error(command, tmp_path, capsys):

@@ -282,6 +282,10 @@ class TestSynth:
         with pytest.raises(ValidationError):
             synth("bogus", 5, 1)
 
+    def test_negative_seed(self):
+        with pytest.raises(ValidationError, match="seed"):
+            synth("mixed", 5, -1)
+
     @pytest.mark.parametrize("kind", ["separable", "overlap", "touching", "mixed"])
     def test_normalized_invariant(self, kind):
         ds = synth(kind, 20, 3)

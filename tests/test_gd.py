@@ -17,7 +17,6 @@ from optray.dataset import MarginMatrix, synth, to_margin_matrix
 from optray.decompose import partition
 from optray.errors import ConvergenceError, ValidationError
 from optray.gd import (
-    LOSS_CODES,
     GDTrace,
     ball_series,
     checkpoint_times,
@@ -349,7 +348,7 @@ class TestMinimizeRisk:
         rows = np.array([[1.0, 1e-8, 0.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
         M = np.vstack([rows, -0.5 * rows])
         with pytest.raises(ConvergenceError, match="rounding floor") as info:
-            minimize_risk(M, 0, M.shape[0], [np.inf], np.zeros((1, 3)), 1e-10)
+            minimize_risk(M, "logistic", M.shape[0], [np.inf], np.zeros((1, 3)), 1e-10)
         assert 0 <= info.value.iterations <= 10
 
     @pytest.mark.filterwarnings("error")
@@ -357,7 +356,7 @@ class TestMinimizeRisk:
         # the first Newton step from 1e-9 lands exactly on w = 0 with mu > 0;
         # rescaling it onto the sphere divided by |w| = 0
         M = np.array([[0.0], [0.421590866599183], [0.26163499088971803], [0.0], [0.0]])
-        w, _ = minimize_risk(M, 0, 5, np.array([1e-9]), np.array([[1e-9]]))
+        w, _ = minimize_risk(M, "logistic", 5, np.array([1e-9]), np.array([[1e-9]]))
         np.testing.assert_array_equal(w, [[-1e-9]])
 
     @settings(max_examples=200, deadline=None)
@@ -365,9 +364,8 @@ class TestMinimizeRisk:
     def test_kkt_against_slsqp(self, problem):
         rows, loss, radius = problem
         tol = 1e-10
-        code = 0 if loss == "logistic" else 1
         start = np.zeros((1, rows.shape[1]))
-        (w,), _ = minimize_risk(rows, code, rows.shape[0], [radius], start, tol)
+        (w,), _ = minimize_risk(rows, loss, rows.shape[0], [radius], start, tol)
         assert np.linalg.norm(w) <= radius * (1 + 1e-12)
         res, g, p = _kkt_residual(rows, loss, w, radius)
         assert res <= tol
@@ -400,18 +398,18 @@ class TestBatchedAgainstFrozenSolver:
     def test_batch_of_one_is_the_frozen_solver(self, problem, tol, data):
         # bit for bit, and the same error where the frozen solver fails
         rows, loss, radius = problem
-        code, (n, d) = LOSS_CODES[loss], rows.shape
+        n, d = rows.shape
         start = data.draw(
             arrays(np.float64, d, elements=st.floats(-2.0, 2.0)) | st.just(np.zeros(d))
         )
         try:
-            expected = ball_oracle.minimize_risk(rows, code, n, radius, start, tol)
+            expected = ball_oracle.minimize_risk(rows, loss, n, radius, start, tol)
         except ConvergenceError as err:
             with pytest.raises(ConvergenceError) as info:
-                minimize_risk(rows, code, n, [radius], start[None], tol)
+                minimize_risk(rows, loss, n, [radius], start[None], tol)
             assert _same_error(info.value, err)
             return
-        (w,), (it,) = minimize_risk(rows, code, n, [radius], start[None], tol)
+        (w,), (it,) = minimize_risk(rows, loss, n, [radius], start[None], tol)
         np.testing.assert_array_equal(w, expected[0], strict=True)
         assert it == expected[1]
 
@@ -428,21 +426,21 @@ class TestBatchedAgainstFrozenSolver:
         # wherever the full Newton step overshoots, so that some slots fail
         # and others do not
         rows, loss, radii, starts = problem
-        code, n = LOSS_CODES[loss], rows.shape[0]
+        n = rows.shape[0]
         starts = shrink * starts
         alone, first_error = [], None
         with mock.patch.object(linalg, "LINE_SEARCH_STEPS", trials):
             for radius, start in zip(radii, starts):
                 try:
-                    alone.append(minimize_risk(rows, code, n, [radius], start[None], tol))
+                    alone.append(minimize_risk(rows, loss, n, [radius], start[None], tol))
                 except ConvergenceError as err:
                     first_error = first_error or err
             if first_error is not None:
                 with pytest.raises(ConvergenceError) as info:
-                    minimize_risk(rows, code, n, radii, starts, tol)
+                    minimize_risk(rows, loss, n, radii, starts, tol)
                 assert _same_error(info.value, first_error)
                 return
-            w, its = minimize_risk(rows, code, n, radii, starts, tol)
+            w, its = minimize_risk(rows, loss, n, radii, starts, tol)
         np.testing.assert_array_equal(w, np.concatenate([a[0] for a in alone]), strict=True)
         np.testing.assert_array_equal(its, np.concatenate([a[1] for a in alone]), strict=True)
 
@@ -457,7 +455,7 @@ class TestBatchedAgainstFrozenSolver:
         rows, loss = problem[:2]
         trace = run(rows, loss, schedule, T)
         batched = ball_series(rows, loss, trace)
-        warm = ball_oracle.ball_series(rows, LOSS_CODES[loss], trace.norm_w, RESIDUAL_TOL)
+        warm = ball_oracle.ball_series(rows, loss, trace.norm_w, RESIDUAL_TOL)
         for radius, wb, wo in zip(trace.norm_w, batched, warm):
             res_b, g_b, p_b = _kkt_residual(rows, loss, wb, radius)
             res_o, g_o, p_o = _kkt_residual(rows, loss, wo, radius)

@@ -32,38 +32,53 @@ SUM_NAMES = (
 STREAMED = ("perceptron", "sum_eta_sep", "sum_cross", "sup_proj_s")
 
 
-def _loop(rows, loss_code, T, cps, sched_code=K.CONSTANT_ONE):
+def _loop(rows, loss, T, cps, schedule="constant_one"):
     A = np.array(rows, dtype=float)
     return K.gd_loop(
         A,
         np.arange(A.shape[0], dtype=np.int64),
         np.zeros((A.shape[1], 0)),
-        loss_code,
-        sched_code,
+        loss,
+        schedule,
         T,
         np.array(cps, dtype=np.int64),
     )
 
 
-def _oracle(A, sep_rows, bs_cols, loss_code, sched_code, T, cps):
-    return gd_oracle.gd_loop(
+# the frozen reference loop's own codes for the names gd_loop takes and returns
+CODES = {
+    "logistic": gd_oracle.LOGISTIC,
+    "exponential": gd_oracle.EXPONENTIAL,
+    "constant_one": gd_oracle.CONSTANT_ONE,
+    "inv_sqrt": gd_oracle.INV_SQRT,
+}
+STATUSES = {
+    gd_oracle.STATUS_OK: "ok",
+    gd_oracle.STATUS_OVERFLOW: "overflow",
+    gd_oracle.STATUS_STEP_ASSERT: "step_assert",
+}
+
+
+def _oracle(A, sep_rows, bs_cols, loss, schedule, T, cps):
+    status, *out = gd_oracle.gd_loop(
         A,
         np.ascontiguousarray(A.T),
         np.ascontiguousarray(A[sep_rows].T),
         sep_rows,
         np.ascontiguousarray(bs_cols),
         np.ascontiguousarray(bs_cols.T),
-        loss_code,
-        sched_code,
+        CODES[loss],
+        CODES[schedule],
         T,
         cps,
     )
+    return (STATUSES[status], *out)
 
 
-def _fill_loss_terms(z, code, val, der):
+def _fill_loss_terms(z, loss, val, der):
     # the descent loop's loss values into val and derivatives into der, from
     # the margins z alone, in the loop's split form
-    if code == K.EXPONENTIAL:
+    if loss == "exponential":
         # its own derivative, of the margins uncapped
         np.copyto(val, np.exp(z, out=der))
         return
@@ -87,25 +102,25 @@ class TestLossFunctions:
             st.integers(0, 30),
             elements=st.floats(allow_nan=False) | st.floats(-800.0, 800.0),
         ),
-        st.sampled_from((K.LOGISTIC, K.EXPONENTIAL)),
+        st.sampled_from(K.LOSSES),
     )
-    def test_bits_match_reference_formulas(self, z, code):
+    def test_bits_match_reference_formulas(self, z, loss):
         with np.errstate(over="ignore"):
-            ref_val = gd_oracle.loss_values(z, code)
-            ref_der = gd_oracle.loss_derivs(z, code)
-        np.testing.assert_array_equal(K.loss_values(z, code), ref_val, strict=True)
-        np.testing.assert_array_equal(K.loss_derivs(z, code), ref_der, strict=True)
+            ref_val = gd_oracle.loss_values(z, CODES[loss])
+            ref_der = gd_oracle.loss_derivs(z, CODES[loss])
+        np.testing.assert_array_equal(K.loss_values(z, loss), ref_val, strict=True)
+        np.testing.assert_array_equal(K.loss_derivs(z, loss), ref_der, strict=True)
         # the curvature minimize_risk and estimate_lambda read: p (1 - p) of the
         # logistic derivative p, and e^z itself
-        ref_curv = ref_der * (1.0 - ref_der) if code == K.LOGISTIC else ref_der
-        np.testing.assert_array_equal(K.loss_curvs(z, code), ref_curv, strict=True)
+        ref_curv = ref_der * (1.0 - ref_der) if loss == "logistic" else ref_der
+        np.testing.assert_array_equal(K.loss_curvs(z, loss), ref_curv, strict=True)
         # the split form the descent loop uses: the derivative per step, the
         # value at the fold; the loop keeps no step with an exponential margin
         # past the cap
         val, der = np.empty((2,) + z.shape)
         with np.errstate(over="ignore"):
-            _fill_loss_terms(z, code, val, der)
-        kept = z <= K._EXP_CAP if code == K.EXPONENTIAL else slice(None)
+            _fill_loss_terms(z, loss, val, der)
+        kept = z <= K._EXP_CAP if loss == "exponential" else slice(None)
         np.testing.assert_array_equal(val[kept], ref_val[kept])
         np.testing.assert_array_equal(der[kept], ref_der[kept])
 
@@ -131,22 +146,22 @@ def test_stacked_matmul_has_the_bits_of_one_product_per_slot(rows):
 
 def test_overflow_status_from_oversized_rows():
     # one huge row makes the very first step jump out of the float64 range
-    out = _loop([[-40.0]], K.EXPONENTIAL, 100, [1, 100])
-    assert out[0] == K.STATUS_OVERFLOW
+    out = _loop([[-40.0]], "exponential", 100, [1, 100])
+    assert out[0] == "overflow"
 
 
 def test_step_assert_on_denormalized_rows():
     # rows above unit norm break the effective-step contract eta*risk <= 1
-    out = _loop([[-1.0], [2.0]], K.EXPONENTIAL, 100, [1, 100])
-    assert out[0] == K.STATUS_STEP_ASSERT
+    out = _loop([[-1.0], [2.0]], "exponential", 100, [1, 100])
+    assert out[0] == "step_assert"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_margin_past_exp_cap_mid_run_is_overflow():
     # the first step is admissible (eta * risk = 1); the second lands on a
     # margin of 800, past the exponential's cap of 700
-    out = _loop([[40.0], [-80.0]], K.EXPONENTIAL, 100, [1, 100])
-    assert out[0] == K.STATUS_OVERFLOW
+    out = _loop([[40.0], [-80.0]], "exponential", 100, [1, 100])
+    assert out[0] == "overflow"
     assert out[1] == 0
     assert out[2][0] == 1.0
 
@@ -180,56 +195,64 @@ def exponential_exit_problems(draw):
         k, m = draw(st.integers(2, 40)), draw(st.integers(1, 5))
         rows = _one_step_rows(k, m, 700.0 - draw(st.floats(1e-12, 0.5)))
     T = draw(st.integers(2, 200))
-    return kind, rows, draw(st.sampled_from((K.CONSTANT_ONE, K.INV_SQRT))), T
+    return kind, rows, draw(st.sampled_from(K.SCHEDULES)), T
 
 
 @settings(max_examples=300, deadline=None)
 @given(exponential_exit_problems())
-@example(("one_at_cap", _one_step_rows(1, 5, 700.0 + np.spacing(700.0)), K.CONSTANT_ONE, 10))
-@example(("many_under_cap", _one_step_rows(2, 1, 699.5), K.INV_SQRT, 10))
+@example(("one_at_cap", _one_step_rows(1, 5, 700.0 + np.spacing(700.0)), "constant_one", 10))
+@example(("many_under_cap", _one_step_rows(2, 1, 699.5), "inv_sqrt", 10))
 # risk 1, then 0.507, then a margin past the cap at step 2
 @example(
     (
         "scaled",
         np.array([[-38.4, -51.5], [22.4, -15.9], [28.8, 19.7], [20.4, 23.0]]),
-        K.CONSTANT_ONE,
+        "constant_one",
         100,
     )
 )
 def test_exponential_exit_matches_reference_loop(problem):
     # the loop tests for a margin past the cap only when the capped risk sum
     # reaches e^700; the reference loop tests every step
-    kind, rows, sched_code, T = problem
+    kind, rows, schedule, T = problem
     dec = partition(MarginMatrix(rows / float(np.linalg.norm(rows, axis=1).max())))
-    args = (rows, dec.sep_rows, dec.basis_s, K.EXPONENTIAL, sched_code, T)
+    args = (rows, dec.sep_rows, dec.basis_s, "exponential", schedule, T)
     cps = checkpoint_times(T, 5)
     with np.errstate(all="ignore"):
         old = _oracle(*args, cps)
     new = K.gd_loop(*args, cps)
-    assert_loops_agree(new, old, sched_code, cps)
+    assert_loops_agree(new, old, schedule, cps)
     status, steps_done = new[0], new[1]
     if kind == "one_at_cap":
         # past the cap at step 1, or a finite risk of about e^700 / n
-        assert (status, steps_done) in ((K.STATUS_OVERFLOW, 0), (K.STATUS_STEP_ASSERT, 1))
+        assert (status, steps_done) in (("overflow", 0), ("step_assert", 1))
     elif kind == "many_under_cap":
         # a capped sum past e^700 at step 1, then the step assert, not overflow
-        assert (status, steps_done) == (K.STATUS_STEP_ASSERT, 1)
+        assert (status, steps_done) == ("step_assert", 1)
         assert new[2][1] * rows.shape[0] >= np.exp(np.array([700.0]))[0]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("rows, loss_code", [([[-30.0]], K.EXPONENTIAL), ([[-40.0]], K.LOGISTIC)])
-def test_risk_underflow_truncates_at_last_finite_step(rows, loss_code):
+# the ids of this and the other parametrized cases below are the labels they
+# had when the loop took integer codes (losses logistic 0, exponential 1;
+# schedules constant_one 0, inv_sqrt 1; statuses overflow 3, step_assert 4),
+# kept so that each case keeps its name in test reports
+@pytest.mark.parametrize(
+    "rows, loss",
+    [([[-30.0]], "exponential"), ([[-40.0]], "logistic")],
+    ids=["rows0-1", "rows1-0"],
+)
+def test_risk_underflow_truncates_at_last_finite_step(rows, loss):
     # after one step every margin is below -745, where the loss is exactly 0
-    out = _loop(rows, loss_code, 100, [1, 100])
+    out = _loop(rows, loss, 100, [1, 100])
     status, steps_done, risk_steps = out[0], out[1], out[2]
-    assert status == K.STATUS_OVERFLOW
+    assert status == "overflow"
     assert steps_done == 0
-    risk_0 = 1.0 if loss_code == K.EXPONENTIAL else np.log(2.0)
+    risk_0 = 1.0 if loss == "exponential" else np.log(2.0)
     assert risk_steps[0] == pytest.approx(risk_0, rel=1e-15)
 
 
-def _exit_rows(stop, status, sched_code, m, u):
+def _exit_rows(stop, status, schedule, m, u):
     """Exponential-loss rows in R^2 that end the loop at step `stop` with
     `status`: overflow or the step assert.
 
@@ -248,8 +271,8 @@ def _exit_rows(stop, status, sched_code, m, u):
     stop comes early once rounding drives the growth) is lowered towards the
     bottom of it."""
     n = m + 2
-    etas = [1.0 / math.sqrt(j + 1.0) if sched_code == K.INV_SQRT else 1.0 for j in range(stop + 1)]
-    overflow = status == K.STATUS_OVERFLOW
+    etas = [1.0 / math.sqrt(j + 1.0) if schedule == "inv_sqrt" else 1.0 for j in range(stop + 1)]
+    overflow = status == "overflow"
     g_lo, g_hi = (700.0, 5000.0) if overflow else (2.5, 1000.0)
 
     def place(g):
@@ -283,14 +306,14 @@ def descent_problems(draw):
     at a drawn step (_exit_rows): by overflow at steps 1-5 or by the step
     assert at steps 1-20, T >= that step."""
     if draw(st.sampled_from(("free", "free", "free", "exit"))) == "exit":
-        status = draw(st.sampled_from((K.STATUS_OVERFLOW, K.STATUS_STEP_ASSERT)))
-        stop = draw(st.integers(1, 5 if status == K.STATUS_OVERFLOW else 20))
-        sched_code = draw(st.sampled_from((K.CONSTANT_ONE, K.INV_SQRT)))
-        rows = _exit_rows(stop, status, sched_code, draw(st.integers(2, 8)), draw(st.floats(0.0, 1.0)))
+        status = draw(st.sampled_from(("overflow", "step_assert")))
+        stop = draw(st.integers(1, 5 if status == "overflow" else 20))
+        schedule = draw(st.sampled_from(K.SCHEDULES))
+        rows = _exit_rows(stop, status, schedule, draw(st.integers(2, 8)), draw(st.floats(0.0, 1.0)))
         T = draw(st.integers(stop, 400))
         dec = partition(MarginMatrix(rows / float(np.linalg.norm(rows, axis=1).max())))
         cps = checkpoint_times(T, draw(st.integers(1, 20)))
-        return rows, dec.sep_rows, dec.basis_s, K.EXPONENTIAL, sched_code, T, cps
+        return rows, dec.sep_rows, dec.basis_s, "exponential", schedule, T, cps
     d = draw(st.integers(1, 4))
     n_pairs = draw(st.integers(0, 3))
     n_free = draw(st.integers(0 if n_pairs else 1, 12 - 2 * n_pairs))
@@ -313,14 +336,14 @@ def descent_problems(draw):
         scale * rows,
         dec.sep_rows,
         dec.basis_s,
-        draw(st.sampled_from((K.LOGISTIC, K.EXPONENTIAL))),
-        draw(st.sampled_from((K.CONSTANT_ONE, K.INV_SQRT))),
+        draw(st.sampled_from(K.LOSSES)),
+        draw(st.sampled_from(K.SCHEDULES)),
         T,
         cps,
     )
 
 
-def assert_loops_agree(new, old, sched_code, cps):
+def assert_loops_agree(new, old, schedule, cps):
     """Equal exits; every series, iterate and running sum within 1e-12
     relative and, for exact zeros, 4 eps m absolute (sum_eta, sum_eff_grad
     and sum_tele taken by descent_sums from the new series at the
@@ -346,7 +369,7 @@ def assert_loops_agree(new, old, sched_code, cps):
         np.testing.assert_allclose(a, ref_sums[name], rtol=1e-12, atol=band, err_msg=name)
     ts = cps[cps < done]
     if ts.size:
-        derived = K.descent_sums(new[4][:done], new[3][:done], sched_code, ts)
+        derived = K.descent_sums(new[4][:done], new[3][:done], schedule, ts)
         for name, a in zip(("sum_eta", "sum_eff_grad", "sum_tele"), derived):
             b = ref_sums[name][: ts.size]
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=band, err_msg=name)
@@ -365,7 +388,7 @@ def assert_loops_agree(new, old, sched_code, cps):
 def assert_both_exits(exits):
     """Of the draws' exit statuses, at least one is an overflow and one a
     step assert."""
-    assert {K.STATUS_OVERFLOW, K.STATUS_STEP_ASSERT} <= exits, exits
+    assert {"overflow", "step_assert"} <= exits, exits
 
 
 # each property below decorates its own inner function, so that each has its
@@ -388,16 +411,17 @@ class TestDescentLoop:
 
 
 @pytest.mark.parametrize(
-    "kind, loss_code, sched_code",
+    "kind, loss, schedule",
     [
-        ("separable", K.EXPONENTIAL, K.CONSTANT_ONE),
-        ("mixed", K.LOGISTIC, K.INV_SQRT),
-        ("mixed", K.EXPONENTIAL, K.INV_SQRT),
-        ("overlap", K.LOGISTIC, K.CONSTANT_ONE),
-        ("touching", K.LOGISTIC, K.CONSTANT_ONE),
+        ("separable", "exponential", "constant_one"),
+        ("mixed", "logistic", "inv_sqrt"),
+        ("mixed", "exponential", "inv_sqrt"),
+        ("overlap", "logistic", "constant_one"),
+        ("touching", "logistic", "constant_one"),
     ],
+    ids=["separable-1-0", "mixed-0-1", "mixed-1-1", "overlap-0-0", "touching-0-0"],
 )
-def test_matches_reference_loop_at_benchmark_size(kind, loss_code, sched_code):
+def test_matches_reference_loop_at_benchmark_size(kind, loss, schedule):
     # the hypothesis problems have n <= 12; BLAS may take other kernel paths
     # for the products of the 40- and 43-row long-run inputs.  Every (loss,
     # schedule) pair appears; overlap has an interior optimum, where the
@@ -407,10 +431,10 @@ def test_matches_reference_loop_at_benchmark_size(kind, loss_code, sched_code):
     dec = partition(MarginMatrix(A))
     T = 20_000
     cps = checkpoint_times(T, 20)
-    old = _oracle(A, dec.sep_rows, dec.basis_s, loss_code, sched_code, T, cps)
-    new = K.gd_loop(A, dec.sep_rows, dec.basis_s, loss_code, sched_code, T, cps)
-    assert new[0] == K.STATUS_OK
-    assert_loops_agree(new, old, sched_code, cps)
+    old = _oracle(A, dec.sep_rows, dec.basis_s, loss, schedule, T, cps)
+    new = K.gd_loop(A, dec.sep_rows, dec.basis_s, loss, schedule, T, cps)
+    assert new[0] == "ok"
+    assert_loops_agree(new, old, schedule, cps)
 
 
 CHUNKS = (1, 2, 3, 7, K._CHUNK)
@@ -433,11 +457,11 @@ def assert_chunk_invariant(args, chunks=CHUNKS):
     return ref
 
 
-def _split(rows, loss_code, sched_code, T):
+def _split(rows, loss, schedule, T):
     rows = np.array(rows, dtype=float)
     dec = partition(MarginMatrix(rows / float(np.linalg.norm(rows, axis=1).max())))
     cps = checkpoint_times(T, 5)
-    return (rows, dec.sep_rows, dec.basis_s, loss_code, sched_code, T, cps)
+    return (rows, dec.sep_rows, dec.basis_s, loss, schedule, T, cps)
 
 
 class TestChunks:
@@ -453,38 +477,47 @@ class TestChunks:
         assert_both_exits(exits)
 
     @pytest.mark.parametrize(
-        "rows, loss_code, status, stop",
+        "rows, loss, status, stop",
         [
             # a margin past the cap at step 1, and at step 2 after a risk of
             # 0.507
-            ([[40.0], [-80.0]], K.EXPONENTIAL, K.STATUS_OVERFLOW, 1),
+            ([[40.0], [-80.0]], "exponential", "overflow", 1),
             (
                 [[-38.4, -51.5], [22.4, -15.9], [28.8, 19.7], [20.4, 23.0]],
-                K.EXPONENTIAL,
-                K.STATUS_OVERFLOW,
+                "exponential",
+                "overflow",
                 2,
             ),
             # every margin below -745 after one step: the risk underflows to 0
-            ([[-40.0]], K.LOGISTIC, K.STATUS_OVERFLOW, 1),
-            ([[-1.0], [2.0]], K.EXPONENTIAL, K.STATUS_STEP_ASSERT, 1),
-            ([[-0.5], [6.7], [-9.6], [1.1]], K.LOGISTIC, K.STATUS_STEP_ASSERT, 2),
+            ([[-40.0]], "logistic", "overflow", 1),
+            ([[-1.0], [2.0]], "exponential", "step_assert", 1),
+            ([[-0.5], [6.7], [-9.6], [1.1]], "logistic", "step_assert", 2),
             (
                 [[1.9, 0.5], [0.7, 1.1], [-3.2, -9.3], [5.1, 5.3]],
-                K.LOGISTIC,
-                K.STATUS_STEP_ASSERT,
+                "logistic",
+                "step_assert",
                 6,
             ),
-            ([[4.2], [-2.7], [-2.4]], K.LOGISTIC, K.STATUS_STEP_ASSERT, 7),
+            ([[4.2], [-2.7], [-2.4]], "logistic", "step_assert", 7),
+        ],
+        ids=[
+            "rows0-1-3-1",
+            "rows1-1-3-2",
+            "rows2-0-3-1",
+            "rows3-1-4-1",
+            "rows4-0-4-2",
+            "rows5-0-4-6",
+            "rows6-0-4-7",
         ],
     )
-    def test_stop_on_the_first_and_last_slot_of_a_chunk(self, rows, loss_code, status, stop):
+    def test_stop_on_the_first_and_last_slot_of_a_chunk(self, rows, loss, status, stop):
         # the stop lands on the first slot of a chunk of `stop` steps and on
         # the last slot of one of stop + 1; the chunks of 1, 2, 3 and 7 put
         # it on other slots
-        args = _split(rows, loss_code, K.CONSTANT_ONE, 100)
+        args = _split(rows, loss, "constant_one", 100)
         with np.errstate(all="ignore"):
             out = assert_chunk_invariant(args, CHUNKS + (stop, stop + 1))
-        steps_done = stop - 1 if status == K.STATUS_OVERFLOW else stop
+        steps_done = stop - 1 if status == "overflow" else stop
         assert (out[0], out[1]) == (status, steps_done)
         for series in out[2:5]:
             assert not series[steps_done + 1 :].any()
@@ -506,27 +539,28 @@ class TestChunks:
         # general form, and must give the bits of chunk lengths under which
         # the change falls in the first chunk (the default) or on other slots
         T = 40
-        args = _split(rows, K.LOGISTIC, K.CONSTANT_ONE, T)
+        args = _split(rows, "logistic", "constant_one", T)
         every_step = np.arange(1, T + 1, dtype=np.int64)
         w = np.vstack([np.zeros(2), _oracle(*args[:6], every_step)[5]])
         z = w @ args[0].T
         changes = np.flatnonzero((z[1:] * z[:-1] < 0.0).any(axis=1)) + 1
         assert changes.size == 1 and changes[0] > 7 and changes[0] % 7 == slot
         out = assert_chunk_invariant(args)
-        assert (out[0], out[1]) == (K.STATUS_OK, T)
+        assert (out[0], out[1]) == ("ok", T)
 
     @pytest.mark.parametrize(
-        "loss_code, sched_code, T",
-        [(K.LOGISTIC, K.INV_SQRT, K._CHUNK - 1), (K.EXPONENTIAL, K.CONSTANT_ONE, 20)],
+        "loss, schedule, T",
+        [("logistic", "inv_sqrt", K._CHUNK - 1), ("exponential", "constant_one", 20)],
+        ids=["0-1-255", "1-0-20"],
     )
-    def test_last_chunk_ends_at_T(self, loss_code, sched_code, T):
+    def test_last_chunk_ends_at_T(self, loss, schedule, T):
         # T + 1 steps fill whole chunks: of the default length, or of 3 and 7
         rows = to_margin_matrix(synth("mixed", 20, 1)).rows
-        out = assert_chunk_invariant(_split(rows, loss_code, sched_code, T))
-        assert (out[0], out[1]) == (K.STATUS_OK, T)
+        out = assert_chunk_invariant(_split(rows, loss, schedule, T))
+        assert (out[0], out[1]) == ("ok", T)
 
     def test_no_step_assert_at_T(self):
         # eta risk passes 1 at step 1 = T, after which no step is taken
-        out = assert_chunk_invariant(_split([[-1.0], [2.0]], K.EXPONENTIAL, K.CONSTANT_ONE, 1))
-        assert (out[0], out[1]) == (K.STATUS_OK, 1)
+        out = assert_chunk_invariant(_split([[-1.0], [2.0]], "exponential", "constant_one", 1))
+        assert (out[0], out[1]) == ("ok", 1)
         assert out[4][1] > 1.0 + 1e-9

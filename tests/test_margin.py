@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hull_oracle import nearest_point_oracle, point_sets
@@ -6,8 +8,10 @@ from hypothesis import example, given, settings
 import optray.margin
 from optray.dataset import synth, to_margin_matrix
 from optray.errors import ConvergenceError, NotSeparableError, ValidationError
+from optray.gd import GDTrace, constrained_opt, grad, risk, run
 from optray.margin import GAP_TOL, primal_margin, solve_dual
 from optray.pipeline import analyze
+from optray.strongconvex import estimate_lambda, solve_vbar
 
 SQRT2 = np.sqrt(2.0)
 
@@ -142,9 +146,35 @@ def test_analyze_solves_the_margin_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_analyze_rejects_unknown_loss():
-    with pytest.raises(ValidationError, match="unknown loss"):
-        analyze(to_margin_matrix(synth("mixed", 10, 5)), "hinge")
+def test_unknown_loss_or_schedule_is_rejected(tmp_path):
+    # every public function that takes a loss or schedule name, on the paths
+    # that return before any loss is evaluated too: no radii, a rank-0 span
+    matrix = to_margin_matrix(synth("mixed", 10, 5))
+    A, n, w, rank_0 = matrix.rows, matrix.n, np.zeros(2), np.zeros((2, 0))
+    opt = solve_vbar(A, rank_0, "logistic", n)
+    trace = run(A, "logistic", "inv_sqrt", 10)
+    trace.to_json(tmp_path / "trace.json")
+    trace.save_steps(tmp_path / "steps.npz")
+    data = json.loads((tmp_path / "trace.json").read_text())
+    data["meta"]["schedule"] = "linear"
+    (tmp_path / "trace.json").write_text(json.dumps(data))
+    calls = [
+        ("loss", lambda: risk(A, "hinge", w)),
+        ("loss", lambda: grad(A, "hinge", w)),
+        ("loss", lambda: run(A, "hinge", "inv_sqrt", 10)),
+        ("schedule", lambda: run(A, "logistic", "linear", 10)),
+        ("loss", lambda: constrained_opt(A, "hinge", 1.0)),
+        ("loss", lambda: constrained_opt(A, "hinge", np.array([]))),
+        ("loss", lambda: solve_vbar(A, np.eye(2), "hinge", n)),
+        ("loss", lambda: solve_vbar(A, rank_0, "hinge", n)),
+        ("loss", lambda: estimate_lambda(A, np.eye(2), "hinge", opt, n)),
+        ("loss", lambda: estimate_lambda(A, rank_0, "hinge", opt, n)),
+        ("loss", lambda: analyze(matrix, "hinge")),
+        ("schedule", lambda: GDTrace.from_files(tmp_path / "trace.json", tmp_path / "steps.npz")),
+    ]
+    for kind, call in calls:
+        with pytest.raises(ValidationError, match=f"^unknown {kind} '(hinge|linear)'; choose from"):
+            call()
 
 
 class TestPrimalMargin:

@@ -8,10 +8,10 @@ from hypothesis.extra.numpy import arrays
 from hull_oracle import block_rows
 
 from optray import strongconvex
+from optray._kernels import LOSSES
 from optray.dataset import MarginMatrix, synth, to_margin_matrix
 from optray.decompose import partition
 from optray.errors import ConvergenceError, LPError, NumericalError
-from optray.gd import LOSS_CODES
 from optray.linalg import orthonormal_basis
 from optray.strongconvex import (
     _boundary_steps,
@@ -110,10 +110,9 @@ class TestEstimateLambda:
         # level-1 sublevel set
         from optray._kernels import loss_curvs, loss_values
 
-        code = 0 if loss == "logistic" else 1
         ws = np.linspace(-6, 6, 24001)
-        vals = np.array([np.sum(loss_values(a_s[:, 0] * w, code)) / n_total for w in ws])
-        hess = np.array([np.sum(loss_curvs(a_s[:, 0] * w, code) * a_s[:, 0] ** 2) / n_total for w in ws])
+        vals = np.array([np.sum(loss_values(a_s[:, 0] * w, loss)) / n_total for w in ws])
+        hess = np.array([np.sum(loss_curvs(a_s[:, 0] * w, loss) * a_s[:, 0] ** 2) / n_total for w in ws])
         return hess[vals <= 1.0].min()
 
     def test_symmetric_logistic_curvature(self):
@@ -131,7 +130,7 @@ class TestEstimateLambda:
         a_s = np.array([[-1.0], [1.0]])
         opt = solve_vbar(a_s, BASIS_1D, "exponential", n_total=2)
         # at the center the reduced Hessian equals e^0 = 1
-        center = np.sum(loss_curvs(np.zeros(2), 1)) / 2
+        center = np.sum(loss_curvs(np.zeros(2), "exponential")) / 2
         assert center == pytest.approx(1.0)
         lam = estimate_lambda(a_s, BASIS_1D, "exponential", opt, n_total=2)
         oracle = self.grid_min_eig_1d(a_s, "exponential", 2)
@@ -220,42 +219,40 @@ class TestBatchedSampler:
     def test_collapsed_brackets_straddle_level_one(self, problem, seed):
         a_s, basis, loss, opt, n = problem
         assume(basis.shape[1] > 0)
-        code = LOSS_CODES[loss]
         M = _restricted(a_s, basis)
         c_star = basis.T @ opt.offset
-        assume(_level(M, code, n, c_star[None, :])[0] < 1.0 - 1e-12)
+        assume(_level(M, loss, n, c_star[None, :])[0] < 1.0 - 1e-12)
         D = np.random.default_rng(seed).standard_normal((8, basis.shape[1]))
         D /= np.linalg.norm(D, axis=1)[:, None]
-        lo, hi, _ = _boundary_steps(M, code, n, c_star, D)
+        lo, hi, _ = _boundary_steps(M, loss, n, c_star, D)
         collapsed = hi == np.nextafter(lo, np.inf)
         # below f* <= 1 - 1e-12 every bracket collapses to adjacent floats,
         # or its direction never reached 1 and carries the 2**60 sentinel
         assert np.all(collapsed | ((lo == 2.0**60) & (hi == 2.0**60)))
-        assert np.all(_level(M, code, n, c_star + lo[:, None] * D)[collapsed] <= 1.0)
-        assert np.all(_level(M, code, n, c_star + hi[:, None] * D)[collapsed] > 1.0)
+        assert np.all(_level(M, loss, n, c_star + lo[:, None] * D)[collapsed] <= 1.0)
+        assert np.all(_level(M, loss, n, c_star + hi[:, None] * D)[collapsed] > 1.0)
 
 
 def _ray_problem(problem, seed):
-    """(M, code, n, c*, D) of a remainder problem whose optimum lies below
+    """(M, loss, n, c*, D) of a remainder problem whose optimum lies below
     level 1, with 8 seeded unit directions."""
     a_s, basis, loss, opt, n = problem
     assume(basis.shape[1] > 0)
-    code = LOSS_CODES[loss]
     M = _restricted(a_s, basis)
     c_star = basis.T @ opt.offset
-    assume(_level(M, code, n, c_star[None, :])[0] < 1.0 - 1e-12)
+    assume(_level(M, loss, n, c_star[None, :])[0] < 1.0 - 1e-12)
     D = np.random.default_rng(seed).standard_normal((8, basis.shape[1]))
     D /= np.linalg.norm(D, axis=1)[:, None]
-    return M, code, n, c_star, D
+    return M, loss, n, c_star, D
 
 
 class TestNewtonBrackets:
     @settings(max_examples=200, deadline=None)
     @given(remainder_problems(), st.integers(0, 2**32 - 1))
     def test_matches_frozen_bisection(self, problem, seed):
-        M, code, n, c_star, D = _ray_problem(problem, seed)
-        lo, hi, _ = _boundary_steps(M, code, n, c_star, D)
-        old_lo, old_hi = lambda_oracle._boundary_steps(M, code, n, c_star, D)
+        M, loss, n, c_star, D = _ray_problem(problem, seed)
+        lo, hi, _ = _boundary_steps(M, loss, n, c_star, D)
+        old_lo, old_hi = lambda_oracle._boundary_steps(M, loss, n, c_star, D)
         moved = (lo != old_lo) | (hi != old_hi)
         if not moved.any():
             return
@@ -264,7 +261,7 @@ class TestNewtonBrackets:
         # above 1 comes before one at or below 1
         ends = np.stack([lo, hi, old_lo, old_hi], axis=1)[moved]
         rows = np.repeat(D[moved], 4, axis=0)
-        over = _level(M, code, n, c_star + ends.reshape(-1, 1) * rows).reshape(-1, 4) > 1.0
+        over = _level(M, loss, n, c_star + ends.reshape(-1, 1) * rows).reshape(-1, 4) > 1.0
         assert not over[:, [0, 2]].any() and over[:, [1, 3]].all()
         order = np.argsort(ends, axis=1, kind="stable")
         ranked = np.take_along_axis(over, order, axis=1)
@@ -301,17 +298,21 @@ class TestNewtonBrackets:
         M = np.array([[1.0, 0.0], [-1.0, 0.0]])
         D = np.array([[0.0, 1.0], [1.0, 0.0]])
         c_star = np.zeros(2)
-        lo, hi, _ = _boundary_steps(M, LOSS_CODES["logistic"], 2, c_star, D)
+        lo, hi, _ = _boundary_steps(M, "logistic", 2, c_star, D)
         assert lo[0] == hi[0] == 2.0**60
         assert hi[1] == np.nextafter(lo[1], np.inf)
-        assert _level(M, 0, 2, c_star + lo[1] * D[1:])[0] <= 1.0 < _level(M, 0, 2, c_star + hi[1] * D[1:])[0]
+        assert (
+            _level(M, "logistic", 2, c_star + lo[1] * D[1:])[0]
+            <= 1.0
+            < _level(M, "logistic", 2, c_star + hi[1] * D[1:])[0]
+        )
 
     def test_level_of_a_point_does_not_depend_on_its_company(self):
         # alone, in the one part of 16 points, and in the three parts of 129
         rng = np.random.default_rng(4)
         M = rng.standard_normal((30, 3))
         points = rng.standard_normal((129, 3))
-        for code in (0, 1):
-            alone = [_level(M, code, 30, points[i : i + 1])[0] for i in range(129)]
-            np.testing.assert_array_equal(_level(M, code, 30, points[:16]), alone[:16])
-            np.testing.assert_array_equal(_level(M, code, 30, points), alone)
+        for loss in LOSSES:
+            alone = [_level(M, loss, 30, points[i : i + 1])[0] for i in range(129)]
+            np.testing.assert_array_equal(_level(M, loss, 30, points[:16]), alone[:16])
+            np.testing.assert_array_equal(_level(M, loss, 30, points), alone)

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import gd_oracle
 import numpy as np
@@ -7,9 +8,10 @@ from hull_oracle import block_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optray import _kernels
+from optray import _kernels, verify
+from optray._kernels import LOSSES, SCHEDULES
 from optray.dataset import SYNTH_KINDS, MarginMatrix, synth, to_margin_matrix
-from optray.gd import LOSS_CODES, SCHED_CODES, ball_series, run
+from optray.gd import ball_series, run
 from optray.linalg import RESIDUAL_TOL
 from optray.margin import GAP_TOL
 from optray.pipeline import analyze
@@ -90,8 +92,8 @@ class TestSmoothness:
             sep,
             B,
             np.ascontiguousarray(B.T),
-            _kernels.LOGISTIC,
-            _kernels.CONSTANT_ONE,
+            gd_oracle.LOGISTIC,
+            gd_oracle.CONSTANT_ONE,
             2000,
             trace.ts,
         )
@@ -162,8 +164,8 @@ class TestLogApprox:
         # loss'/loss falls in z and e^z/loss rises, up to the rounding of the
         # two ratios, so the worst point of {loss <= eps} is its boundary
         z = np.array(sorted((a, b)))
-        lv = _kernels.loss_values(z, _kernels.LOGISTIC)
-        lp = _kernels.loss_derivs(z, _kernels.LOGISTIC)
+        lv = _kernels.loss_values(z, "logistic")
+        lp = _kernels.loss_derivs(z, "logistic")
         falls, rises = lp / lv, np.exp(z) / lv
         tol = 8 * np.finfo(float).eps
         assert falls[0] >= falls[1] * (1.0 - tol)
@@ -174,16 +176,17 @@ class TestLogApprox:
     def test_no_point_inside_is_worse_than_the_boundary(self, eps, depth):
         # the sampled form of the check: a point of {loss <= eps} at depth
         # below the boundary never has a smaller slack than the one reported
-        res = check_log_approx(eps_grid=(eps,))
-        for code, z_max in (
-            (_kernels.LOGISTIC, math.log(math.expm1(eps))),
-            (_kernels.EXPONENTIAL, math.log(eps)),
+        with mock.patch.object(verify, "LOG_APPROX_EPS_GRID", (eps,)):
+            res = check_log_approx()
+        for loss, z_max in (
+            ("logistic", math.log(math.expm1(eps))),
+            ("exponential", math.log(eps)),
         ):
             z = np.array([z_max - depth])
-            lv = _kernels.loss_values(z, code)
+            lv = _kernels.loss_values(z, loss)
             if lv[0] > eps:
                 continue
-            lp = _kernels.loss_derivs(z, code)
+            lp = _kernels.loss_derivs(z, loss)
             slack = min(lp[0] / lv[0] - (1.0 - eps), 2.0 - math.exp(z[0]) / lv[0])
             assert slack >= res.worst_slack - 8 * np.finfo(float).eps
 
@@ -192,8 +195,8 @@ class TestLogApprox:
         # above eps; the check must fail by itself, not through an assert that
         # python -O strips
         values, derivs = _kernels.loss_values, _kernels.loss_derivs
-        monkeypatch.setattr(_kernels, "loss_values", lambda z, code: 2.0 * values(z, code))
-        monkeypatch.setattr(_kernels, "loss_derivs", lambda z, code: 2.0 * derivs(z, code))
+        monkeypatch.setattr(_kernels, "loss_values", lambda z, loss: 2.0 * values(z, loss))
+        monkeypatch.setattr(_kernels, "loss_derivs", lambda z, loss: 2.0 * derivs(z, loss))
         res = check_log_approx()
         assert not res.holds
         assert res.worst_slack < -0.9
@@ -289,7 +292,6 @@ def perp_descent_slacks(trace, structure):
     """check_perp_descent's bound minus its quantity, one checkpoint at a time."""
     direction = structure.direction
     margins = structure.sep_block() @ direction
-    code = LOSS_CODES[trace.loss]
     radii = np.log(trace.ts.astype(float)) / structure.gamma
     lhs = np.empty(trace.k)
     rc_u = np.empty(trace.k)
@@ -299,7 +301,7 @@ def perp_descent_slacks(trace, structure):
         # squared as the check squares: a numpy scalar's ** 2 calls libm pow,
         # which rounds differently from x * x for about 1 x in 1200
         lhs[k] = np.square(np.linalg.norm(perp[k] - u))
-        rc_u[k] = float(np.sum(_kernels.loss_values(margins * radii[k], code))) / structure.n
+        rc_u[k] = float(np.sum(_kernels.loss_values(margins * radii[k], trace.loss))) / structure.n
     rhs = (
         radii**2
         + 2.0
@@ -322,8 +324,8 @@ def descent_inputs(draw):
         rank = draw(st.integers(0, d - 1))
         n_sep, n_sc = draw(st.integers(1, 10)), draw(st.integers(2, 10))
         m = mat(block_rows(d, rank, n_sep, n_sc, draw(st.integers(0, 2**16))))
-    loss = draw(st.sampled_from(tuple(LOSS_CODES)))
-    return m, loss, draw(st.sampled_from(tuple(SCHED_CODES))), draw(st.integers(1, 2000))
+    loss = draw(st.sampled_from(LOSSES))
+    return m, loss, draw(st.sampled_from(SCHEDULES)), draw(st.integers(1, 2000))
 
 
 class TestPerpDescent:
