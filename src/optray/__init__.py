@@ -1,7 +1,7 @@
 """Decomposition, max-margin solvers, and convergence-bound verification for
 gradient descent on logistic/exponential empirical risk."""
 
-from .dataset import Dataset, MarginMatrix, load_csv, normalize, save_csv, synth, to_margin_matrix
+from .dataset import Dataset, load_csv, normalize, save_csv, synth, to_margin_matrix
 from .decompose import Decomposition, partition, row_feasible, separable_certificate, validate
 from .gd import GDTrace, ball_series, constrained_opt, grad, risk, run
 from .linalg import complement, orthonormal_basis, project
@@ -17,7 +17,6 @@ __all__ = [
     "Dataset",
     "Decomposition",
     "GDTrace",
-    "MarginMatrix",
     "MarginSolution",
     "ScOptimum",
     "Structure",

@@ -9,8 +9,6 @@ import numpy as np
 
 from .errors import DegenerateDataError, ParseError, ValidationError
 
-NORM_SLACK = 1e-12  # allowed overshoot of the unit-norm row bound
-
 SYNTH_KINDS = ("separable", "overlap", "touching", "mixed")
 
 # disc centers per generator kind; unit radius throughout
@@ -60,34 +58,6 @@ class Dataset:
         h.update(np.ascontiguousarray(self.features).tobytes())
         h.update(np.ascontiguousarray(self.labels).tobytes())
         return h.hexdigest()[:16]
-
-
-@dataclass(eq=False)
-class MarginMatrix:
-    """Matrix whose i-th row is -labels[i] * features[i]; all solvers consume this.
-
-    A predictor w classifies example i correctly exactly when (rows @ w)[i] < 0.
-    """
-
-    rows: np.ndarray
-
-    def __post_init__(self):
-        self.rows = np.ascontiguousarray(self.rows, dtype=float)
-        if self.rows.ndim != 2 or self.rows.shape[0] < 1:
-            raise ValidationError("rows must be a nonempty (n, d) array")
-        norms = np.linalg.norm(self.rows, axis=1)
-        if not norms.max() <= 1.0 + NORM_SLACK:  # a nan row fails this too
-            raise ValidationError(
-                f"row norms must not exceed 1 (got {norms.max():.17g}); normalize first"
-            )
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.rows.shape[1]
 
 
 def load_csv(path) -> Dataset:
@@ -197,9 +167,11 @@ def normalize(ds: Dataset) -> Dataset:
     return Dataset(x / top, ds.labels.copy())
 
 
-def to_margin_matrix(ds: Dataset) -> MarginMatrix:
-    """Margin matrix with rows -y_i x_i; expects a normalized dataset."""
-    return MarginMatrix(-ds.labels[:, None].astype(float) * ds.features)
+def to_margin_matrix(ds: Dataset) -> np.ndarray:
+    """Margin matrix: the (n, d) array with rows -y_i x_i; expects a normalized
+    dataset.  A predictor w classifies example i correctly exactly when
+    (A w)_i < 0."""
+    return -ds.labels[:, None] * ds.features
 
 
 def _disc_points(rng, center_x: float, count: int) -> np.ndarray:

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lp
-from .dataset import MarginMatrix
 from .errors import ValidationError
 from .linalg import complement, nnls, orthonormal_basis, project
 
@@ -49,8 +48,8 @@ class Certificate:
     u: np.ndarray
     slacks: np.ndarray
 
-    def residual(self, A: MarginMatrix) -> float:
-        return float(np.max(A.rows @ self.u + self.slacks))
+    def residual(self, A: np.ndarray) -> float:
+        return float(np.max(A @ self.u + self.slacks))
 
 
 @dataclass(eq=False)
@@ -75,7 +74,7 @@ class Decomposition:
         return self.basis_s.shape[1]
 
 
-def separable_certificate(A: MarginMatrix, active) -> Certificate:
+def separable_certificate(A: np.ndarray, active) -> Certificate:
     """Maximize the total slack over the active rows.
 
     LP: max sum_{i in active} s_i  s.t.  (A u)_i <= -s_i for active i,
@@ -86,7 +85,7 @@ def separable_certificate(A: MarginMatrix, active) -> Certificate:
     active = np.asarray(sorted(active), dtype=np.int64)
     if active.size == 0:
         raise ValidationError("active row set must be nonempty")
-    n, d = A.n, A.d
+    n, d = A.shape
     box = BOX_SCALE * n
     na = active.size
     # variables: u+ (d), u- (d), s (na)
@@ -96,8 +95,8 @@ def separable_certificate(A: MarginMatrix, active) -> Certificate:
     pos = {int(i): k for k, i in enumerate(active)}
     for i in range(n):
         g = np.zeros(nvar)
-        g[:d] = A.rows[i]
-        g[d : 2 * d] = -A.rows[i]
+        g[:d] = A[i]
+        g[d : 2 * d] = -A[i]
         if i in pos:
             g[2 * d + pos[i]] = 1.0
         rows_g.append(g)
@@ -170,15 +169,15 @@ def _remainder(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return inside, np.zeros(rows.shape[0])
 
 
-def row_feasible(A: MarginMatrix, i: int) -> bool:
+def row_feasible(A: np.ndarray, i: int) -> bool:
     """Per-row oracle: can row i get strictly negative margin while every row
     stays at or below zero?  The cone test of row i alone."""
-    if not 0 <= i < A.n:
+    if not 0 <= i < A.shape[0]:
         raise ValidationError(f"row index {i} out of range")
-    return _cone_test(A.rows, i)[0] > SLACK_TOL
+    return _cone_test(A, i)[0] > SLACK_TOL
 
 
-def partition(A: MarginMatrix) -> Decomposition:
+def partition(A: np.ndarray) -> Decomposition:
     """Split the rows into the maximal strictly separable set and the rest.
 
     The iterated global cone test (`_remainder`) needs a few solves per input;
@@ -186,16 +185,16 @@ def partition(A: MarginMatrix) -> Decomposition:
     on row order.  The remainder keeps the weights of the last solve (or of
     the per-row tests, when they decide) as its Stiemke weights.
     """
-    inside, weights = _remainder(A.rows)
+    inside, weights = _remainder(A)
     sep_rows, sc_rows = np.flatnonzero(~inside), np.flatnonzero(inside)
-    basis_s = orthonormal_basis(A.rows[sc_rows])
+    basis_s = orthonormal_basis(A[sc_rows])
     basis_perp = complement(basis_s)
     return Decomposition(
         sep_rows=sep_rows,
         sc_rows=sc_rows,
         basis_s=basis_s,
         basis_perp=basis_perp,
-        a_perp=np.ascontiguousarray(project(basis_perp, A.rows[sep_rows])),
+        a_perp=np.ascontiguousarray(project(basis_perp, A[sep_rows])),
         sc_weights=weights[sc_rows],
     )
 
@@ -209,7 +208,7 @@ class ValidationReport:
         return all(passed for passed, _ in self.checks.values())
 
 
-def validate(dec: Decomposition, A: MarginMatrix, direction: np.ndarray | None) -> ValidationReport:
+def validate(dec: Decomposition, A: np.ndarray, direction: np.ndarray | None) -> ValidationReport:
     """Check a decomposition against its defining properties, given the unit
     max-margin direction of its separable rows over the complement of S
     (None when it has none).
@@ -225,10 +224,10 @@ def validate(dec: Decomposition, A: MarginMatrix, direction: np.ndarray | None) 
     """
     checks = {}
     if dec.sep_rows.size:
-        worst_sep = float((A.rows[dec.sep_rows] @ direction).max())
+        worst_sep = float((A[dec.sep_rows] @ direction).max())
         ok_a = worst_sep <= -SLACK_TOL
         if dec.sc_rows.size:
-            held = float(np.abs(A.rows[dec.sc_rows] @ direction).max())
+            held = float(np.abs(A[dec.sc_rows] @ direction).max())
             ok_a = ok_a and held <= 1e-9
         else:
             held = 0.0
@@ -237,13 +236,13 @@ def validate(dec: Decomposition, A: MarginMatrix, direction: np.ndarray | None) 
         checks["certificate"] = (True, 0.0)
 
     if dec.sc_rows.size and dec.basis_perp.shape[1] > 0:
-        leak = float(np.abs(A.rows[dec.sc_rows] @ dec.basis_perp).max())
+        leak = float(np.abs(A[dec.sc_rows] @ dec.basis_perp).max())
         checks["remainder_in_span"] = (leak <= 1e-9, leak - 1e-9)
     else:
         checks["remainder_in_span"] = (True, 0.0)
 
     if dec.sc_rows.size:
-        sc, q = A.rows[dec.sc_rows], dec.sc_weights
+        sc, q = A[dec.sc_rows], dec.sc_weights
         # a unit u with A_sc u <= 0 has q_k (A_sc u)_k >= q^T A_sc u >= -|A_sc^T q|
         leak = float(np.linalg.norm(sc.T @ q))
         bound = SLACK_TOL * float(q.min())

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .dataset import MarginMatrix
 from .errors import NumericalError, ParseError, ValidationError
 from .jsonio import write_json
 from .linalg import minimize_risk, project
@@ -23,14 +22,9 @@ from .linalg import minimize_risk, project
 DEFAULT_PER_DECADE = 20
 
 
-def _rows(A) -> np.ndarray:
-    rows = A.rows if isinstance(A, MarginMatrix) else np.asarray(A, dtype=float)
-    return np.ascontiguousarray(rows)
-
-
 def risk(A, loss: str, w: np.ndarray) -> float:
     """Empirical risk (1/n) sum_i loss((A w)_i)."""
-    rows = _rows(A)
+    rows = np.ascontiguousarray(A, dtype=float)
     w = np.asarray(w, dtype=float)
     vals = _kernels.loss_values(rows @ w, loss)
     return float(np.sum(vals) / rows.shape[0])
@@ -38,7 +32,7 @@ def risk(A, loss: str, w: np.ndarray) -> float:
 
 def grad(A, loss: str, w: np.ndarray) -> np.ndarray:
     """Risk gradient (1/n) A^T loss'(A w)."""
-    rows = _rows(A)
+    rows = np.ascontiguousarray(A, dtype=float)
     w = np.asarray(w, dtype=float)
     return rows.T @ _kernels.loss_derivs(rows @ w, loss) / rows.shape[0]
 
@@ -193,15 +187,17 @@ class GDTrace:
                 data = json.load(fh)
             meta = data["meta"]
             fields = {name: meta[name] for name in ("loss", "schedule", "T", "n", "d", "status")}
-            fields["T"] = operator.index(fields["T"])
+            for name in ("T", "n", "d"):
+                fields[name] = operator.index(fields[name])
             sep_rows = np.asarray(meta["sep_rows"], dtype=np.int64)
             recs = data["checkpoints"]
             ts = np.array([r["t"] for r in recs], dtype=np.int64)
             cols = {name: np.array([r[name] for r in recs], dtype=float) for name in cls.CSV_SCALARS}
             for name in cls.CSV_VECTORS:
-                cols[name] = np.array([r[name] for r in recs], dtype=float).reshape(ts.size, meta["d"])
+                cols[name] = np.array([r[name] for r in recs], dtype=float).reshape(ts.size, fields["d"])
         except (ValueError, KeyError, TypeError) as exc:
             raise ParseError(f"{json_path}: not a trace.json ({type(exc).__name__}: {exc})") from None
+        _kernels.is_exponential(fields["loss"])  # an unknown loss raises at load
         try:
             steps = np.load(steps_path)
             series = {name: steps[name] for name in ("risk_steps", "rel_steps", "eff_steps")}
@@ -258,7 +254,7 @@ def run(
     for fixed inputs.  On floating-point overflow the trace is truncated at
     the last finite step and flagged with status "overflow".
     """
-    rows = _rows(A)
+    rows = np.ascontiguousarray(A, dtype=float)
     n, d = rows.shape
     if sep_rows is None:
         sep_idx = np.arange(n, dtype=np.int64)
@@ -307,7 +303,7 @@ def constrained_opt(A, loss: str, radius, w0: np.ndarray | None = None) -> np.nd
     linalg.minimize_risk call; w0 then holds one start per radius, and the
     answer one minimizer per radius, each with the bits of its radius solved
     alone from its start."""
-    rows = _rows(A)
+    rows = np.ascontiguousarray(A, dtype=float)
     radii = np.asarray(radius, dtype=float)
     if not np.all(radii >= 0.0):
         raise ValidationError("radius must be >= 0")

@@ -4,17 +4,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import MarginMatrix
 from .decompose import Decomposition, ValidationReport, partition, validate
+from .errors import ValidationError
 from .margin import MarginSolution, solve_dual
 from .strongconvex import ScOptimum, estimate_lambda, solve_vbar
+
+NORM_SLACK = 1e-12  # allowed overshoot of the unit-norm row bound
 
 
 @dataclass(eq=False)
 class Structure:
     """Everything the verification checks need besides the trace itself."""
 
-    matrix: MarginMatrix
+    matrix: np.ndarray
     dec: Decomposition
     margin_sol: MarginSolution | None
     sc_opt: ScOptimum
@@ -22,7 +24,7 @@ class Structure:
 
     @property
     def n(self) -> int:
-        return self.matrix.n
+        return self.matrix.shape[0]
 
     @property
     def n_sep(self) -> int:
@@ -49,20 +51,26 @@ class Structure:
         return self.sc_opt.risk_inf
 
     def sep_block(self) -> np.ndarray:
-        return self.matrix.rows[self.dec.sep_rows]
+        return self.matrix[self.dec.sep_rows]
 
 
-def analyze(matrix: MarginMatrix, loss: str) -> Structure:
-    """Partition the rows, solve the max-margin dual over the complement,
-    check the split against that direction, and minimize the restricted risk
-    over the span of the remainder."""
+def analyze(matrix, loss: str) -> Structure:
+    """Partition the rows of the margin matrix, solve the max-margin dual over
+    the complement, check the split against that direction, and minimize the
+    restricted risk over the span of the remainder.  The rows must have
+    norms at most 1."""
+    matrix = np.ascontiguousarray(matrix, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] < 1:
+        raise ValidationError("rows must be a nonempty (n, d) array")
+    norms = np.linalg.norm(matrix, axis=1)
+    if not norms.max() <= 1.0 + NORM_SLACK:  # a nan row fails this too
+        raise ValidationError(f"row norms must not exceed 1 (got {norms.max():.17g}); normalize first")
     dec = partition(matrix)
     margin_sol = solve_dual(dec.a_perp) if dec.n_sep > 0 else None
     report = validate(dec, matrix, None if margin_sol is None else margin_sol.direction)
-    sc_opt = solve_vbar(matrix.rows[dec.sc_rows], dec.basis_s, loss, n_total=matrix.n)
-    sc_opt.curvature = estimate_lambda(
-        matrix.rows[dec.sc_rows], dec.basis_s, loss, sc_opt, n_total=matrix.n
-    )
+    a_s, n = matrix[dec.sc_rows], matrix.shape[0]
+    sc_opt = solve_vbar(a_s, dec.basis_s, loss, n_total=n)
+    sc_opt.curvature = estimate_lambda(a_s, dec.basis_s, loss, sc_opt, n_total=n)
     return Structure(
         matrix=matrix,
         dec=dec,

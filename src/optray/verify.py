@@ -398,7 +398,7 @@ def report_meta(trace: GDTrace, structure: Structure, digest: str) -> dict:
         "schedule": trace.schedule,
         "T": trace.T,
         "n": structure.n,
-        "d": structure.matrix.d,
+        "d": structure.matrix.shape[1],
         "n_sep": structure.n_sep,
         "rank_s": structure.dec.rank_s,
         "margin": None if structure.margin_sol is None else structure.gamma,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hull_oracle import margin_direction
 
-from optray.dataset import MarginMatrix, synth, to_margin_matrix
+from optray.dataset import synth, to_margin_matrix
 from optray.decompose import Decomposition, partition, row_feasible, validate
 from optray.gd import ball_series, grad, risk, run
 from optray.margin import solve_dual
@@ -84,9 +84,9 @@ def long_runs():
     data, decaying steps on mixed data), with ball-constrained optima."""
     cases = [
         ("synth_separable", to_margin_matrix(synth("separable", 20, 1)), "exponential", "constant_one"),
-        ("two_axis", MarginMatrix(CANONICAL_TWO_AXIS), "exponential", "constant_one"),
+        ("two_axis", CANONICAL_TWO_AXIS, "exponential", "constant_one"),
         ("synth_mixed", to_margin_matrix(synth("mixed", 20, 1)), "logistic", "inv_sqrt"),
-        ("canonical_mixed", MarginMatrix(CANONICAL_MIXED), "logistic", "inv_sqrt"),
+        ("canonical_mixed", CANONICAL_MIXED, "logistic", "inv_sqrt"),
     ]
     records = []
     for name, m, loss, sched in cases:
@@ -109,12 +109,11 @@ def test_criterion_1_decomposition_oracle_equivalence():
         d = int(rng.integers(1, 5))
         rows = rng.standard_normal((n, d))
         rows /= max(1.0, np.linalg.norm(rows, axis=1).max())
-        A = MarginMatrix(rows)
-        dec = partition(A)
-        oracle = {i for i in range(n) if row_feasible(A, i)}
+        dec = partition(rows)
+        oracle = {i for i in range(n) if row_feasible(rows, i)}
         assert set(dec.sep_rows.tolist()) == oracle, f"trial {trial}"
         perm = rng.permutation(n)
-        dec_p = partition(MarginMatrix(rows[perm]))
+        dec_p = partition(rows[perm])
         assert {int(perm[i]) for i in dec_p.sep_rows} == set(dec.sep_rows.tolist()), f"trial {trial}"
     elapsed = time.time() - t0
     assert elapsed <= 60.0, f"took {elapsed:.1f}s"
@@ -229,7 +228,7 @@ def test_criterion_8_parameter_convergence(matrix_runs):
             continue
         assert res.holds, (rec["kind"], rec["seed"], rec["loss"], rec["sched"], res.worst_slack)
     structure, trace = None, None
-    m = MarginMatrix(np.array([[-1.0], [-1.0], [1.0]]))
+    m = np.array([[-1.0], [-1.0], [1.0]])
     structure = analyze(m, "exponential")
     trace = run(m, "exponential", "inv_sqrt", T_MATRIX, sep_rows=structure.dec.sep_rows, basis_s=structure.dec.basis_s)
     err = abs(float(trace.proj_s[-1][0]) - math.log(2.0) / 2.0)
@@ -324,7 +323,7 @@ def test_applicable_check_census(matrix_runs):
 
 
 def test_criterion_11_negative_controls():
-    m = MarginMatrix(CANONICAL_MIXED)
+    m = CANONICAL_MIXED
     structure = analyze(m, "logistic")
     trace = run(m, "logistic", "inv_sqrt", 2000, sep_rows=structure.dec.sep_rows, basis_s=structure.dec.basis_s)
     trace.risk_steps[500] *= 1.01

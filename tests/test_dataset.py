@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 
 from optray.dataset import (
     Dataset,
-    MarginMatrix,
     load_csv,
     normalize,
     save_csv,
@@ -17,6 +16,7 @@ from optray.dataset import (
 from optray.decompose import partition
 from optray.errors import DegenerateDataError, ParseError, ValidationError
 from optray.margin import solve_dual
+from optray.pipeline import NORM_SLACK, analyze
 
 
 class TestLoadCsv:
@@ -212,9 +212,7 @@ class TestNormalize:
             ds = Dataset(rng.standard_normal((5, 3)) * 4, rng.choice([-1, 1], size=5))
             once = normalize(ds)
             twice = normalize(once)
-            np.testing.assert_array_equal(
-                to_margin_matrix(once).rows, to_margin_matrix(twice).rows
-            )
+            np.testing.assert_array_equal(to_margin_matrix(once), to_margin_matrix(twice))
 
 
 @pytest.mark.parametrize(
@@ -245,26 +243,45 @@ def test_dataset_accepts_the_labels_np_isin_accepts(labels):
             Dataset(features, labels)
 
 
-class TestMarginMatrix:
+class TestToMarginMatrix:
     def test_positive_label(self):
         ds = Dataset(np.array([[1.0, 0.0]]), np.array([1]))
-        np.testing.assert_allclose(to_margin_matrix(ds).rows, [[-1.0, 0.0]])
+        np.testing.assert_allclose(to_margin_matrix(ds), [[-1.0, 0.0]])
 
     def test_negative_label(self):
         ds = Dataset(np.array([[0.0, 1.0]]), np.array([-1]))
-        np.testing.assert_allclose(to_margin_matrix(ds).rows, [[0.0, 1.0]])
+        np.testing.assert_allclose(to_margin_matrix(ds), [[0.0, 1.0]])
 
     def test_three_points(self):
         ds = Dataset(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]), np.array([1, 1, -1]))
-        np.testing.assert_allclose(
-            to_margin_matrix(ds).rows, [[-1.0, 0.0], [0.0, -1.0], [0.0, 1.0]]
-        )
+        np.testing.assert_allclose(to_margin_matrix(ds), [[-1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
 
     def test_oversized_rows_rejected(self):
-        # a nan row has a nan norm, which no comparison with the bound admits
-        for rows in ([[2.0, 0.0]], [[0.5, 0.0], [np.nan, 0.0]]):
-            with pytest.raises(ValidationError):
-                MarginMatrix(np.array(rows))
+        # analyze checks the rows; a nan row has a nan norm, which no
+        # comparison with the bound admits
+        too_long = np.nextafter(1.0 + NORM_SLACK, 2.0)
+        cases = [
+            ([[too_long, 0.0]], "row norms must not exceed 1"),
+            ([[0.5, 0.0], [np.nan, 0.0]], "row norms must not exceed 1"),
+            ([0.5, 0.0], "rows must be a nonempty"),
+            (np.zeros((0, 2)), "rows must be a nonempty"),
+        ]
+        for rows, message in cases:
+            with pytest.raises(ValidationError, match=message):
+                analyze(np.array(rows), "logistic")
+        analyze(np.array([[1.0 + NORM_SLACK, 0.0]]), "logistic")
+
+    def test_analyze_converts_dtype_and_order(self):
+        # an int or Fortran-order matrix is analyzed as its C-contiguous float copy
+        rows = to_margin_matrix(synth("mixed", 6, 2))
+        axis = np.array([[-1, 0], [0, -1], [0, 1], [1, 0], [0, 1]])
+        pairs = [(np.asfortranarray(rows), rows), (axis, axis.astype(float))]
+        for other, floats in pairs:
+            got, want = analyze(other, "logistic"), analyze(floats, "logistic")
+            np.testing.assert_array_equal(got.dec.sep_rows, want.dec.sep_rows)
+            np.testing.assert_array_equal(got.dec.basis_s, want.dec.basis_s)
+            np.testing.assert_array_equal(got.offset, want.offset)
+            assert got.matrix.flags.c_contiguous and got.matrix.dtype == float
 
 
 class TestSynth:
@@ -290,7 +307,7 @@ class TestSynth:
     def test_normalized_invariant(self, kind):
         ds = synth(kind, 20, 3)
         mat = to_margin_matrix(ds)
-        assert np.linalg.norm(mat.rows, axis=1).max() <= 1 + 1e-12
+        assert np.linalg.norm(mat, axis=1).max() <= 1 + 1e-12
 
     def test_mixed_has_axis_points(self):
         ds = synth("mixed", 4, 2)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hull_oracle import block_rows, margin_direction, nearest_point_oracle
 
 from optray import decompose
-from optray.dataset import MarginMatrix, synth, to_margin_matrix
+from optray.dataset import synth, to_margin_matrix
 from optray.decompose import (
     Decomposition,
     partition,
@@ -18,7 +18,7 @@ CANONICAL_MIXED = np.array([[-1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
 
 
 def mat(rows):
-    return MarginMatrix(np.asarray(rows, dtype=float))
+    return np.asarray(rows, dtype=float)
 
 
 def check(dec, A):
@@ -157,7 +157,7 @@ class TestPartition:
     def test_global_split_matches_per_row_split(self, rows):
         A = mat(rows)
         dec = partition(A)
-        assert dec.sep_rows.tolist() == [i for i in range(A.n) if row_feasible(A, i)]
+        assert dec.sep_rows.tolist() == [i for i in range(len(A)) if row_feasible(A, i)]
         assert check(dec, A).ok
 
     def test_near_tolerance_rows_all_remain_with_one_solve(self, monkeypatch):
@@ -178,7 +178,7 @@ class TestPartition:
         fallbacks = count_calls(monkeypatch, "_cone_weights")
         dec = partition(A)
         assert len(fallbacks) == 1
-        assert not any(row_feasible(A, i) for i in range(A.n))
+        assert not any(row_feasible(A, i) for i in range(len(A)))
         assert dec.sep_rows.size == 0 and dec.sc_rows.tolist() == list(range(12))
 
     def test_agrees_with_scipy_feasibility(self):
@@ -272,14 +272,14 @@ class TestValidate:
         dec = partition(A)
         ok, _ = check(dec, A).checks["stiemke"]
         if ok and dec.rank_s > 0:
-            coords = A.rows[dec.sc_rows] @ dec.basis_s
+            coords = A[dec.sc_rows] @ dec.basis_s
             assert nearest_point_oracle(coords) <= 1e-6
 
 
 class TestSynthGeometry:
     def test_separable_rows_all_feasible(self):
         A = to_margin_matrix(synth("separable", 12, 7))
-        assert all(row_feasible(A, i) for i in range(A.n))
+        assert all(row_feasible(A, i) for i in range(len(A)))
 
     def test_mixed_partition_shape(self):
         ds = synth("mixed", 10, 5)
@@ -295,4 +295,4 @@ class TestSynthGeometry:
         dec = partition(A)
         assert dec.sc_rows.size == 1
         assert dec.rank_s == 0
-        assert np.all(A.rows[dec.sc_rows[0]] == 0.0)
+        assert np.all(A[dec.sc_rows[0]] == 0.0)

@@ -13,9 +13,9 @@ from scipy.optimize import minimize
 
 from optray import linalg
 from optray.cli import main
-from optray.dataset import MarginMatrix, synth, to_margin_matrix
+from optray.dataset import synth, to_margin_matrix
 from optray.decompose import partition
-from optray.errors import ConvergenceError, ValidationError
+from optray.errors import ConvergenceError, ParseError, ValidationError
 from optray.gd import (
     GDTrace,
     ball_series,
@@ -187,6 +187,18 @@ class TestTraceIO:
         np.testing.assert_allclose(back.risk_steps, tr.risk_steps)
         np.testing.assert_allclose(back.sum_cross, tr.sum_cross)
         assert back.loss == tr.loss and back.T == tr.T
+
+    def test_non_integer_size_is_parse_error(self, tmp_path):
+        # n and d are read as integers, as T is: "13" or 13.0 does not load
+        trace = run(to_margin_matrix(synth("mixed", 5, 9)), "logistic", "inv_sqrt", 50)
+        trace.save_steps(tmp_path / "steps.npz")
+        for key, value in (("n", "13"), ("n", 13.0), ("d", "2")):
+            trace.to_json(tmp_path / "trace.json")
+            data = json.loads((tmp_path / "trace.json").read_text())
+            data["meta"][key] = value
+            (tmp_path / "trace.json").write_text(json.dumps(data))
+            with pytest.raises(ParseError, match="not a trace.json"):
+                GDTrace.from_files(tmp_path / "trace.json", tmp_path / "steps.npz")
 
     def test_compressed_steps_still_read(self, tmp_path):
         # traces in the earlier format: steps.npz compressed, and the worst

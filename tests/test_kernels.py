@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from optray import _kernels as K
-from optray.dataset import MarginMatrix, synth, to_margin_matrix
+from optray.dataset import synth, to_margin_matrix
 from optray.decompose import partition
 from optray.gd import checkpoint_times
 from optray.verify import check_smoothness
@@ -215,7 +215,7 @@ def test_exponential_exit_matches_reference_loop(problem):
     # the loop tests for a margin past the cap only when the capped risk sum
     # reaches e^700; the reference loop tests every step
     kind, rows, schedule, T = problem
-    dec = partition(MarginMatrix(rows / float(np.linalg.norm(rows, axis=1).max())))
+    dec = partition(rows / float(np.linalg.norm(rows, axis=1).max()))
     args = (rows, dec.sep_rows, dec.basis_s, "exponential", schedule, T)
     cps = checkpoint_times(T, 5)
     with np.errstate(all="ignore"):
@@ -311,7 +311,7 @@ def descent_problems(draw):
         schedule = draw(st.sampled_from(K.SCHEDULES))
         rows = _exit_rows(stop, status, schedule, draw(st.integers(2, 8)), draw(st.floats(0.0, 1.0)))
         T = draw(st.integers(stop, 400))
-        dec = partition(MarginMatrix(rows / float(np.linalg.norm(rows, axis=1).max())))
+        dec = partition(rows / float(np.linalg.norm(rows, axis=1).max()))
         cps = checkpoint_times(T, draw(st.integers(1, 20)))
         return rows, dec.sep_rows, dec.basis_s, "exponential", schedule, T, cps
     d = draw(st.integers(1, 4))
@@ -328,7 +328,7 @@ def descent_problems(draw):
     mirrors = -draw(arrays(np.float64, (n_pairs, 1), elements=st.floats(0.1, 1.0))) * pairs
     rows = np.vstack([free, pairs, mirrors])
     rows /= max(1.0, float(np.linalg.norm(rows, axis=1).max()))
-    dec = partition(MarginMatrix(rows))
+    dec = partition(rows)
     scale = draw(st.sampled_from((1.0, 1.0, 1.0, 1.0, 3.0, 40.0)))
     T = draw(st.integers(1, 400))
     cps = checkpoint_times(T, draw(st.integers(1, 20)))
@@ -427,8 +427,8 @@ def test_matches_reference_loop_at_benchmark_size(kind, loss, schedule):
     # schedule) pair appears; overlap has an interior optimum, where the
     # gradient's terms cancel, and touching's origin row has margin exactly 0
     # at every step, on the edge of the signs that split the logistic rows
-    A = to_margin_matrix(synth(kind, 20, 1)).rows
-    dec = partition(MarginMatrix(A))
+    A = to_margin_matrix(synth(kind, 20, 1))
+    dec = partition(A)
     T = 20_000
     cps = checkpoint_times(T, 20)
     old = _oracle(A, dec.sep_rows, dec.basis_s, loss, schedule, T, cps)
@@ -459,7 +459,7 @@ def assert_chunk_invariant(args, chunks=CHUNKS):
 
 def _split(rows, loss, schedule, T):
     rows = np.array(rows, dtype=float)
-    dec = partition(MarginMatrix(rows / float(np.linalg.norm(rows, axis=1).max())))
+    dec = partition(rows / float(np.linalg.norm(rows, axis=1).max()))
     cps = checkpoint_times(T, 5)
     return (rows, dec.sep_rows, dec.basis_s, loss, schedule, T, cps)
 
@@ -555,7 +555,7 @@ class TestChunks:
     )
     def test_last_chunk_ends_at_T(self, loss, schedule, T):
         # T + 1 steps fill whole chunks: of the default length, or of 3 and 7
-        rows = to_margin_matrix(synth("mixed", 20, 1)).rows
+        rows = to_margin_matrix(synth("mixed", 20, 1))
         out = assert_chunk_invariant(_split(rows, loss, schedule, T))
         assert (out[0], out[1]) == ("ok", T)
 

@@ -3,7 +3,6 @@ import pytest
 from hull_oracle import block_rows
 
 from optray import lp
-from optray.dataset import MarginMatrix
 from optray.decompose import separable_certificate
 from optray.errors import LPError
 
@@ -71,7 +70,7 @@ def test_matches_scipy_on_random_instances():
 def test_infeasible_pivot_result_is_not_returned():
     # on this d = 6 instance the pivot sequence ends at a point that violates
     # A u <= -s by about 4; it must raise instead of passing as optimal
-    A = MarginMatrix(block_rows(6, 3, 50, 30, 8))
+    A = block_rows(6, 3, 50, 30, 8)
     try:
         cert = separable_certificate(A, np.arange(50))
     except LPError:

@@ -149,15 +149,16 @@ def test_analyze_solves_the_margin_once(monkeypatch):
 def test_unknown_loss_or_schedule_is_rejected(tmp_path):
     # every public function that takes a loss or schedule name, on the paths
     # that return before any loss is evaluated too: no radii, a rank-0 span
-    matrix = to_margin_matrix(synth("mixed", 10, 5))
-    A, n, w, rank_0 = matrix.rows, matrix.n, np.zeros(2), np.zeros((2, 0))
+    A = to_margin_matrix(synth("mixed", 10, 5))
+    n, w, rank_0 = len(A), np.zeros(2), np.zeros((2, 0))
     opt = solve_vbar(A, rank_0, "logistic", n)
     trace = run(A, "logistic", "inv_sqrt", 10)
-    trace.to_json(tmp_path / "trace.json")
     trace.save_steps(tmp_path / "steps.npz")
-    data = json.loads((tmp_path / "trace.json").read_text())
-    data["meta"]["schedule"] = "linear"
-    (tmp_path / "trace.json").write_text(json.dumps(data))
+    for key, name in (("schedule", "linear"), ("loss", "hinge")):
+        trace.to_json(tmp_path / f"{key}.json")
+        data = json.loads((tmp_path / f"{key}.json").read_text())
+        data["meta"][key] = name
+        (tmp_path / f"{key}.json").write_text(json.dumps(data))
     calls = [
         ("loss", lambda: risk(A, "hinge", w)),
         ("loss", lambda: grad(A, "hinge", w)),
@@ -169,8 +170,9 @@ def test_unknown_loss_or_schedule_is_rejected(tmp_path):
         ("loss", lambda: solve_vbar(A, rank_0, "hinge", n)),
         ("loss", lambda: estimate_lambda(A, np.eye(2), "hinge", opt, n)),
         ("loss", lambda: estimate_lambda(A, rank_0, "hinge", opt, n)),
-        ("loss", lambda: analyze(matrix, "hinge")),
-        ("schedule", lambda: GDTrace.from_files(tmp_path / "trace.json", tmp_path / "steps.npz")),
+        ("loss", lambda: analyze(A, "hinge")),
+        ("schedule", lambda: GDTrace.from_files(tmp_path / "schedule.json", tmp_path / "steps.npz")),
+        ("loss", lambda: GDTrace.from_files(tmp_path / "loss.json", tmp_path / "steps.npz")),
     ]
     for kind, call in calls:
         with pytest.raises(ValidationError, match=f"^unknown {kind} '(hinge|linear)'; choose from"):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hull_oracle import block_rows, margin_direction
 
-from optray.dataset import MarginMatrix
 from optray.decompose import partition, row_feasible, validate
 
 scipy_opt = pytest.importorskip("scipy.optimize")
@@ -46,7 +45,7 @@ def test_oracle_finds_the_constructed_split():
     # no separable row and rank_s = 4 here
     rows = block_rows(4, 3, N_SEP, N_SC, 3)
     assert oracle_split(rows) == list(range(N_SEP))
-    dec = partition(MarginMatrix(rows))
+    dec = partition(rows)
     assert dec.sep_rows.tolist() == list(range(N_SEP))
     assert dec.rank_s == 3
 
@@ -58,11 +57,10 @@ def test_partition_matches_highs_oracle_on_block_instances(d):
         if dd != d:
             continue
         rows = block_rows(d, r, N_SEP, N_SC, s)
-        A = MarginMatrix(rows)
-        dec = partition(A)
+        dec = partition(rows)
         oracle = oracle_split(rows)
         assert oracle == list(range(N_SEP)), (d, r, s)
-        if dec.sep_rows.tolist() != oracle or dec.rank_s != r or not validate(dec, A, margin_direction(dec)).ok:
+        if dec.sep_rows.tolist() != oracle or dec.rank_s != r or not validate(dec, rows, margin_direction(dec)).ok:
             wrong.append((r, s))
     assert not wrong, f"d = {d}: partition differs from the oracle at (rank, seed) {wrong}"
 
@@ -72,9 +70,8 @@ def test_subnormal_row_against_highs_oracle():
     # row 1 enters the subnormal row first, whose weight would pass the
     # float range, and must go on to row 2
     rows = np.array([[-1e-313], [1.0], [-0.1]])
-    A = MarginMatrix(rows)
     assert oracle_split(rows) == []
-    assert [row_feasible(A, i) for i in range(3)] == [False, False, False]
-    dec = partition(A)
+    assert [row_feasible(rows, i) for i in range(3)] == [False, False, False]
+    dec = partition(rows)
     assert dec.sep_rows.tolist() == [] and dec.rank_s == 1
-    assert validate(dec, A, None).ok
+    assert validate(dec, rows, None).ok

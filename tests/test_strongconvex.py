@@ -9,7 +9,7 @@ from hull_oracle import block_rows
 
 from optray import strongconvex
 from optray._kernels import LOSSES
-from optray.dataset import MarginMatrix, synth, to_margin_matrix
+from optray.dataset import synth, to_margin_matrix
 from optray.decompose import partition
 from optray.errors import ConvergenceError, LPError, NumericalError
 from optray.linalg import orthonormal_basis
@@ -71,16 +71,16 @@ class TestSolveVbar:
 
 class TestInfimumRisk:
     def test_canonical_mixed_logistic(self):
-        A = MarginMatrix(np.array([[-1.0, 0.0], [0.0, -1.0], [0.0, 1.0]]))
+        A = np.array([[-1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
         dec = partition(A)
-        opt = solve_vbar(A.rows[dec.sc_rows], dec.basis_s, "logistic", n_total=A.n)
+        opt = solve_vbar(A[dec.sc_rows], dec.basis_s, "logistic", n_total=len(A))
         assert opt.risk_inf == pytest.approx(2 * LN2 / 3, abs=1e-10)
         np.testing.assert_allclose(opt.offset, [0.0, 0.0], atol=1e-9)
 
     def test_fully_separable_is_zero(self):
-        A = MarginMatrix(np.array([[-1.0, 0.0], [0.0, -1.0]]))
+        A = np.array([[-1.0, 0.0], [0.0, -1.0]])
         dec = partition(A)
-        opt = solve_vbar(A.rows[dec.sc_rows], dec.basis_s, "logistic", n_total=A.n)
+        opt = solve_vbar(A[dec.sc_rows], dec.basis_s, "logistic", n_total=len(A))
         assert opt.risk_inf == 0.0
 
 
@@ -91,9 +91,9 @@ class TestRayConsistency:
         from optray.gd import risk
         from optray.margin import solve_dual
 
-        A = MarginMatrix(np.array([[-1.0, 0.0], [0.0, -1.0], [0.0, 1.0]]))
+        A = np.array([[-1.0, 0.0], [0.0, -1.0], [0.0, 1.0]])
         dec = partition(A)
-        opt = solve_vbar(A.rows[dec.sc_rows], dec.basis_s, "logistic", n_total=A.n)
+        opt = solve_vbar(A[dec.sc_rows], dec.basis_s, "logistic", n_total=len(A))
         sol = solve_dual(dec.a_perp)
         gaps = [
             risk(A, "logistic", opt.offset + r * sol.direction) - opt.risk_inf
@@ -175,18 +175,17 @@ def remainder_problems(draw):
         sep[:, -1] = -draw(arrays(np.float64, n_sep, elements=st.floats(0.1, 1.0)))
         sep /= max(1.0, np.linalg.norm(sep, axis=1).max())
         rows = np.vstack([np.hstack([rows, np.zeros((2 * m, 1))]), sep])
-    A = MarginMatrix(rows)
     try:
-        dec = partition(A)
+        dec = partition(rows)
     except LPError:
         assume(False)
     loss = draw(st.sampled_from(("logistic", "exponential")))
-    a_s = A.rows[dec.sc_rows]
+    a_s = rows[dec.sc_rows]
     try:
-        opt = solve_vbar(a_s, dec.basis_s, loss, n_total=A.n)
+        opt = solve_vbar(a_s, dec.basis_s, loss, n_total=len(rows))
     except ConvergenceError:
         assume(False)
-    return a_s, dec.basis_s, loss, opt, A.n
+    return a_s, dec.basis_s, loss, opt, len(rows)
 
 
 def _estimate_or_none(sampler, problem):
@@ -283,13 +282,13 @@ class TestNewtonBrackets:
             (3, 1, 25, 15, 1), (3, 2, 50, 30, 6), (4, 3, 40, 30, 2), (4, 2, 50, 30, 5),
             (5, 2, 35, 25, 1), (5, 4, 30, 30, 3), (5, 1, 50, 30, 4), (6, 3, 50, 30, 8),
         ):
-            instances.append(MarginMatrix(block_rows(d, r, n_sep, n_sc, seed)))
+            instances.append(block_rows(d, r, n_sep, n_sc, seed))
         for A in instances:
             dec = partition(A)
-            a_s = A.rows[dec.sc_rows]
+            a_s = A[dec.sc_rows]
             for loss in ("logistic", "exponential"):
-                opt = solve_vbar(a_s, dec.basis_s, loss, A.n)
-                estimate_lambda(a_s, dec.basis_s, loss, opt, A.n)
+                opt = solve_vbar(a_s, dec.basis_s, loss, len(A))
+                estimate_lambda(a_s, dec.basis_s, loss, opt, len(A))
         assert len(counts) == 2 * len(instances)
         assert max(counts) <= 12
 

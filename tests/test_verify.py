@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from optray import _kernels, verify
 from optray._kernels import LOSSES, SCHEDULES
-from optray.dataset import SYNTH_KINDS, MarginMatrix, synth, to_margin_matrix
+from optray.dataset import SYNTH_KINDS, synth, to_margin_matrix
 from optray.gd import ball_series, run
 from optray.linalg import RESIDUAL_TOL
 from optray.margin import GAP_TOL
@@ -34,14 +34,10 @@ from optray.verify import (
 )
 
 
-def mat(rows):
-    return MarginMatrix(np.asarray(rows, dtype=float))
-
-
-def pipeline_for(rows_or_mat, loss, schedule, T):
-    m = rows_or_mat if isinstance(rows_or_mat, MarginMatrix) else mat(rows_or_mat)
-    structure = analyze(m, loss)
-    trace = run(m, loss, schedule, T, sep_rows=structure.dec.sep_rows, basis_s=structure.dec.basis_s)
+def pipeline_for(rows, loss, schedule, T):
+    structure = analyze(rows, loss)
+    dec = structure.dec
+    trace = run(structure.matrix, loss, schedule, T, sep_rows=dec.sep_rows, basis_s=dec.basis_s)
     return structure, trace
 
 
@@ -83,7 +79,7 @@ class TestSmoothness:
         structure, trace = pipeline_for(
             to_margin_matrix(synth("touching", 8, 2)), "logistic", "constant_one", 2000
         )
-        A, sep = structure.matrix.rows, structure.dec.sep_rows
+        A, sep = structure.matrix, structure.dec.sep_rows
         B = structure.dec.basis_s
         ref = gd_oracle.gd_loop(
             A,
@@ -323,7 +319,7 @@ def descent_inputs(draw):
         d = draw(st.integers(1, 5))
         rank = draw(st.integers(0, d - 1))
         n_sep, n_sc = draw(st.integers(1, 10)), draw(st.integers(2, 10))
-        m = mat(block_rows(d, rank, n_sep, n_sc, draw(st.integers(0, 2**16))))
+        m = block_rows(d, rank, n_sep, n_sc, draw(st.integers(0, 2**16)))
     loss = draw(st.sampled_from(LOSSES))
     return m, loss, draw(st.sampled_from(SCHEDULES)), draw(st.integers(1, 2000))
 
